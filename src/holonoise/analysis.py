@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import signal as sp_signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .noise_model import HolographicSpectrum, one_sided_psd
 from .synthesis import TimeSeries
@@ -49,10 +49,6 @@ class WelchParams:
     @property
     def noverlap(self) -> int:
         return int(self.overlap_fraction * self.segment_length)
-
-    @property
-    def scipy_window(self) -> str:
-        return "boxcar" if self.window == "rectangular" else self.window
 
 
 @dataclass
@@ -90,6 +86,14 @@ def _segment_count(n: int, p: WelchParams) -> int:
     return 1 + (n - p.segment_length) // step
 
 
+def _window(p: WelchParams) -> np.ndarray:
+    """Periodic (DFT-even) segment window: hann or all ones."""
+    n = p.segment_length
+    if p.window == "rectangular":
+        return np.ones(n)
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
 def effective_segments(n_seg: int, p: WelchParams) -> float:
     """Independent-segment equivalent of n_seg overlapped segments.
 
@@ -98,8 +102,7 @@ def effective_segments(n_seg: int, p: WelchParams) -> float:
     the normalized window autocorrelation at d steps.  For hann with 50%
     overlap the factor is about 1.056; it is exactly 1 without overlap.
     """
-    window = sp_signal.get_window(p.scipy_window, p.segment_length,
-                                  fftbins=True)
+    window = _window(p)
     step = p.segment_length - p.noverlap
     denom = float(window @ window)
     inflation = 1.0
@@ -110,6 +113,52 @@ def effective_segments(n_seg: int, p: WelchParams) -> float:
         inflation += 2.0 * (1.0 - d / n_seg) * r * r
         d += 1
     return n_seg / inflation
+
+
+def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
+                     p: WelchParams):
+    """Welch densities of x and y and their cross-spectrum in one pass.
+
+    Returns (f, Pxx, Pyy, Pxy, K): one-sided densities averaged over the K
+    windowed segments, with Pxy = mean(conj(X) Y).  Pyy and Pxy are None
+    when y is None.
+    """
+    p.validate()
+    n_seg = _segment_count(x.size, p)
+    window = _window(p)
+    step = p.segment_length - p.noverlap
+    # density scaling; every bin but DC (and Nyquist, for even lengths)
+    # folds in its negative-frequency twin
+    scale = np.full(p.segment_length // 2 + 1, 2.0 / (fs * (window @ window)))
+    scale[0] /= 2.0
+    if p.segment_length % 2 == 0:
+        scale[-1] /= 2.0
+
+    def spectra(v):
+        segments = sliding_window_view(v, p.segment_length)[::step]
+        return np.fft.rfft(segments * window, axis=-1)
+
+    def average(products):
+        return np.mean(products, axis=0) * scale
+
+    f = np.fft.rfftfreq(p.segment_length, 1.0 / fs)
+    sx = spectra(x)
+    pxx = average(sx.real**2 + sx.imag**2)
+    if y is None:
+        return f, pxx, None, None, n_seg
+    sy = spectra(y)
+    pyy = average(sy.real**2 + sy.imag**2)
+    pxy = average(np.conj(sx, out=sx) * sy)
+    return f, pxx, pyy, pxy, n_seg
+
+
+def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
+    if a.sample_rate != b.sample_rate:
+        raise ValueError(
+            f"sample rates differ: {a.sample_rate} vs {b.sample_rate}"
+        )
+    if a.n != b.n:
+        raise ValueError(f"record lengths differ: {a.n} vs {b.n}")
 
 
 def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimate:
@@ -128,39 +177,12 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
         With `sigma` = values / sqrt(effective segments), the chi-squared
         scale of an averaged periodogram corrected for segment overlap.
     """
-    p.validate()
-    n_seg = _segment_count(ts.n, p)
-    f, pxx = sp_signal.welch(
-        ts.values, fs=ts.sample_rate, window=p.scipy_window,
-        nperseg=p.segment_length, noverlap=p.noverlap,
-        detrend=False, return_onesided=True, scaling="density",
-    )
+    f, pxx, _, _, n_seg = _segment_spectra(ts.values, None, ts.sample_rate, p)
     return SpectrumEstimate(
         frequencies=f, values=pxx, n_segments=n_seg,
         sample_rate=ts.sample_rate, params=p, kind="psd",
         sigma=pxx / np.sqrt(effective_segments(n_seg, p)),
     )
-
-
-def _welch_pair(a: TimeSeries, b: TimeSeries, p: WelchParams):
-    """Shared PSD/PSD/CSD evaluation for the two-channel estimators."""
-    p.validate()
-    if a.sample_rate != b.sample_rate:
-        raise ValueError(
-            f"sample rates differ: {a.sample_rate} vs {b.sample_rate}"
-        )
-    if a.n != b.n:
-        raise ValueError(f"record lengths differ: {a.n} vs {b.n}")
-    n_seg = _segment_count(a.n, p)
-    kwargs = dict(
-        fs=a.sample_rate, window=p.scipy_window, nperseg=p.segment_length,
-        noverlap=p.noverlap, detrend=False, return_onesided=True,
-        scaling="density",
-    )
-    f, pab = sp_signal.csd(a.values, b.values, **kwargs)
-    _, paa = sp_signal.welch(a.values, **kwargs)
-    _, pbb = sp_signal.welch(b.values, **kwargs)
-    return f, paa, pbb, pab, n_seg
 
 
 def welch_csd(a: TimeSeries, b: TimeSeries,
@@ -172,7 +194,9 @@ def welch_csd(a: TimeSeries, b: TimeSeries,
     part of each bin when the channels are independent.  It feeds the
     detection statistic's weights.
     """
-    f, paa, pbb, pab, n_seg = _welch_pair(a, b, p)
+    _check_pair(a, b)
+    f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values,
+                                               a.sample_rate, p)
     return SpectrumEstimate(
         frequencies=f, values=pab, n_segments=n_seg,
         sample_rate=a.sample_rate, params=p, kind="csd",
@@ -187,7 +211,9 @@ def coherence(a: TimeSeries, b: TimeSeries,
     The estimator is biased upward by roughly 1/n_segments for independent
     channels; average many segments before reading small values.
     """
-    f, paa, pbb, pab, n_seg = _welch_pair(a, b, p)
+    _check_pair(a, b)
+    f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values,
+                                               a.sample_rate, p)
     coh = np.clip(np.abs(pab) ** 2 / (paa * pbb), 0.0, 1.0)
     return SpectrumEstimate(
         frequencies=f, values=coh, n_segments=n_seg,
@@ -213,12 +239,41 @@ class CorrelationResult:
     n_samples_effective: float
 
 
-def _biased_xcov(x: np.ndarray, y: np.ndarray, max_bins: int) -> np.ndarray:
-    """r[j] = (1/N) sum_t x_t y_{t+j} for j in [-max_bins, max_bins]."""
+def _smooth_length(n: int) -> int:
+    """Smallest 2*3*5-smooth integer >= n (a fast FFT length)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lagged_covariances(x: np.ndarray, y: np.ndarray, max_bins: int):
+    """Biased lagged covariances of (x, y), (x, x) and (y, y).
+
+    Each is r[j] = (1/N) sum_t u_t v_{t+j} for j in [-max_bins, max_bins],
+    from one transform of each record.  Zero-padding to at least
+    N + max_bins keeps the circular products free of wrap-around at the
+    lags kept.
+    """
     n = x.size
-    full = sp_signal.fftconvolve(y, x[::-1], mode="full")
-    center = n - 1
-    return full[center - max_bins:center + max_bins + 1] / n
+    m = _smooth_length(n + max_bins)
+    fx = np.fft.rfft(x, m)
+    fy = np.fft.rfft(y, m)
+
+    def lags(spectrum):
+        r = np.fft.irfft(spectrum, m)
+        return np.concatenate([r[m - max_bins:], r[:max_bins + 1]]) / n
+
+    return (lags(np.conj(fx) * fy), lags(fx.real**2 + fx.imag**2),
+            lags(fy.real**2 + fy.imag**2))
 
 
 def cross_correlation(a: TimeSeries, b: TimeSeries,
@@ -229,12 +284,7 @@ def cross_correlation(a: TimeSeries, b: TimeSeries,
     The returned band assumes correlations (of each record with itself) die
     out within max_lag, so choose max_lag beyond the physical coherence time.
     """
-    if a.sample_rate != b.sample_rate:
-        raise ValueError(
-            f"sample rates differ: {a.sample_rate} vs {b.sample_rate}"
-        )
-    if a.n != b.n:
-        raise ValueError(f"record lengths differ: {a.n} vs {b.n}")
+    _check_pair(a, b)
     if not max_lag < 0.5 * a.duration:
         raise ValueError(
             f"max_lag {max_lag} s must be below half the record duration "
@@ -246,7 +296,7 @@ def cross_correlation(a: TimeSeries, b: TimeSeries,
     n = a.n
     x = a.values - a.values.mean()
     y = b.values - b.values.mean()
-    cov = _biased_xcov(x, y, j_max)
+    cov, cxx, cyy = _lagged_covariances(x, y, j_max)
     lags = np.arange(-j_max, j_max + 1) / a.sample_rate
 
     var_x = float(x @ x) / n
@@ -255,8 +305,6 @@ def cross_correlation(a: TimeSeries, b: TimeSeries,
     normalized = cov / scale if scale > 0 else np.zeros_like(cov)
 
     # Bartlett band: var(r[j]) ~ (N - |j|)/N^2 * sum_k c_xx[k] c_yy[k]
-    cxx = _biased_xcov(x, x, j_max)
-    cyy = _biased_xcov(y, y, j_max)
     bartlett = float(np.sum(cxx * cyy))
     counts = n - np.abs(np.arange(-j_max, j_max + 1))
     sigma_band = np.sqrt(np.clip(bartlett, 0.0, None) * counts) / n
@@ -284,8 +332,7 @@ def _bin_correlation_factor(p: WelchParams) -> float:
     sum_d |rho_w(d)|^2 = L sum(w^4) / (sum(w^2))^2 (1 for the rectangular
     window, 35/18 for hann).
     """
-    window = sp_signal.get_window(p.scipy_window, p.segment_length,
-                                  fftbins=True)
+    window = _window(p)
     return float(p.segment_length * np.sum(window**4) / np.sum(window**2) ** 2)
 
 
@@ -322,7 +369,14 @@ def detection_significance(csd: SpectrumEstimate, model: HolographicSpectrum,
     x = np.real(np.asarray(csd.values)[mask])
     template = np.asarray(one_sided_psd(model, freqs))
     if csd.sigma is not None:
-        weights = 1.0 / np.asarray(csd.sigma)[mask] ** 2
+        sigma = np.asarray(csd.sigma)[mask]
+        n_zero = int(np.sum(sigma == 0.0))
+        if n_zero:
+            raise ValueError(
+                f"band ({f_lo}, {f_hi}) Hz contains {n_zero} zero-variance "
+                "bins, which cannot be weighted"
+            )
+        weights = 1.0 / sigma**2
     else:
         weights = np.ones_like(x)
     denom = float(np.sum(weights * template**2))

@@ -45,11 +45,14 @@ class DetectorConfig:
     geometric_sensitivity: bool = True
 
     def validate(self) -> "DetectorConfig":
-        if self.L <= 0:
-            raise ConfigurationError(f"arm length must be positive, got {self.L}")
-        if self.shot_noise_asd < 0:
+        if not 0.0 < self.L < np.inf:
             raise ConfigurationError(
-                f"shot noise ASD must be nonnegative, got {self.shot_noise_asd}"
+                f"arm_length must be positive and finite, got {self.L}"
+            )
+        if not 0.0 <= self.shot_noise_asd < np.inf:
+            raise ConfigurationError(
+                "shot_noise_asd must be nonnegative and finite, got "
+                f"{self.shot_noise_asd}"
             )
         return self
 
@@ -84,6 +87,14 @@ def _shot_noise(asd: float, n: int, sample_rate: float,
 
 
 def _n_samples(duration: float, sample_rate: float) -> int:
+    if not 0.0 < duration < np.inf:
+        raise ConfigurationError(
+            f"duration must be positive and finite, got {duration}"
+        )
+    if not 0.0 < sample_rate < np.inf:
+        raise ConfigurationError(
+            f"sample_rate must be positive and finite, got {sample_rate}"
+        )
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ConfigurationError(f"duration {duration} s yields an empty record")

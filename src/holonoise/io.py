@@ -72,37 +72,26 @@ def write_timeseries_csv(path, ts: TimeSeries, seed: int = 0,
     meta.update(sample_rate_hz=ts.sample_rate, n_samples=ts.n, seed=int(seed),
                 units="m")
     with open(path, "w", encoding="utf-8") as fh:
-        _write_preamble(fh, meta)
+        fh.write(_preamble(meta))
         fh.write("displacement_m\n")
         for v in ts.values:
             fh.write(f"{v:.17e}\n")
 
 
 def read_timeseries_csv(path) -> tuple[TimeSeries, dict]:
-    meta: dict = {}
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = json.loads(val.strip())
-            elif line[0].isalpha():
-                continue  # column header
-            else:
-                values.append(float(line.split(",")[0]))
+    """Read a `write_timeseries_csv` file; returns (series, metadata)."""
+    columns, meta = read_table_csv(path)
     if "sample_rate_hz" not in meta:
         raise ValueError(f"{path}: missing sample_rate_hz metadata")
+    values = next(iter(columns.values()))
     return TimeSeries(sample_rate=float(meta["sample_rate_hz"]),
-                      values=np.array(values)), meta
+                      values=values), meta
 
 
-def _write_preamble(fh, metadata: dict) -> None:
-    for key in sorted(metadata):
-        fh.write(f"# {key} = {_canonical_json(metadata[key])}\n")
-
+def _preamble(metadata: dict) -> str:
+    """'# key = json' lines in sorted key order, each ending in a newline."""
+    return "".join(f"# {key} = {_canonical_json(metadata[key])}\n"
+                   for key in sorted(metadata))
 
 
 def format_table_csv(columns: dict, metadata: dict | None = None) -> str:
@@ -123,14 +112,11 @@ def format_table_csv(columns: dict, metadata: dict | None = None) -> str:
     if len(lengths) != 1:
         raise ValueError(f"columns have unequal lengths: {sorted(lengths)}")
     (n,) = lengths
-    lines = []
-    for key in sorted(metadata or {}):
-        lines.append(f"# {key} = {_canonical_json(metadata[key])}")
-    lines.append(",".join(cols))
+    lines = [",".join(cols)]
     arrays = list(cols.values())
     for i in range(n):
         lines.append(",".join(_format_cell(a[i]) for a in arrays))
-    return "\n".join(lines) + "\n"
+    return _preamble(metadata or {}) + "\n".join(lines) + "\n"
 
 
 def write_table_csv(path, columns: dict, metadata: dict | None = None) -> None:

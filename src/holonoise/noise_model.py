@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CONSTANTS, PhysicalConstants
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,10 @@ class HolographicSpectrum:
     consts: PhysicalConstants = CONSTANTS
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"arm length must be positive, got {self.L}")
+        if not 0.0 < self.L < np.inf:
+            raise ConfigurationError(
+                f"arm_length must be positive and finite, got {self.L}"
+            )
 
     @property
     def f_c(self) -> float:

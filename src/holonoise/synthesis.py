@@ -38,8 +38,10 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}"
+            )
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.values)):
@@ -67,8 +69,14 @@ class SynthesisConfig:
     consts: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def validate(self) -> "SynthesisConfig":
-        if self.L <= 0:
-            raise ConfigurationError(f"arm length must be positive, got {self.L}")
+        if not 0.0 < self.L < np.inf:
+            raise ConfigurationError(
+                f"arm_length must be positive and finite, got {self.L}"
+            )
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ConfigurationError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}"
+            )
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"method must be one of {METHODS}, got {self.method!r}"

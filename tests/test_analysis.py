@@ -300,3 +300,35 @@ class TestBandAverages:
             band_averages(est, [200.0, 300.0])
         with pytest.raises(ValueError):
             band_averages(est, [10.0])
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("segment_length", [256, 255])
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_estimators_match_scipy_oracle(window, segment_length, overlap):
+    signal = pytest.importorskip("scipy.signal")
+    a = white(2**14, seed=30)
+    b = TimeSeries(a.sample_rate, 0.5 * a.values + white(2**14, seed=31).values)
+    p = WelchParams(segment_length=segment_length, overlap_fraction=overlap,
+                    window=window)
+    kwargs = dict(fs=a.sample_rate, nperseg=segment_length,
+                  noverlap=p.noverlap, detrend=False,
+                  window="boxcar" if window == "rectangular" else window)
+    f, paa = signal.welch(a.values, **kwargs)
+    _, pab = signal.csd(a.values, b.values, **kwargs)
+    _, coh = signal.coherence(a.values, b.values, **kwargs)
+
+    psd = welch_psd(a, p)
+    assert_allclose(psd.frequencies, f, rtol=1e-12)
+    assert_allclose(psd.values, paa, rtol=1e-12)
+    assert_allclose(welch_csd(a, b, p).values, pab, rtol=1e-12)
+    assert_allclose(coherence(a, b, p).values, coh, rtol=1e-12)
+
+    # lagged covariance against a full linear correlation, to 1e-12 of its peak
+    j_max = 40
+    res = cross_correlation(a, b, max_lag=j_max / a.sample_rate)
+    x, y = a.values - a.values.mean(), b.values - b.values.mean()
+    full = signal.fftconvolve(y, x[::-1])
+    center = a.n - 1
+    ref = full[center - j_max:center + j_max + 1] / a.n
+    assert_allclose(res.covariance, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))

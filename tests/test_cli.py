@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import holonoise
 from holonoise import HolographicSpectrum, analytic_psd
 from holonoise import io as hio
 from holonoise.cli import main
@@ -159,6 +163,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "seed" in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--arm-length", "nan"], "arm_length"),
+        (["--arm-length", "inf"], "arm_length"),
+        (["--duration", "inf"], "duration"),
+        (["--duration", "nan"], "duration"),
+        (["--sample-rate", "inf"], "sample_rate"),
+        (["--sample-rate", "nan"], "sample_rate"),
+        (["--shot-asd", "nan"], "shot_noise_asd"),
+    ])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, argv,
+                                              field):
+        assert run_cli("run", *argv, "--outdir", tmp_path) == 2
+        assert field in capsys.readouterr().err
+
+    def test_zero_variance_band_rejected(self, tmp_path, capsys):
+        # a silent detector A has zero PSD, so every band bin has sigma = 0
+        code, _ = self.run_small(tmp_path, "silent", "--shot-asd", 0,
+                                 "--no-sens-a")
+        assert code == 2
+        assert "zero-variance" in capsys.readouterr().err
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOISE_OUTDIR", str(tmp_path / "envdir"))
         assert run_cli("run", "--duration", 0.004, "--seed", 5) == 0
@@ -172,3 +197,13 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "checks passed" in out
         assert out.count("PASS") >= 30
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only oracle; the package must not pull it in
+    src = str(Path(holonoise.__file__).resolve().parents[1])
+    code = ("import sys, holonoise.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
