@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import ConfigurationError
 from .noise_model import HolographicSpectrum, one_sided_psd
 from .synthesis import TimeSeries
 
@@ -35,15 +36,17 @@ class WelchParams:
 
     def validate(self) -> "WelchParams":
         if self.segment_length < 16:
-            raise ValueError(
+            raise ConfigurationError(
                 f"segment_length must be >= 16, got {self.segment_length}"
             )
         if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}"
             )
         if self.window not in WINDOWS:
-            raise ValueError(f"window must be one of {WINDOWS}, got {self.window!r}")
+            raise ConfigurationError(
+                f"window must be one of {WINDOWS}, got {self.window!r}"
+            )
         return self
 
     @property
@@ -214,7 +217,10 @@ def coherence(a: TimeSeries, b: TimeSeries,
     _check_pair(a, b)
     f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values,
                                                a.sample_rate, p)
-    coh = np.clip(np.abs(pab) ** 2 / (paa * pbb), 0.0, 1.0)
+    power = paa * pbb
+    # a silent channel has zero power and, by convention, zero coherence
+    coh = np.clip(np.divide(np.abs(pab) ** 2, power, out=np.zeros_like(power),
+                            where=power != 0.0), 0.0, 1.0)
     return SpectrumEstimate(
         frequencies=f, values=coh, n_segments=n_seg,
         sample_rate=a.sample_rate, params=p, kind="coherence", sigma=None,

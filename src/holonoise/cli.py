@@ -9,7 +9,7 @@ Subcommands:
 * ``verify``    print a pass/fail report of the model's numeric identities
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing check, 2 on
-usage or configuration errors.  Every command is a deterministic function of
+usage, configuration or file errors.  Every command is a deterministic function of
 its configuration and seed; reruns produce byte-identical files.
 """
 
@@ -19,7 +19,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .algebra import (
     SECONDS_PER_YEAR,
 )
 from .analysis import (
+    WINDOWS,
     WelchParams,
     cross_correlation,
     coherence,
@@ -47,7 +50,7 @@ from .analysis import (
     welch_csd,
     welch_psd,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive_finite
 from .interferometer import (
     DetectorConfig,
     DualDetectorConfig,
@@ -62,7 +65,7 @@ from .noise_model import (
     one_sided_psd,
     time_averaged_ms_displacement,
 )
-from .synthesis import SynthesisConfig, synthesize
+from .synthesis import METHODS, SynthesisConfig, synthesize
 from . import io as hio
 
 OUTDIR_ENV = "HOLONOISE_OUTDIR"
@@ -70,6 +73,72 @@ OUTDIR_ENV = "HOLONOISE_OUTDIR"
 
 def _default_outdir() -> str:
     return os.environ.get(OUTDIR_ENV, ".")
+
+
+class _PairItem(argparse.Action):
+    """Stores its value at index `const` of a two-item list, such as the band."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        pair = list(getattr(namespace, self.dest) or (None, None))
+        pair[self.const] = value
+        setattr(namespace, self.dest, pair)
+
+
+def _run_field(default, types, description, *flags, **argparse_kwargs):
+    """A RunConfig field: default, accepted JSON types, help text, `run` flags."""
+    return field(default=default, metadata={
+        "types": types, "help": description, "flags": flags,
+        "argparse": argparse_kwargs,
+    })
+
+
+_NUMBER = (int, float)
+_OPTIONAL = (int, float, type(None))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The `holonoise run` configuration: one field per JSON key.
+
+    Each field declares its default, its accepted JSON types, its description
+    (the flag's help text) and its flag or flags.  A None default is filled
+    in from the geometry when the run starts.
+    """
+
+    arm_length: float = _run_field(40.0, _NUMBER, "arm length in meters",
+                                   "--arm-length", type=float, metavar="M")
+    duration: float = _run_field(0.1, _NUMBER, "record duration in seconds",
+                                 "--duration", type=float, metavar="S")
+    sample_rate: float = _run_field(1.6e7, _NUMBER, "sample rate in Hz",
+                                    "--sample-rate", type=float, metavar="HZ")
+    seed: int = _run_field(1, (int,), "master seed", "--seed", type=int)
+    rho_geom: float = _run_field(
+        1.0, _NUMBER, "geometric correlation coefficient in [0, 1]",
+        "--rho", type=float, metavar="RHO")
+    shot_noise_asd: Optional[float] = _run_field(
+        None, _OPTIONAL, "one-sided shot noise ASD in m/rtHz, 3x the plateau "
+        "if unset", "--shot-asd", type=float, metavar="M_RTHZ")
+    geometric_sensitivity_a: bool = _run_field(
+        True, (bool,), "detector A responds to geometric noise", "--sens-a",
+        action=argparse.BooleanOptionalAction)
+    geometric_sensitivity_b: bool = _run_field(
+        True, (bool,), "detector B responds to geometric noise", "--sens-b",
+        action=argparse.BooleanOptionalAction)
+    method: str = _run_field("spectral", (str,), "synthesis method",
+                             "--method", choices=METHODS)
+    segment_length: int = _run_field(4096, (int,), "Welch segment length in "
+                                     "samples", "--segment-length", type=int)
+    overlap_fraction: float = _run_field(0.5, _NUMBER, "Welch overlap fraction",
+                                         "--overlap", type=float)
+    window: str = _run_field("hann", (str,), "Welch window", "--window",
+                             choices=WINDOWS)
+    band: Optional[list] = _run_field(
+        None, (list, type(None)), "detection band [f_lo, f_hi] in Hz, "
+        "[f_c/20, 2 f_c] if unset", "--band-lo", "--band-hi", type=float,
+        metavar="HZ", action=_PairItem)
+    max_lag: Optional[float] = _run_field(
+        None, _OPTIONAL, "correlation lag range in seconds, 4 coherence times "
+        "if unset", "--max-lag", type=float, metavar="S")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="tabulate the predicted spectrum")
-    p.add_argument("--arm-length", type=float, default=40.0, metavar="M")
+    p.add_argument("--arm-length", type=float, default=RunConfig.arm_length,
+                   metavar="M")
     p.add_argument("--f-max", type=float, required=True, metavar="HZ")
     p.add_argument("--f-min", type=float, default=0.0, metavar="HZ")
     p.add_argument("--n-points", type=int, default=1000)
@@ -92,38 +162,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("synth", help="synthesize a noise record")
-    p.add_argument("--arm-length", type=float, default=40.0, metavar="M")
-    p.add_argument("--sample-rate", type=float, default=1.6e7, metavar="HZ")
+    p.add_argument("--arm-length", type=float, default=RunConfig.arm_length,
+                   metavar="M")
+    p.add_argument("--sample-rate", type=float, default=RunConfig.sample_rate,
+                   metavar="HZ")
     p.add_argument("--n-samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--method", choices=("spectral", "boxcar"),
-                   default="spectral")
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--method", choices=METHODS, default=RunConfig.method)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="dual-detector experiment end to end")
     p.add_argument("--config", default=None, help="JSON run configuration")
-    p.add_argument("--arm-length", type=float, default=None, metavar="M")
-    p.add_argument("--duration", type=float, default=None, metavar="S")
-    p.add_argument("--sample-rate", type=float, default=None, metavar="HZ")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None,
-                   help="geometric correlation coefficient in [0, 1]")
-    p.add_argument("--shot-asd", type=float, default=None, metavar="M_RTHZ",
-                   help="one-sided shot noise ASD (default: 3x plateau)")
-    p.add_argument("--sens-a", action=argparse.BooleanOptionalAction,
-                   default=None, help="detector A responds to geometric noise")
-    p.add_argument("--sens-b", action=argparse.BooleanOptionalAction,
-                   default=None, help="detector B responds to geometric noise")
-    p.add_argument("--method", choices=("spectral", "boxcar"), default=None)
-    p.add_argument("--segment-length", type=int, default=None)
-    p.add_argument("--overlap", type=float, default=None)
-    p.add_argument("--window", choices=("rectangular", "hann"), default=None)
-    p.add_argument("--band-lo", type=float, default=None, metavar="HZ")
-    p.add_argument("--band-hi", type=float, default=None, metavar="HZ")
-    p.add_argument("--max-lag", type=float, default=None, metavar="S")
-    p.add_argument("--outdir", default=None)
+    # every flag defaults to None, so that the config file shows through
+    for f in fields(RunConfig):
+        flags = f.metadata["flags"]
+        text = f.metadata["help"]
+        if f.default is not None:
+            text += f" (default: {f.default})"
+        for i, flag in enumerate(flags):
+            item = {"const": i} if len(flags) > 1 else {}
+            p.add_argument(flag, dest=f.name, default=None, help=text,
+                           **item, **f.metadata["argparse"])
+    p.add_argument("--outdir", default=None,
+                   help=f"output directory (default: ${OUTDIR_ENV} or .)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="numeric identity report")
@@ -137,9 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_spectrum(args) -> int:
-    if args.f_max <= 0:
-        raise ConfigurationError(f"--f-max must be positive, got {args.f_max}")
-    if args.f_min < 0 or args.f_min >= args.f_max:
+    check_positive_finite("--f-max", args.f_max)
+    if not 0.0 <= args.f_min < args.f_max:
         raise ConfigurationError(
             f"--f-min must lie in [0, f-max), got {args.f_min}"
         )
@@ -178,16 +240,12 @@ def cmd_spectrum(args) -> int:
     if args.format == "json":
         doc = dict(meta, **{k: v.tolist() for k, v in columns.items()})
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
     else:
         text = hio.format_table_csv(columns, meta)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -218,105 +276,43 @@ def cmd_synth(args) -> int:
 
 # --------------------------------------------------------------------- run
 
-#: key -> (types, description).  None marks optional values resolved at run
-#: time from the geometry.
-RUN_CONFIG_SCHEMA = {
-    "arm_length": ((int, float), "arm length in meters"),
-    "duration": ((int, float), "record duration in seconds"),
-    "sample_rate": ((int, float), "sample rate in Hz"),
-    "seed": ((int,), "master seed"),
-    "rho_geom": ((int, float), "geometric correlation coefficient"),
-    "shot_noise_asd": ((int, float, type(None)), "one-sided shot ASD, m/rtHz"),
-    "geometric_sensitivity_a": ((bool,), "detector A geometric response"),
-    "geometric_sensitivity_b": ((bool,), "detector B geometric response"),
-    "method": ((str,), "synthesis method"),
-    "segment_length": ((int,), "Welch segment length in samples"),
-    "overlap_fraction": ((int, float), "Welch overlap fraction"),
-    "window": ((str,), "Welch window"),
-    "band": ((list, type(None)), "detection band [f_lo, f_hi] in Hz"),
-    "max_lag": ((int, float, type(None)), "correlation lag range in seconds"),
-}
-
-RUN_CONFIG_DEFAULTS = {
-    "arm_length": 40.0,
-    "duration": 0.1,
-    "sample_rate": 1.6e7,
-    "seed": 1,
-    "rho_geom": 1.0,
-    "shot_noise_asd": None,
-    "geometric_sensitivity_a": True,
-    "geometric_sensitivity_b": True,
-    "method": "spectral",
-    "segment_length": 4096,
-    "overlap_fraction": 0.5,
-    "window": "hann",
-    "band": None,
-    "max_lag": None,
-}
-
-_FLAG_TO_KEY = {
-    "arm_length": "arm_length",
-    "duration": "duration",
-    "sample_rate": "sample_rate",
-    "seed": "seed",
-    "rho": "rho_geom",
-    "shot_asd": "shot_noise_asd",
-    "sens_a": "geometric_sensitivity_a",
-    "sens_b": "geometric_sensitivity_b",
-    "method": "method",
-    "segment_length": "segment_length",
-    "overlap": "overlap_fraction",
-    "window": "window",
-}
+def _has_types(value, types) -> bool:
+    """isinstance, except that a bool is not a number."""
+    return isinstance(value, types) and (bool in types or type(value) is not bool)
 
 
-def resolve_run_config(args) -> dict:
-    """Defaults, then config file, then command-line overrides."""
-    cfg = dict(RUN_CONFIG_DEFAULTS)
+def resolve_run_config(args) -> RunConfig:
+    """Defaults, then config file, then command-line flags, type-checked once."""
+    values = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            values = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
+        if not isinstance(values, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object")
-        _check_schema(loaded)
-        cfg.update(loaded)
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[key] = value
-    if args.band_lo is not None or args.band_hi is not None:
-        if args.band_lo is None or args.band_hi is None:
-            raise ConfigurationError("--band-lo and --band-hi must both be given")
-        cfg["band"] = [args.band_lo, args.band_hi]
-    if args.max_lag is not None:
-        cfg["max_lag"] = args.max_lag
-    _check_schema(cfg, complete=True)
-    return cfg
+    if args.band is not None and None in args.band:
+        raise ConfigurationError("--band-lo and --band-hi must both be given")
+    names = [f.name for f in fields(RunConfig)]
+    values.update((name, getattr(args, name)) for name in names
+                  if getattr(args, name) is not None)
 
-
-def _check_schema(cfg: dict, complete: bool = False) -> None:
-    bad = []
-    for key, value in cfg.items():
-        if key not in RUN_CONFIG_SCHEMA:
-            bad.append(f"unknown field {key!r}")
-            continue
-        types, description = RUN_CONFIG_SCHEMA[key]
-        if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
-            bad.append(f"field {key!r} ({description}): bad value {value!r}")
-    if complete:
-        band = cfg.get("band")
-        if band is not None and (
-            len(band) != 2
-            or not all(isinstance(v, (int, float)) for v in band)
-        ):
-            bad.append("field 'band': expected [f_lo, f_hi]")
+    bad = [f"unknown field {key!r}" for key in values if key not in names]
+    for f in fields(RunConfig):
+        value = values.get(f.name, f.default)
+        if not _has_types(value, f.metadata["types"]):
+            bad.append(f"field {f.name!r} ({f.metadata['help']}): "
+                       f"bad value {value!r}")
+    band = values.get("band")
+    if isinstance(band, list) and (
+            len(band) != 2 or not all(_has_types(v, _NUMBER) for v in band)):
+        bad.append("field 'band': expected [f_lo, f_hi]")
     if bad:
         raise ConfigurationError("invalid configuration: " + "; ".join(bad))
+    return RunConfig(**values)
 
 
 def cmd_run(args) -> int:
@@ -324,40 +320,42 @@ def cmd_run(args) -> int:
     outdir = Path(args.outdir if args.outdir is not None else _default_outdir())
     outdir.mkdir(parents=True, exist_ok=True)
 
-    L = float(cfg["arm_length"])
+    L = float(cfg.arm_length)
     spec = HolographicSpectrum(L)
-    shot = cfg["shot_noise_asd"]
-    shot = default_shot_asd(L) if shot is None else float(shot)
+    cfg = replace(
+        cfg,
+        shot_noise_asd=default_shot_asd(L) if cfg.shot_noise_asd is None
+        else float(cfg.shot_noise_asd),
+        band=[spec.f_c / 20.0, 2.0 * spec.f_c] if cfg.band is None else cfg.band,
+        max_lag=4.0 * spec.coherence_time if cfg.max_lag is None
+        else float(cfg.max_lag),
+    )
     det = DualDetectorConfig(
-        det_a=DetectorConfig(L=L, shot_noise_asd=shot,
-                             geometric_sensitivity=cfg["geometric_sensitivity_a"]),
-        det_b=DetectorConfig(L=L, shot_noise_asd=shot,
-                             geometric_sensitivity=cfg["geometric_sensitivity_b"]),
-        rho_geom=float(cfg["rho_geom"]),
+        det_a=DetectorConfig(L=L, shot_noise_asd=cfg.shot_noise_asd,
+                             geometric_sensitivity=cfg.geometric_sensitivity_a),
+        det_b=DetectorConfig(L=L, shot_noise_asd=cfg.shot_noise_asd,
+                             geometric_sensitivity=cfg.geometric_sensitivity_b),
+        rho_geom=float(cfg.rho_geom),
     ).validate()
     welch = WelchParams(
-        segment_length=int(cfg["segment_length"]),
-        overlap_fraction=float(cfg["overlap_fraction"]),
-        window=cfg["window"],
+        segment_length=cfg.segment_length,
+        overlap_fraction=float(cfg.overlap_fraction),
+        window=cfg.window,
     ).validate()
-    band = cfg["band"]
-    band = (spec.f_c / 20.0, 2.0 * spec.f_c) if band is None else tuple(band)
-    max_lag = cfg["max_lag"]
-    max_lag = 4.0 * spec.coherence_time if max_lag is None else float(max_lag)
-    resolved = dict(cfg, shot_noise_asd=shot, band=list(band), max_lag=max_lag)
 
-    a, b = simulate_dual(det, duration=float(cfg["duration"]),
-                         sample_rate=float(cfg["sample_rate"]),
-                         seed=int(cfg["seed"]), method=cfg["method"])
+    a, b = simulate_dual(det, duration=float(cfg.duration),
+                         sample_rate=float(cfg.sample_rate),
+                         seed=cfg.seed, method=cfg.method)
     psd_a = welch_psd(a, welch)
     psd_b = welch_psd(b, welch)
     csd = welch_csd(a, b, welch)
     coh = coherence(a, b, welch)
-    corr = cross_correlation(a, b, max_lag)
-    detect = detection_significance(csd, spec, band)
+    corr = cross_correlation(a, b, cfg.max_lag)
+    detect = detection_significance(csd, spec, cfg.band)
 
+    resolved = asdict(cfg)
     meta = {"config": resolved, "generator": f"holonoise {__version__} run",
-            "seed": cfg["seed"]}
+            "seed": cfg.seed}
     model_one_sided = np.asarray(one_sided_psd(spec, psd_a.frequencies))
     hio.write_table_csv(outdir / "psd_a.csv", {
         "f_hz": psd_a.frequencies, "psd_m2_hz": psd_a.values,
@@ -389,7 +387,7 @@ def cmd_run(args) -> int:
         "first_zero_hz": float(spec.zeros(1)[0]),
         "coherence_time_s": spec.coherence_time,
         "plateau_two_sided_m2_hz": spec.plateau,
-        "band_hz": list(band),
+        "band_hz": cfg.band,
         "n_bins": detect.n_bins,
         "n_segments": csd.n_segments,
         "amplitude_fit": detect.amplitude_fit,
@@ -522,6 +520,8 @@ def _verify_checks(n_boosts: int) -> list[tuple[str, float, float, float, bool]]
 
 
 def cmd_verify(args) -> int:
+    if args.boosts < 1:
+        raise ConfigurationError(f"--boosts must be at least 1, got {args.boosts}")
     checks = _verify_checks(args.boosts)
     width = max(len(name) for name, *_ in checks)
     failures = 0
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

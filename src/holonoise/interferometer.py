@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CONSTANTS, PhysicalConstants
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive_finite
 from .noise_model import HolographicSpectrum
 from .synthesis import SynthesisConfig, TimeSeries, channel_rng, channel_seed, synthesize
 
@@ -45,10 +45,7 @@ class DetectorConfig:
     geometric_sensitivity: bool = True
 
     def validate(self) -> "DetectorConfig":
-        if not 0.0 < self.L < np.inf:
-            raise ConfigurationError(
-                f"arm_length must be positive and finite, got {self.L}"
-            )
+        check_positive_finite("arm_length", self.L)
         if not 0.0 <= self.shot_noise_asd < np.inf:
             raise ConfigurationError(
                 "shot_noise_asd must be nonnegative and finite, got "
@@ -87,14 +84,8 @@ def _shot_noise(asd: float, n: int, sample_rate: float,
 
 
 def _n_samples(duration: float, sample_rate: float) -> int:
-    if not 0.0 < duration < np.inf:
-        raise ConfigurationError(
-            f"duration must be positive and finite, got {duration}"
-        )
-    if not 0.0 < sample_rate < np.inf:
-        raise ConfigurationError(
-            f"sample_rate must be positive and finite, got {sample_rate}"
-        )
+    check_positive_finite("duration", duration)
+    check_positive_finite("sample_rate", sample_rate)
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ConfigurationError(f"duration {duration} s yields an empty record")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CONSTANTS, PhysicalConstants
-from .errors import ConfigurationError
+from .errors import check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,7 @@ class HolographicSpectrum:
     consts: PhysicalConstants = CONSTANTS
 
     def __post_init__(self):
-        if not 0.0 < self.L < np.inf:
-            raise ConfigurationError(
-                f"arm_length must be positive and finite, got {self.L}"
-            )
+        check_positive_finite("arm_length", self.L)
 
     @property
     def f_c(self) -> float:

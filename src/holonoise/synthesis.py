@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CONSTANTS, PhysicalConstants
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive_finite
 from .noise_model import HolographicSpectrum, analytic_psd
 
 METHODS = ("spectral", "boxcar")
@@ -38,10 +38,7 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not 0.0 < self.sample_rate < np.inf:
-            raise ValueError(
-                f"sample_rate must be positive and finite, got {self.sample_rate}"
-            )
+        check_positive_finite("sample_rate", self.sample_rate)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(self.values)):
@@ -69,14 +66,8 @@ class SynthesisConfig:
     consts: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def validate(self) -> "SynthesisConfig":
-        if not 0.0 < self.L < np.inf:
-            raise ConfigurationError(
-                f"arm_length must be positive and finite, got {self.L}"
-            )
-        if not 0.0 < self.sample_rate < np.inf:
-            raise ConfigurationError(
-                f"sample_rate must be positive and finite, got {self.sample_rate}"
-            )
+        check_positive_finite("arm_length", self.L)
+        check_positive_finite("sample_rate", self.sample_rate)
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"method must be one of {METHODS}, got {self.method!r}"

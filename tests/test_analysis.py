@@ -157,6 +157,13 @@ class TestCoherence:
         assert np.all(est.values >= 0.0)
         assert np.all(est.values <= 1.0)
 
+    def test_silent_channel_is_zero(self):
+        # zero power in one channel gives zero coherence, not 0/0
+        a = white(2**12, seed=11)
+        silent = TimeSeries(sample_rate=a.sample_rate, values=np.zeros(a.n))
+        est = coherence(a, silent, WelchParams(segment_length=512))
+        assert np.array_equal(est.values, np.zeros_like(est.values))
+
 
 class TestCrossCorrelation:
     def test_matches_direct_computation(self):

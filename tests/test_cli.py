@@ -1,16 +1,18 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import holonoise
-from holonoise import HolographicSpectrum, analytic_psd
+from holonoise import ConfigurationError, HolographicSpectrum, analytic_psd
 from holonoise import io as hio
-from holonoise.cli import main
+from holonoise.cli import RunConfig, build_parser, main, resolve_run_config
 
 
 def run_cli(*argv):
@@ -157,11 +159,14 @@ class TestRunCommand:
         assert "arm_legnth" in capsys.readouterr().err
 
     def test_bad_field_type_listed(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"seed": "twelve"}))
-        assert run_cli("run", "--config", path) == 2
-        err = capsys.readouterr().err
-        assert "seed" in err
+        # a bool is not a number, not even inside the band
+        for cfg, field in (({"seed": "twelve"}, "seed"),
+                           ({"band": [True, 1e6]}, "band")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(cfg))
+            assert run_cli("run", "--config", path) == 2
+            err = capsys.readouterr().err
+            assert field in err
 
     @pytest.mark.parametrize("argv, field", [
         (["--arm-length", "nan"], "arm_length"),
@@ -189,6 +194,20 @@ class TestRunCommand:
         assert run_cli("run", "--duration", 0.004, "--seed", 5) == 0
         assert (tmp_path / "envdir" / "summary.json").exists()
 
+    def test_flags_cover_every_field(self):
+        # each flag lands in its own field; the band pair keeps its order
+        argv = ["run", "--arm-length", "41", "--duration", "0.5",
+                "--sample-rate", "2e7", "--seed", "3", "--rho", "0.25",
+                "--shot-asd", "1e-19", "--no-sens-a", "--no-sens-b",
+                "--method", "boxcar", "--segment-length", "1024",
+                "--overlap", "0", "--window", "rectangular",
+                "--band-hi", "9e5", "--band-lo", "1e5", "--max-lag", "1e-6"]
+        cfg = resolve_run_config(build_parser().parse_args(argv))
+        assert cfg == RunConfig(41.0, 0.5, 2e7, 3, 0.25, 1e-19, False, False,
+                                "boxcar", 1024, 0.0, "rectangular",
+                                [1e5, 9e5], 1e-6)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
+
 
 class TestVerifyCommand:
     def test_passes(self, capsys):
@@ -207,3 +226,47 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--f-max", "inf"], "--f-max"),
+    (["spectrum", "--f-max", "nan"], "--f-max"),
+    (["spectrum", "--f-max", "1e6", "--f-min", "nan"], "--f-min"),
+    (["spectrum", "--f-max", "1e6", "-o", "{tmp}/missing/x.csv"], "x.csv"),
+    (["synth", "--n-samples", "4096", "-o", "{tmp}/missing/x.hnts"], "x.hnts"),
+    (["run", "--config", "{tmp}"], "{tmp}"),
+    (["run", "--band-lo", "1e5"], "--band-hi"),
+    (["verify", "--boosts", "0"], "--boosts"),
+    (["verify", "--boosts", "-3"], "--boosts"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, named):
+    # exit 1 is reserved for a failing verify
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named.format(tmp=tmp_path) in err
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=4))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(
+    st.sampled_from([f.name for f in fields(RunConfig)]
+                    + ["arm_legnth", "band_lo", ""]),
+    _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3), max_size=6))
+def test_config_resolution_is_total(tmp_path, doc):
+    # any JSON object resolves to a RunConfig holding exactly its values, or
+    # is refused with a ConfigurationError; nothing else escapes
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    args = build_parser().parse_args(["run", "--config", str(path)])
+    try:
+        cfg = resolve_run_config(args)
+    except ConfigurationError:
+        return
+    expected = dict(asdict(RunConfig()), **doc)
+    assert json.dumps(asdict(cfg), sort_keys=True) == json.dumps(
+        expected, sort_keys=True)
