@@ -318,7 +318,6 @@ def resolve_run_config(args) -> RunConfig:
 def cmd_run(args) -> int:
     cfg = resolve_run_config(args)
     outdir = Path(args.outdir if args.outdir is not None else _default_outdir())
-    outdir.mkdir(parents=True, exist_ok=True)
 
     L = float(cfg.arm_length)
     spec = HolographicSpectrum(L)
@@ -357,6 +356,8 @@ def cmd_run(args) -> int:
     meta = {"config": resolved, "generator": f"holonoise {__version__} run",
             "seed": cfg.seed}
     model_one_sided = np.asarray(one_sided_psd(spec, psd_a.frequencies))
+    # made only now, so that a run rejected at any stage leaves nothing behind
+    outdir.mkdir(parents=True, exist_ok=True)
     hio.write_table_csv(outdir / "psd_a.csv", {
         "f_hz": psd_a.frequencies, "psd_m2_hz": psd_a.values,
         "sigma_m2_hz": psd_a.sigma, "model_geometric_m2_hz": model_one_sided,

@@ -103,11 +103,10 @@ def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
         L=cfg.L, sample_rate=sample_rate, n_samples=n,
         seed=channel_seed(seed, CH_GEOM_SHARED), method=method, consts=consts,
     ).validate()
-    values = np.zeros(n)
+    values = _shot_noise(cfg.shot_noise_asd, n, sample_rate,
+                         channel_rng(seed, CH_SHOT_A))
     if cfg.geometric_sensitivity:
         values += synthesize(synth_cfg).values
-    values += _shot_noise(cfg.shot_noise_asd, n, sample_rate,
-                          channel_rng(seed, CH_SHOT_A))
     return TimeSeries(sample_rate=sample_rate, values=values)
 
 
@@ -137,9 +136,13 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     cfg_shared = synth_cfg(CH_GEOM_SHARED, cfg.det_a.L)
     cfg_indep = synth_cfg(CH_GEOM_INDEP, cfg.det_b.L)
 
+    # the shot-noise draws are fresh arrays, so the geometric parts are added
+    # in place without aliasing `shared`
     rho = cfg.rho_geom
-    values_a = np.zeros(n)
-    values_b = np.zeros(n)
+    values_a = _shot_noise(cfg.det_a.shot_noise_asd, n, sample_rate,
+                           channel_rng(seed, CH_SHOT_A))
+    values_b = _shot_noise(cfg.det_b.shot_noise_asd, n, sample_rate,
+                           channel_rng(seed, CH_SHOT_B))
     if cfg.det_a.geometric_sensitivity or cfg.det_b.geometric_sensitivity:
         shared = synthesize(cfg_shared).values
     if cfg.det_a.geometric_sensitivity:
@@ -150,9 +153,5 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
         else:
             independent = synthesize(cfg_indep).values
             values_b += rho * shared + np.sqrt(1.0 - rho**2) * independent
-    values_a += _shot_noise(cfg.det_a.shot_noise_asd, n, sample_rate,
-                            channel_rng(seed, CH_SHOT_A))
-    values_b += _shot_noise(cfg.det_b.shot_noise_asd, n, sample_rate,
-                            channel_rng(seed, CH_SHOT_B))
     return (TimeSeries(sample_rate=sample_rate, values=values_a),
             TimeSeries(sample_rate=sample_rate, values=values_b))

@@ -4,9 +4,9 @@ Two independent constructions are provided and must agree statistically:
 
 * spectral: Gaussian amplitudes drawn per frequency bin so that the expected
   two-sided periodogram equals `analytic_psd` exactly on the record's grid;
-* boxcar: white Gaussian noise integrated over a sliding window of one light
-  round-trip time, which reproduces the triangular autocorrelation exactly at
-  the sample lags.
+* boxcar: a circular moving sum of white Gaussian noise over one light
+  round-trip time, which reproduces the triangular autocorrelation exactly
+  at the sample lags.
 
 Both are circular (periodic) constructions; records must be long compared to
 the coherence time, which the config invariants enforce.
@@ -154,12 +154,42 @@ def boxcar_width(cfg: SynthesisConfig) -> int:
     return max(width, 1)
 
 
+def _circular_moving_sum(x: np.ndarray, width: int) -> np.ndarray:
+    """y[i] = x[i] + x[i-1] + ... + x[i-width+1], indices taken modulo n.
+
+    The record is extended circularly by its last width - 1 samples; sums of
+    2**b consecutive samples are built by binary doubling, and the set bits
+    of `width` pick the blocks that tile the window.  That is
+    O(n log2 width) shifted-slice additions and no transform.  Requires
+    1 <= width <= n.
+    """
+    n = x.size
+    # y[i] = ext[i:i + width].sum() over the extended record ext; the loop
+    # keeps blocks[i] = ext[i:i + size].sum()
+    blocks = np.concatenate((x[n - width + 1:], x))
+    size, offset = 1, 0
+    out = None
+    while True:
+        if width & size:
+            part = blocks[offset:offset + n]
+            if out is None:
+                out = part.copy()
+            else:
+                out += part
+            offset += size
+        if 2 * size > width:
+            return out
+        blocks = blocks[:-size] + blocks[size:]
+        size *= 2
+
+
 def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
     """White Gaussian noise summed over a sliding light-round-trip window.
 
-    The white driver has two-sided PSD 2 c^2 t_P / pi; circular convolution
-    with a boxcar of duration 2L/c gives a record whose autocovariance is the
-    exact sampled triangle of the noise model.
+    The white driver has two-sided PSD 2 c^2 t_P / pi; its circular moving
+    sum over one round trip (width = round(2L/c * fs) samples, scaled by
+    1/fs) gives a record whose autocovariance is the exact sampled triangle
+    of the noise model.
     """
     cfg.validate()
     if cfg.method != "boxcar":
@@ -173,10 +203,8 @@ def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
     rng = channel_rng(cfg.seed, 0)
     sigma_white = np.sqrt(white_noise_psd(cfg.consts) * fs)
     white = rng.normal(scale=sigma_white, size=n)
-    taps = np.full(width, 1.0 / fs)
-    spectrum_w = np.fft.rfft(white)
-    spectrum_h = np.fft.rfft(taps, n=n)
-    values = np.fft.irfft(spectrum_w * spectrum_h, n=n)
+    values = _circular_moving_sum(white, width)
+    values /= fs
     return TimeSeries(sample_rate=fs, values=values)
 
 

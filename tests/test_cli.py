@@ -182,6 +182,15 @@ class TestRunCommand:
         assert run_cli("run", *argv, "--outdir", tmp_path) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--arm-length", "nan"],
+        ["--duration", "nan"],
+        ["--sample-rate", "1e6"],
+    ])
+    def test_rejected_run_leaves_no_outdir(self, tmp_path, argv):
+        assert run_cli("run", *argv, "--outdir", tmp_path / "x" / "deep") == 2
+        assert not (tmp_path / "x").exists()
+
     def test_zero_variance_band_rejected(self, tmp_path, capsys):
         # a silent detector A has zero PSD, so every band bin has sigma = 0
         code, _ = self.run_small(tmp_path, "silent", "--shot-asd", 0,

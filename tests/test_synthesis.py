@@ -15,7 +15,12 @@ from holonoise import (
 )
 from holonoise.algebra import CONSTANTS
 from holonoise.errors import ConfigurationError
-from holonoise.synthesis import boxcar_width, channel_rng, channel_seed
+from holonoise.synthesis import (
+    _circular_moving_sum,
+    boxcar_width,
+    channel_rng,
+    channel_seed,
+)
 
 from conftest import band_means, integer_boxcar_rate, octave_edges
 
@@ -142,6 +147,32 @@ def test_boxcar_triangle_autocovariance():
     for j in range(2 * width):
         r_j = float(x[: n - j] @ x[j:]) / n
         assert abs(r_j - model[j]) < 3.5 * sigma
+
+
+def fft_circular_boxcar(x, taps):
+    """Oracle: circular convolution of x with `taps` through full-length FFTs."""
+    n = x.size
+    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(taps, n), n)
+
+
+@pytest.mark.parametrize("n", [4096, 4097, 17 * 977])
+def test_moving_sum_matches_fft_convolution(n):
+    x = np.random.default_rng(n).normal(size=n)
+    for width in (1, 2, 3, 4, 7, 8, 32, 1000, n - 1):
+        ref = fft_circular_boxcar(x, np.ones(width))
+        assert_allclose(_circular_moving_sum(x, width), ref, rtol=0,
+                        atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_boxcar_matches_fft_convolution_of_its_driver():
+    # a record length with a large prime factor, as in long runs
+    cfg = make_cfg("boxcar", n=17 * 977, seed=4)
+    width = boxcar_width(cfg)
+    white = channel_rng(cfg.seed, 0).normal(
+        scale=np.sqrt(white_noise_psd() * FS), size=cfg.n_samples)
+    ref = fft_circular_boxcar(white, np.full(width, 1.0 / FS))
+    assert_allclose(synthesize_boxcar(cfg).values, ref, rtol=0,
+                    atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_increment_scaling():
