@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -308,8 +309,10 @@ def resolve_run_config(args) -> RunConfig:
                        f"bad value {value!r}")
     band = values.get("band")
     if isinstance(band, list) and (
-            len(band) != 2 or not all(_has_types(v, _NUMBER) for v in band)):
-        bad.append("field 'band': expected [f_lo, f_hi]")
+            len(band) != 2 or not all(_has_types(v, _NUMBER)
+                                      and -math.inf < v < math.inf
+                                      for v in band)):
+        bad.append("field 'band': expected [f_lo, f_hi], two finite numbers")
     if bad:
         raise ConfigurationError("invalid configuration: " + "; ".join(bad))
     return RunConfig(**values)

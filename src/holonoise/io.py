@@ -154,6 +154,12 @@ def read_table_csv(path) -> tuple[dict, dict]:
 
 
 def write_summary_json(path, summary: dict) -> None:
+    """Write `summary` as sorted, indented JSON.
+
+    A non-finite number raises ValueError instead of writing the
+    non-standard `NaN`/`Infinity` tokens.
+    """
     Path(path).write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8",
     )

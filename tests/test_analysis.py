@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from holonoise import analysis
 from holonoise import (
     HolographicSpectrum,
     SpectrumEstimate,
@@ -339,3 +342,85 @@ def test_estimators_match_scipy_oracle(window, segment_length, overlap):
     center = a.n - 1
     ref = full[center - j_max:center + j_max + 1] / a.n
     assert_allclose(res.covariance, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("window, overlap", [("hann", 0.5),
+                                             ("rectangular", 0.0)])
+@pytest.mark.parametrize("blocks", [0.25, 1, 3.5])
+def test_welch_blocks_match_scipy_oracle(window, overlap, blocks):
+    # segment counts below one accumulation block, of exactly one, and of
+    # several with a partial last block
+    signal = pytest.importorskip("scipy.signal")
+    p = WelchParams(segment_length=128, overlap_fraction=overlap,
+                    window=window)
+    n_seg = int(blocks * analysis._WELCH_BLOCK)
+    step = p.segment_length - p.noverlap
+    n = p.segment_length + (n_seg - 1) * step + step // 2
+    a = white(n, seed=40)
+    b = TimeSeries(a.sample_rate, 0.5 * a.values + white(n, seed=41).values)
+    kwargs = dict(fs=a.sample_rate, nperseg=p.segment_length,
+                  noverlap=p.noverlap, detrend=False,
+                  window="boxcar" if window == "rectangular" else window)
+    _, paa = signal.welch(a.values, **kwargs)
+    _, pab = signal.csd(a.values, b.values, **kwargs)
+    _, coh = signal.coherence(a.values, b.values, **kwargs)
+
+    psd = welch_psd(a, p)
+    assert psd.n_segments == n_seg
+    assert_allclose(psd.values, paa, rtol=1e-12)
+    assert_allclose(welch_csd(a, b, p).values, pab, rtol=1e-12)
+    assert_allclose(coherence(a, b, p).values, coh, rtol=1e-12)
+
+
+def test_welch_memory_does_not_grow_with_segments():
+    # the segments are transformed a block at a time, so four times the
+    # segments must not take four times the working memory
+    p = WelchParams(segment_length=1024)
+    step = p.segment_length - p.noverlap
+    peaks = []
+    for n_seg in (8 * analysis._WELCH_BLOCK, 32 * analysis._WELCH_BLOCK):
+        n = p.segment_length + (n_seg - 1) * step
+        a, b = white(n, seed=42), white(n, seed=43)
+        tracemalloc.start()
+        try:
+            welch_csd(a, b, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("n, j_max", [
+    # below one chunk, on both sides of the transform crossover
+    (3001, 40),
+    (3001, analysis._FFT_MIN_LAGS),
+    # several chunks and a partial last one (not a whole number of rows)
+    (2 * analysis._LAG_CHUNK + 1237, 1),
+    (2 * analysis._LAG_CHUNK + 1237, 40),
+    (2 * analysis._LAG_CHUNK + 1237, analysis._FFT_MIN_LAGS - 1),
+    (2 * analysis._LAG_CHUNK + 1237, analysis._FFT_MIN_LAGS + 100),
+])
+def test_lagged_covariance_matches_fftconvolve_oracle(n, j_max):
+    signal = pytest.importorskip("scipy.signal")
+    # coloured, correlated records, so every lag of the Bartlett sum counts
+    taps = np.ones(9) / 9.0
+    a = TimeSeries(1.0, np.convolve(white(n, seed=44).values, taps, "same"))
+    b = TimeSeries(1.0, 0.5 * np.roll(a.values, 5) + white(n, seed=45).values)
+    res = cross_correlation(a, b, max_lag=float(j_max))
+
+    x, y = a.values - a.values.mean(), b.values - b.values.mean()
+    center = n - 1
+
+    def lags(u, v):
+        full = signal.fftconvolve(v, u[::-1])
+        return full[center - j_max:center + j_max + 1] / n
+
+    ref = lags(x, y)
+    assert_allclose(res.covariance, ref, rtol=0,
+                    atol=1e-12 * np.max(np.abs(ref)))
+    bartlett = np.sum(lags(x, x) * lags(y, y))
+    counts = n - np.abs(np.arange(-j_max, j_max + 1))
+    assert_allclose(res.sigma_band, np.sqrt(bartlett * counts) / n,
+                    rtol=1e-12)
+    assert_allclose(res.n_samples_effective,
+                    n * (x @ x / n) * (y @ y / n) / bartlett, rtol=1e-12)

@@ -182,6 +182,24 @@ class TestRunCommand:
         assert run_cli("run", *argv, "--outdir", tmp_path) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["--band-lo", "1000", "--band-hi", "inf"], None),
+        (["--band-lo=-inf", "--band-hi", "1e6"], None),
+        (["--band-lo", "nan", "--band-hi", "1e6"], None),
+        ([], {"band": [0, float("inf")]}),
+    ])
+    def test_non_finite_band_is_config_error(self, tmp_path, capsys, argv,
+                                             doc):
+        # json.loads reads Infinity, and summary.json must stay valid JSON
+        if doc is not None:
+            path = tmp_path / "band.json"
+            path.write_text(json.dumps(doc))
+            argv = ["--config", path]
+        outdir = tmp_path / "out"
+        assert run_cli("run", *argv, "--outdir", outdir) == 2
+        assert "'band'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--arm-length", "nan"],
         ["--duration", "nan"],

@@ -86,3 +86,12 @@ class TestSummary:
         hio.write_summary_json(p2, doc)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().startswith("{")
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"),
+                                       float("nan")])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        # NaN and Infinity are not JSON; no such file may be written
+        path = tmp_path / "s.json"
+        with pytest.raises(ValueError):
+            hio.write_summary_json(path, {"band_hz": [0.0, value]})
+        assert not path.exists()
