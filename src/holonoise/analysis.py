@@ -27,14 +27,15 @@ class WelchParams:
     """Segment-averaging parameters shared by all spectral estimators.
 
     Hann with 50% overlap is the default; the rectangular window is kept for
-    Parseval-exact checks.
+    Parseval-exact checks.  Bad values raise ConfigurationError when the
+    parameters are built.
     """
 
     segment_length: int = 4096
     overlap_fraction: float = 0.5
     window: str = "hann"
 
-    def validate(self) -> "WelchParams":
+    def __post_init__(self):
         if self.segment_length < 16:
             raise ConfigurationError(
                 f"segment_length must be >= 16, got {self.segment_length}"
@@ -47,7 +48,6 @@ class WelchParams:
             raise ConfigurationError(
                 f"window must be one of {WINDOWS}, got {self.window!r}"
             )
-        return self
 
     @property
     def noverlap(self) -> int:
@@ -135,7 +135,6 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
     over blocks of `_WELCH_BLOCK` segments, so the working memory is a few
     blocks, whatever K is.
     """
-    p.validate()
     n_seg = _segment_count(x.size, p)
     window = _window(p)
     step = p.segment_length - p.noverlap

@@ -215,8 +215,9 @@ def cmd_spectrum(args) -> int:
     above = f > spec.f_c
     if np.any(above):
         envelope[above] = envelope_high_f(spec, f[above])
-    zeros = [z for z in spec.zeros(max(int(args.f_max / spec.zeros(1)[0]), 1))
-             if z <= args.f_max]
+    # at most one zero per table row, so the metadata never outgrows the table
+    n_zeros = min(max(int(args.f_max / spec.zeros(1)[0]), 1), args.n_points)
+    zeros = [z for z in spec.zeros(n_zeros) if z <= args.f_max]
     meta = {
         "arm_length_m": args.arm_length,
         "f_min_hz": args.f_min,
@@ -257,7 +258,7 @@ def cmd_synth(args) -> int:
     cfg = SynthesisConfig(
         L=args.arm_length, sample_rate=args.sample_rate,
         n_samples=args.n_samples, seed=args.seed, method=args.method,
-    ).validate()
+    )
     ts = synthesize(cfg)
     meta = {
         "arm_length_m": cfg.L,
@@ -338,12 +339,12 @@ def cmd_run(args) -> int:
         det_b=DetectorConfig(L=L, shot_noise_asd=cfg.shot_noise_asd,
                              geometric_sensitivity=cfg.geometric_sensitivity_b),
         rho_geom=float(cfg.rho_geom),
-    ).validate()
+    )
     welch = WelchParams(
         segment_length=cfg.segment_length,
         overlap_fraction=float(cfg.overlap_fraction),
         window=cfg.window,
-    ).validate()
+    )
 
     a, b = simulate_dual(det, duration=float(cfg.duration),
                          sample_rate=float(cfg.sample_rate),

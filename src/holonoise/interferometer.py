@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CONSTANTS, PhysicalConstants
 from .errors import ConfigurationError, check_positive_finite
 from .noise_model import HolographicSpectrum
 from .synthesis import SynthesisConfig, TimeSeries, channel_rng, channel_seed, synthesize
@@ -28,41 +27,42 @@ CH_SHOT_A = 2
 CH_SHOT_B = 3
 
 
-def default_shot_asd(L: float, consts: PhysicalConstants = CONSTANTS) -> float:
+def default_shot_asd(L: float) -> float:
     """One-sided shot-noise ASD (m/rtHz) set 3x above the geometric plateau.
 
     With this floor the geometric signal is invisible in a single detector's
     spectrum and only emerges from cross-correlation after integration.
     """
-    plateau_one_sided = 2.0 * HolographicSpectrum(L, consts).plateau
+    plateau_one_sided = 2.0 * HolographicSpectrum(L).plateau
     return 3.0 * float(np.sqrt(plateau_one_sided))
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """One detector; a bad arm length or shot ASD raises when it is built."""
+
     L: float
     shot_noise_asd: float
     geometric_sensitivity: bool = True
 
-    def validate(self) -> "DetectorConfig":
+    def __post_init__(self):
         check_positive_finite("arm_length", self.L)
         if not 0.0 <= self.shot_noise_asd < np.inf:
             raise ConfigurationError(
                 "shot_noise_asd must be nonnegative and finite, got "
                 f"{self.shot_noise_asd}"
             )
-        return self
 
 
 @dataclass(frozen=True)
 class DualDetectorConfig:
+    """A co-located pair; its detectors were checked when they were built."""
+
     det_a: DetectorConfig
     det_b: DetectorConfig
     rho_geom: float
 
-    def validate(self) -> "DualDetectorConfig":
-        self.det_a.validate()
-        self.det_b.validate()
+    def __post_init__(self):
         if not 0.0 <= self.rho_geom <= 1.0:
             raise ConfigurationError(
                 f"rho_geom must lie in [0, 1], got {self.rho_geom}"
@@ -72,7 +72,6 @@ class DualDetectorConfig:
                 "correlated runs require equal arm lengths, got "
                 f"{self.det_a.L} and {self.det_b.L}"
             )
-        return self
 
 
 def _shot_noise(asd: float, n: int, sample_rate: float,
@@ -93,26 +92,20 @@ def _n_samples(duration: float, sample_rate: float) -> int:
 
 
 def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
-                      seed: int, method: str = "spectral",
-                      consts: PhysicalConstants = CONSTANTS) -> TimeSeries:
-    """Single-detector output: geometric noise (if sensitive) plus shot noise."""
-    cfg.validate()
-    n = _n_samples(duration, sample_rate)
-    # geometric and shot components use fixed substreams of the master seed
-    synth_cfg = SynthesisConfig(
-        L=cfg.L, sample_rate=sample_rate, n_samples=n,
-        seed=channel_seed(seed, CH_GEOM_SHARED), method=method, consts=consts,
-    ).validate()
-    values = _shot_noise(cfg.shot_noise_asd, n, sample_rate,
-                         channel_rng(seed, CH_SHOT_A))
-    if cfg.geometric_sensitivity:
-        values += synthesize(synth_cfg).values
-    return TimeSeries(sample_rate=sample_rate, values=values)
+                      seed: int, method: str = "spectral") -> TimeSeries:
+    """Single-detector output: geometric noise (if sensitive) plus shot noise.
+
+    This is detector A of `simulate_dual` beside a silent, insensitive B, so
+    it draws the same substreams and gives the same bytes.
+    """
+    silent = DetectorConfig(L=cfg.L, shot_noise_asd=0.0,
+                            geometric_sensitivity=False)
+    return simulate_dual(DualDetectorConfig(cfg, silent, rho_geom=0.0),
+                         duration, sample_rate, seed, method)[0]
 
 
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
-                  seed: int, method: str = "spectral",
-                  consts: PhysicalConstants = CONSTANTS
+                  seed: int, method: str = "spectral"
                   ) -> tuple[TimeSeries, TimeSeries]:
     """Outputs of a co-located pair with entangled geometric components.
 
@@ -122,14 +115,11 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     noises are independent.  The four underlying streams derive from distinct
     substreams of `seed`.
     """
-    cfg.validate()
     n = _n_samples(duration, sample_rate)
 
     def synth_cfg(channel: int, L: float) -> SynthesisConfig:
-        return SynthesisConfig(
-            L=L, sample_rate=sample_rate, n_samples=n,
-            seed=channel_seed(seed, channel), method=method, consts=consts,
-        ).validate()
+        return SynthesisConfig(L=L, sample_rate=sample_rate, n_samples=n,
+                               seed=channel_seed(seed, channel), method=method)
 
     # sampling preconditions are enforced for both arms even when a
     # sensitivity flag later drops the component

@@ -13,20 +13,23 @@ as test oracles only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CONSTANTS, PhysicalConstants
+from .algebra import CONSTANTS
 from .errors import check_positive_finite
 
 
 @dataclass(frozen=True)
 class HolographicSpectrum:
-    """Predicted displacement spectrum for one interferometer of arm length L."""
+    """Predicted displacement spectrum for one interferometer of arm length L.
+
+    The Planck time and the speed of light are fixed (`CONSTANTS`); L is the
+    only parameter, and it is checked when the spectrum is built.
+    """
 
     L: float
-    consts: PhysicalConstants = CONSTANTS
 
     def __post_init__(self):
         check_positive_finite("arm_length", self.L)
@@ -34,26 +37,26 @@ class HolographicSpectrum:
     @property
     def f_c(self) -> float:
         """Knee frequency c / (4 pi L): the spectrum plateaus below it."""
-        return self.consts.c / (4.0 * np.pi * self.L)
+        return CONSTANTS.c / (4.0 * np.pi * self.L)
 
     @property
     def coherence_time(self) -> float:
         """Light round-trip time 2 L / c; correlations vanish beyond it."""
-        return 2.0 * self.L / self.consts.c
+        return 2.0 * self.L / CONSTANTS.c
 
     @property
     def plateau(self) -> float:
         """Two-sided PSD limit at f -> 0: 8 t_P L^2 / pi (m^2/Hz)."""
-        return 8.0 * self.consts.t_P * self.L**2 / np.pi
+        return 8.0 * CONSTANTS.t_P * self.L**2 / np.pi
 
     @property
     def total_variance(self) -> float:
         """Lag-zero autocorrelation 4 c t_P L / pi (m^2)."""
-        return 4.0 * self.consts.c * self.consts.t_P * self.L / np.pi
+        return 4.0 * CONSTANTS.c * CONSTANTS.t_P * self.L / np.pi
 
     def zeros(self, n: int) -> np.ndarray:
         """First n spectral nulls, at multiples of c / 2L (Hz)."""
-        return np.arange(1, n + 1) * self.consts.c / (2.0 * self.L)
+        return np.arange(1, n + 1) * CONSTANTS.c / (2.0 * self.L)
 
 
 def analytic_psd(spec: HolographicSpectrum, f):

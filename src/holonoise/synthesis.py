@@ -14,11 +14,11 @@ the coherence time, which the config invariants enforce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CONSTANTS, PhysicalConstants
+from .algebra import CONSTANTS
 from .errors import ConfigurationError, check_positive_finite
 from .noise_model import HolographicSpectrum, analytic_psd
 
@@ -34,7 +34,6 @@ class TimeSeries:
 
     sample_rate: float
     values: np.ndarray
-    start_time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -53,20 +52,26 @@ class TimeSeries:
         return self.n / self.sample_rate
 
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.n) / self.sample_rate
+        return np.arange(self.n) / self.sample_rate
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
+    """Parameters of one synthesized record, checked when it is built.
+
+    The sample rate must resolve the spectrum (at least 4 x c/2L) and the
+    record must span `MIN_COHERENCE_TIMES` coherence times 2L/c; any other
+    value raises ConfigurationError, also through `dataclasses.replace`.
+    """
+
     L: float
     sample_rate: float
     n_samples: int
     seed: int
     method: str = "spectral"
-    consts: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
-    def validate(self) -> "SynthesisConfig":
-        check_positive_finite("arm_length", self.L)
+    def __post_init__(self):
+        spec = self.spectrum()
         check_positive_finite("sample_rate", self.sample_rate)
         if self.method not in METHODS:
             raise ConfigurationError(
@@ -74,24 +79,22 @@ class SynthesisConfig:
             )
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be at least 1")
-        first_zero = self.consts.c / (2.0 * self.L)
+        first_zero = float(spec.zeros(1)[0])
         if self.sample_rate < 4.0 * first_zero:
             raise ConfigurationError(
                 f"sample_rate {self.sample_rate:g} Hz does not resolve the "
                 f"spectrum: need at least 4 x c/2L = {4 * first_zero:g} Hz"
             )
-        coherence_time = 2.0 * self.L / self.consts.c
         duration = self.n_samples / self.sample_rate
-        if duration < MIN_COHERENCE_TIMES * coherence_time:
+        if duration < MIN_COHERENCE_TIMES * spec.coherence_time:
             raise ConfigurationError(
                 f"record of {duration:g} s is shorter than "
                 f"{MIN_COHERENCE_TIMES:g} coherence times "
-                f"({MIN_COHERENCE_TIMES * coherence_time:g} s)"
+                f"({MIN_COHERENCE_TIMES * spec.coherence_time:g} s)"
             )
-        return self
 
     def spectrum(self) -> HolographicSpectrum:
-        return HolographicSpectrum(self.L, self.consts)
+        return HolographicSpectrum(self.L)
 
 
 def channel_rng(seed: int, channel: int) -> np.random.Generator:
@@ -106,13 +109,13 @@ def channel_seed(seed: int, channel: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def white_noise_psd(consts: PhysicalConstants = CONSTANTS) -> float:
+def white_noise_psd() -> float:
     """Two-sided PSD 2 c^2 t_P / pi of the white driver, in (m/s)^2/Hz.
 
     This diffusion normalization is fixed by requiring the windowed output to
     hit the spectral plateau 8 t_P L^2 / pi; it is independent of arm length.
     """
-    return 2.0 * consts.c**2 * consts.t_P / np.pi
+    return 2.0 * CONSTANTS.c**2 * CONSTANTS.t_P / np.pi
 
 
 def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
@@ -122,7 +125,6 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
     E|X_k|^2 = n * fs * S(f_k); DC and Nyquist are real.  The inverse
     transform is then circularly stationary with the target spectrum.
     """
-    cfg.validate()
     if cfg.method != "spectral":
         raise ConfigurationError(f"spectral synthesis got method={cfg.method!r}")
     n, fs = cfg.n_samples, cfg.sample_rate
@@ -150,7 +152,7 @@ def boxcar_width(cfg: SynthesisConfig) -> int:
     sample rates that make 2L/c * fs integral when exact agreement with the
     analytic model matters.
     """
-    width = int(round(2.0 * cfg.L / cfg.consts.c * cfg.sample_rate))
+    width = int(round(cfg.spectrum().coherence_time * cfg.sample_rate))
     return max(width, 1)
 
 
@@ -191,7 +193,6 @@ def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
     1/fs) gives a record whose autocovariance is the exact sampled triangle
     of the noise model.
     """
-    cfg.validate()
     if cfg.method != "boxcar":
         raise ConfigurationError(f"boxcar synthesis got method={cfg.method!r}")
     n, fs = cfg.n_samples, cfg.sample_rate
@@ -201,7 +202,7 @@ def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
             f"record of {n} samples is too short for a {width}-sample window"
         )
     rng = channel_rng(cfg.seed, 0)
-    sigma_white = np.sqrt(white_noise_psd(cfg.consts) * fs)
+    sigma_white = np.sqrt(white_noise_psd() * fs)
     white = rng.normal(scale=sigma_white, size=n)
     values = _circular_moving_sum(white, width)
     values /= fs
@@ -210,7 +211,6 @@ def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
 
 def synthesize(cfg: SynthesisConfig) -> TimeSeries:
     """Dispatch on cfg.method."""
-    cfg.validate()
     if cfg.method == "spectral":
         return synthesize_spectral(cfg)
     return synthesize_boxcar(cfg)

@@ -27,17 +27,17 @@ def white(n, fs=1000.0, seed=0, scale=1.0):
 
 class TestWelchParams:
     def test_defaults(self):
-        p = WelchParams().validate()
+        p = WelchParams()
         assert p.window == "hann"
         assert p.noverlap == 2048
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WelchParams(segment_length=8).validate()
+            WelchParams(segment_length=8)
         with pytest.raises(ValueError):
-            WelchParams(overlap_fraction=1.0).validate()
+            WelchParams(overlap_fraction=1.0)
         with pytest.raises(ValueError):
-            WelchParams(window="flattop").validate()
+            WelchParams(window="flattop")
 
 
 class TestWelchPsd:

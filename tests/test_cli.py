@@ -53,6 +53,15 @@ class TestSpectrumCommand:
         assert doc["zeros_hz"][0] == pytest.approx(3747405.725)
         assert len(doc["f_hz"]) == 1000
 
+    def test_zero_list_bounded_by_table(self, tmp_path):
+        # 2.7e8 zeros lie below 1e15 Hz; only as many as table rows are listed
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--f-max", 1e15, "--n-points", 2,
+                       "-o", out) == 0
+        assert out.stat().st_size < 2000
+        _, meta = hio.read_table_csv(out)
+        assert len(meta["zeros_hz"]) == 2
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

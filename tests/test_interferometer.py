@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from holonoise import (
     DetectorConfig,
     DualDetectorConfig,
     HolographicSpectrum,
+    SynthesisConfig,
     WelchParams,
     analytic_autocorrelation,
     cross_correlation,
@@ -44,20 +47,33 @@ class TestConfigs:
 
     def test_detector_validation(self):
         with pytest.raises(ConfigurationError):
-            DetectorConfig(L=-1.0, shot_noise_asd=0.0).validate()
+            DetectorConfig(L=-1.0, shot_noise_asd=0.0)
         with pytest.raises(ConfigurationError):
-            DetectorConfig(L=1.0, shot_noise_asd=-1e-20).validate()
+            DetectorConfig(L=1.0, shot_noise_asd=-1e-20)
 
     def test_rho_range(self):
         with pytest.raises(ConfigurationError):
-            dual_cfg(rho=1.5).validate()
+            dual_cfg(rho=1.5)
         with pytest.raises(ConfigurationError):
-            dual_cfg(rho=-0.1).validate()
+            dual_cfg(rho=-0.1)
 
     def test_mismatched_arms_rejected_when_correlated(self):
         with pytest.raises(ConfigurationError):
-            dual_cfg(rho=0.5, L_b=80.0).validate()
-        dual_cfg(rho=0.0, L_b=80.0).validate()
+            dual_cfg(rho=0.5, L_b=80.0)
+        dual_cfg(rho=0.0, L_b=80.0)
+
+    @pytest.mark.parametrize("valid, field, bad", [
+        (WelchParams(), "segment_length", 8),
+        (DetectorConfig(L=L, shot_noise_asd=SHOT), "shot_noise_asd", -1.0),
+        (dual_cfg(rho=1.0), "rho_geom", 1.5),
+        (SynthesisConfig(L=L, sample_rate=FS, n_samples=2**14, seed=0),
+         "sample_rate", 3.9 * float(SPEC.zeros(1)[0])),
+    ])
+    def test_replace_cannot_build_invalid_config(self, valid, field, bad):
+        # every config checks its invariants when built, also by replace()
+        assert replace(valid) == valid
+        with pytest.raises(ConfigurationError, match=field):
+            replace(valid, **{field: bad})
 
     def test_duration_too_short(self):
         with pytest.raises(ConfigurationError):
@@ -98,6 +114,23 @@ class TestSingleDetector:
         ts = simulate_detector(cfg, duration=2**20 / FS, sample_rate=FS, seed=9)
         expected = SPEC.total_variance + SHOT**2 / 2.0 * FS
         assert abs(np.var(ts.values) / expected - 1.0) < 0.05
+
+
+    @pytest.mark.parametrize("method", ["spectral", "boxcar"])
+    @pytest.mark.parametrize("sensitive", [True, False])
+    @pytest.mark.parametrize("shot", [SHOT, 0.0])
+    def test_is_detector_a_of_dual(self, method, sensitive, shot):
+        det_a = DetectorConfig(L=L, shot_noise_asd=shot,
+                               geometric_sensitivity=sensitive)
+        run = dict(duration=2**14 / FS, sample_rate=FS, seed=6, method=method)
+        single = simulate_detector(det_a, **run)
+        for det_b, rho in [(DetectorConfig(L=L, shot_noise_asd=SHOT), 1.0),
+                           (DetectorConfig(L=L, shot_noise_asd=0.0), 0.3),
+                           (DetectorConfig(L=80.0, shot_noise_asd=SHOT,
+                                           geometric_sensitivity=False), 0.0)]:
+            a, _ = simulate_dual(DualDetectorConfig(det_a, det_b, rho), **run)
+            assert np.array_equal(single.values, a.values)
+            assert single.sample_rate == a.sample_rate
 
 
 class TestDualDetector:

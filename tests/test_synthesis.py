@@ -56,15 +56,15 @@ class TestTimeSeries:
 class TestConfigValidation:
     def test_undersampled(self):
         with pytest.raises(ConfigurationError):
-            make_cfg(fs=1e6).validate()
+            make_cfg(fs=1e6)
 
     def test_record_too_short(self):
         with pytest.raises(ConfigurationError):
-            make_cfg(n=64).validate()
+            make_cfg(n=64)
 
     def test_bad_method(self):
         with pytest.raises(ConfigurationError):
-            make_cfg(method="wavelet").validate()
+            make_cfg(method="wavelet")
 
     def test_method_mismatch(self):
         with pytest.raises(ConfigurationError):
