@@ -28,6 +28,7 @@ from .analysis import (
     WelchParams,
     band_averages,
     coherence,
+    coherence_from_csd,
     cross_correlation,
     detection_significance,
     welch_csd,

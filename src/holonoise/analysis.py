@@ -60,7 +60,9 @@ class SpectrumEstimate:
 
     `values` is real for PSDs and coherence, complex for CSDs.  `sigma` is the
     per-bin 1-sigma scale of the estimate (of the real part, for CSDs, under
-    the independent-channels null); None where not defined.
+    the independent-channels null); None where not defined.  `psds` is set
+    only for CSDs: the PSD estimates of the two records from the same pass,
+    each what `welch_psd` returns for that record.
     """
 
     frequencies: np.ndarray
@@ -70,6 +72,7 @@ class SpectrumEstimate:
     params: WelchParams
     kind: str = "psd"
     sigma: Optional[np.ndarray] = None
+    psds: Optional[tuple[SpectrumEstimate, SpectrumEstimate]] = None
 
     @property
     def df(self) -> float:
@@ -177,6 +180,15 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
         raise ValueError(f"record lengths differ: {a.n} vs {b.n}")
 
 
+def _psd_estimate(f: np.ndarray, pxx: np.ndarray, n_seg: int, fs: float,
+                  p: WelchParams) -> SpectrumEstimate:
+    return SpectrumEstimate(
+        frequencies=f, values=pxx, n_segments=n_seg, sample_rate=fs,
+        params=p, kind="psd",
+        sigma=pxx / np.sqrt(effective_segments(n_seg, p)),
+    )
+
+
 def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimate:
     """Averaged-periodogram one-sided PSD of a record, in m^2/Hz.
 
@@ -194,29 +206,47 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
         scale of an averaged periodogram corrected for segment overlap.
     """
     f, pxx, _, _, n_seg = _segment_spectra(ts.values, None, ts.sample_rate, p)
-    return SpectrumEstimate(
-        frequencies=f, values=pxx, n_segments=n_seg,
-        sample_rate=ts.sample_rate, params=p, kind="psd",
-        sigma=pxx / np.sqrt(effective_segments(n_seg, p)),
-    )
+    return _psd_estimate(f, pxx, n_seg, ts.sample_rate, p)
 
 
 def welch_csd(a: TimeSeries, b: TimeSeries,
               p: WelchParams = WelchParams()) -> SpectrumEstimate:
     """Averaged one-sided cross-spectral density of two synchronous records.
 
-    The attached `sigma` is sqrt(psd_a * psd_b / (2 K)) with K the effective
+    One pass over both records gives the CSD and the PSDs of `a` and `b`,
+    kept in `psds`; each equals `welch_psd` of its record bit for bit.  The
+    attached `sigma` is sqrt(psd_a * psd_b / (2 K)) with K the effective
     (overlap-corrected) segment count: the standard deviation of the real
     part of each bin when the channels are independent.  It feeds the
     detection statistic's weights.
     """
     _check_pair(a, b)
-    f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values,
-                                               a.sample_rate, p)
+    fs = a.sample_rate
+    f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values, fs, p)
     return SpectrumEstimate(
-        frequencies=f, values=pab, n_segments=n_seg,
-        sample_rate=a.sample_rate, params=p, kind="csd",
+        frequencies=f, values=pab, n_segments=n_seg, sample_rate=fs,
+        params=p, kind="csd",
         sigma=np.sqrt(paa * pbb / (2.0 * effective_segments(n_seg, p))),
+        psds=(_psd_estimate(f, paa, n_seg, fs, p),
+              _psd_estimate(f, pbb, n_seg, fs, p)),
+    )
+
+
+def coherence_from_csd(csd: SpectrumEstimate) -> SpectrumEstimate:
+    """Magnitude-squared coherence of a `welch_csd` estimate and its `psds`.
+
+    |CSD|^2 / (PSD_a PSD_b), clipped to [0, 1]; a silent channel has zero
+    power and, by convention, zero coherence.
+    """
+    psd_a, psd_b = csd.psds
+    power = psd_a.values * psd_b.values
+    coh = np.clip(np.divide(np.abs(csd.values) ** 2, power,
+                            out=np.zeros_like(power), where=power != 0.0),
+                  0.0, 1.0)
+    return SpectrumEstimate(
+        frequencies=csd.frequencies, values=coh, n_segments=csd.n_segments,
+        sample_rate=csd.sample_rate, params=csd.params, kind="coherence",
+        sigma=None,
     )
 
 
@@ -224,20 +254,12 @@ def coherence(a: TimeSeries, b: TimeSeries,
               p: WelchParams = WelchParams()) -> SpectrumEstimate:
     """Magnitude-squared coherence |CSD|^2 / (PSD_a PSD_b), clipped to [0, 1].
 
-    The estimator is biased upward by roughly 1/n_segments for independent
-    channels; average many segments before reading small values.
+    `coherence_from_csd` of `welch_csd(a, b, p)`; with the CSD at hand, call
+    that instead of estimating the spectra again.  The estimator is biased
+    upward by roughly 1/n_segments for independent channels; average many
+    segments before reading small values.
     """
-    _check_pair(a, b)
-    f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values,
-                                               a.sample_rate, p)
-    power = paa * pbb
-    # a silent channel has zero power and, by convention, zero coherence
-    coh = np.clip(np.divide(np.abs(pab) ** 2, power, out=np.zeros_like(power),
-                            where=power != 0.0), 0.0, 1.0)
-    return SpectrumEstimate(
-        frequencies=f, values=coh, n_segments=n_seg,
-        sample_rate=a.sample_rate, params=p, kind="coherence", sigma=None,
-    )
+    return coherence_from_csd(welch_csd(a, b, p))
 
 
 @dataclass

@@ -42,11 +42,13 @@ from .algebra import (
     angular_uncertainty_bound,
     SECONDS_PER_YEAR,
 )
+# welch_psd and coherence stay imported: perfbench's tracing.PATCHES wraps them
 from .analysis import (
     WINDOWS,
     WelchParams,
     cross_correlation,
     coherence,
+    coherence_from_csd,
     detection_significance,
     welch_csd,
     welch_psd,
@@ -349,10 +351,9 @@ def cmd_run(args) -> int:
     a, b = simulate_dual(det, duration=float(cfg.duration),
                          sample_rate=float(cfg.sample_rate),
                          seed=cfg.seed, method=cfg.method)
-    psd_a = welch_psd(a, welch)
-    psd_b = welch_psd(b, welch)
     csd = welch_csd(a, b, welch)
-    coh = coherence(a, b, welch)
+    psd_a, psd_b = csd.psds
+    coh = coherence_from_csd(csd)
     corr = cross_correlation(a, b, cfg.max_lag)
     detect = detection_significance(csd, spec, cfg.band)
 

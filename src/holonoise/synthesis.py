@@ -97,16 +97,24 @@ class SynthesisConfig:
         return HolographicSpectrum(self.L)
 
 
+def _seed_sequence(seed: int, channel: int) -> np.random.SeedSequence:
+    """The SeedSequence of the (seed, channel) substream."""
+    if int(seed) < 0:
+        raise ConfigurationError(
+            f"seed must be a non-negative integer, got {seed}"
+        )
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(channel),))
+
+
 def channel_rng(seed: int, channel: int) -> np.random.Generator:
     """Independent, reproducible substream keyed by (seed, channel)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(channel),))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, channel)))
 
 
 def channel_seed(seed: int, channel: int) -> int:
     """64-bit integer seed for the (seed, channel) substream."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(channel),))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    state = _seed_sequence(seed, channel).generate_state(1, dtype=np.uint64)
+    return int(state[0])
 
 
 def white_noise_psd() -> float:

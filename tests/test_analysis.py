@@ -344,6 +344,27 @@ def test_estimators_match_scipy_oracle(window, segment_length, overlap):
     assert_allclose(res.covariance, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+@pytest.mark.parametrize("segment_length", [256, 255])
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+def test_paired_psds_equal_welch_psd(window, segment_length, overlap):
+    # the PSDs kept by one paired pass are those of two single passes, bit
+    # for bit (255 takes the odd-length path without a Nyquist bin)
+    a = white(2**13, seed=32)
+    b = TimeSeries(a.sample_rate, 0.5 * a.values + white(2**13, seed=33).values)
+    p = WelchParams(segment_length=segment_length, overlap_fraction=overlap,
+                    window=window)
+    csd = welch_csd(a, b, p)
+    for paired, ts in zip(csd.psds, (a, b)):
+        single = welch_psd(ts, p)
+        assert paired.kind == "psd"
+        assert paired.n_segments == single.n_segments == csd.n_segments
+        assert np.array_equal(paired.frequencies, single.frequencies)
+        assert np.array_equal(paired.values, single.values)
+        assert np.array_equal(paired.sigma, single.sigma)
+    assert welch_psd(a, p).psds is None
+
+
 @pytest.mark.parametrize("window, overlap", [("hann", 0.5),
                                              ("rectangular", 0.0)])
 @pytest.mark.parametrize("blocks", [0.25, 1, 3.5])

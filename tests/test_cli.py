@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import holonoise
 from holonoise import ConfigurationError, HolographicSpectrum, analytic_psd
+from holonoise import analysis
 from holonoise import io as hio
 from holonoise.cli import RunConfig, build_parser, main, resolve_run_config
 
@@ -213,10 +214,25 @@ class TestRunCommand:
         ["--arm-length", "nan"],
         ["--duration", "nan"],
         ["--sample-rate", "1e6"],
+        ["--seed", "-1"],
     ])
     def test_rejected_run_leaves_no_outdir(self, tmp_path, argv):
         assert run_cli("run", *argv, "--outdir", tmp_path / "x" / "deep") == 2
         assert not (tmp_path / "x").exists()
+
+    def test_one_spectral_pass(self, tmp_path, monkeypatch):
+        # both PSDs, the CSD and the coherence come from one paired pass
+        calls = []
+        segment_spectra = analysis._segment_spectra
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return segment_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_segment_spectra", counting)
+        code, _ = self.run_small(tmp_path, "one_pass")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_zero_variance_band_rejected(self, tmp_path, capsys):
         # a silent detector A has zero PSD, so every band bin has sigma = 0
@@ -274,6 +290,9 @@ def test_cli_import_leaves_scipy_out():
     (["run", "--band-lo", "1e5"], "--band-hi"),
     (["verify", "--boosts", "0"], "--boosts"),
     (["verify", "--boosts", "-3"], "--boosts"),
+    (["run", "--seed", "-1", "--outdir", "{tmp}/out"], "seed"),
+    (["synth", "--n-samples", "100", "--seed", "-2", "-o", "{tmp}/x.hnts"],
+     "seed"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, named):
     # exit 1 is reserved for a failing verify
