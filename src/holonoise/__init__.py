@@ -50,6 +50,7 @@ from .noise_model import (
     one_sided_psd,
     time_averaged_ms_displacement,
 )
+from .pipeline import RunConfig, RunResult, run_pipeline
 from .synthesis import (
     SynthesisConfig,
     TimeSeries,

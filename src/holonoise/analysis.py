@@ -83,12 +83,12 @@ class SpectrumEstimate:
 
 
 def _segment_count(n: int, p: WelchParams) -> int:
-    step = p.segment_length - p.noverlap
     if n < p.segment_length:
         raise ValueError(
             f"record of {n} samples is shorter than one segment "
             f"({p.segment_length})"
         )
+    step = p.segment_length - p.noverlap
     return 1 + (n - p.segment_length) // step
 
 
@@ -389,10 +389,10 @@ def cross_correlation(a: TimeSeries, b: TimeSeries,
     out within max_lag, so choose max_lag beyond the physical coherence time.
     """
     _check_pair(a, b)
-    if not max_lag < 0.5 * a.duration:
+    if not 0.0 < max_lag < 0.5 * a.duration:
         raise ValueError(
-            f"max_lag {max_lag} s must be below half the record duration "
-            f"{a.duration} s"
+            f"max_lag {max_lag} s must be positive and below half the record "
+            f"duration {a.duration} s"
         )
     j_max = int(round(max_lag * a.sample_rate))
     if j_max < 1:

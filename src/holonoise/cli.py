@@ -4,8 +4,8 @@ Subcommands:
 
 * ``spectrum``  tabulate the predicted displacement spectrum for one arm length
 * ``synth``     generate a noise record and write it to disk
-* ``run``       simulate a correlated interferometer pair and run the full
-                estimation/detection pipeline
+* ``run``       write the six files of ``pipeline.run_pipeline`` for the
+                ``RunConfig`` merged from defaults, a JSON file and flags
 * ``verify``    print a pass/fail report of the model's numeric identities
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing check, 2 on
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -42,24 +40,18 @@ from .algebra import (
     angular_uncertainty_bound,
     SECONDS_PER_YEAR,
 )
-# welch_psd and coherence stay imported: perfbench's tracing.PATCHES wraps them
-from .analysis import (
-    WINDOWS,
-    WelchParams,
-    cross_correlation,
+# Unused here; perfbench/tracing.py wraps these names in this module too:
+# simulate_dual, welch_psd, welch_csd, coherence, cross_correlation and
+# detection_significance.
+from .analysis import (  # noqa: F401
     coherence,
-    coherence_from_csd,
+    cross_correlation,
     detection_significance,
     welch_csd,
     welch_psd,
 )
 from .errors import ConfigurationError, check_positive_finite
-from .interferometer import (
-    DetectorConfig,
-    DualDetectorConfig,
-    default_shot_asd,
-    simulate_dual,
-)
+from .interferometer import simulate_dual  # noqa: F401
 from .noise_model import (
     HolographicSpectrum,
     analytic_autocorrelation,
@@ -68,6 +60,7 @@ from .noise_model import (
     one_sided_psd,
     time_averaged_ms_displacement,
 )
+from .pipeline import RunConfig, run_pipeline
 from .synthesis import METHODS, SynthesisConfig, synthesize
 from . import io as hio
 
@@ -85,63 +78,6 @@ class _PairItem(argparse.Action):
         pair = list(getattr(namespace, self.dest) or (None, None))
         pair[self.const] = value
         setattr(namespace, self.dest, pair)
-
-
-def _run_field(default, types, description, *flags, **argparse_kwargs):
-    """A RunConfig field: default, accepted JSON types, help text, `run` flags."""
-    return field(default=default, metadata={
-        "types": types, "help": description, "flags": flags,
-        "argparse": argparse_kwargs,
-    })
-
-
-_NUMBER = (int, float)
-_OPTIONAL = (int, float, type(None))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The `holonoise run` configuration: one field per JSON key.
-
-    Each field declares its default, its accepted JSON types, its description
-    (the flag's help text) and its flag or flags.  A None default is filled
-    in from the geometry when the run starts.
-    """
-
-    arm_length: float = _run_field(40.0, _NUMBER, "arm length in meters",
-                                   "--arm-length", type=float, metavar="M")
-    duration: float = _run_field(0.1, _NUMBER, "record duration in seconds",
-                                 "--duration", type=float, metavar="S")
-    sample_rate: float = _run_field(1.6e7, _NUMBER, "sample rate in Hz",
-                                    "--sample-rate", type=float, metavar="HZ")
-    seed: int = _run_field(1, (int,), "master seed", "--seed", type=int)
-    rho_geom: float = _run_field(
-        1.0, _NUMBER, "geometric correlation coefficient in [0, 1]",
-        "--rho", type=float, metavar="RHO")
-    shot_noise_asd: Optional[float] = _run_field(
-        None, _OPTIONAL, "one-sided shot noise ASD in m/rtHz, 3x the plateau "
-        "if unset", "--shot-asd", type=float, metavar="M_RTHZ")
-    geometric_sensitivity_a: bool = _run_field(
-        True, (bool,), "detector A responds to geometric noise", "--sens-a",
-        action=argparse.BooleanOptionalAction)
-    geometric_sensitivity_b: bool = _run_field(
-        True, (bool,), "detector B responds to geometric noise", "--sens-b",
-        action=argparse.BooleanOptionalAction)
-    method: str = _run_field("spectral", (str,), "synthesis method",
-                             "--method", choices=METHODS)
-    segment_length: int = _run_field(4096, (int,), "Welch segment length in "
-                                     "samples", "--segment-length", type=int)
-    overlap_fraction: float = _run_field(0.5, _NUMBER, "Welch overlap fraction",
-                                         "--overlap", type=float)
-    window: str = _run_field("hann", (str,), "Welch window", "--window",
-                             choices=WINDOWS)
-    band: Optional[list] = _run_field(
-        None, (list, type(None)), "detection band [f_lo, f_hi] in Hz, "
-        "[f_c/20, 2 f_c] if unset", "--band-lo", "--band-hi", type=float,
-        metavar="HZ", action=_PairItem)
-    max_lag: Optional[float] = _run_field(
-        None, _OPTIONAL, "correlation lag range in seconds, 4 coherence times "
-        "if unset", "--max-lag", type=float, metavar="S")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,10 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         text = f.metadata["help"]
         if f.default is not None:
             text += f" (default: {f.default})"
+        kwargs = dict(f.metadata["argparse"])
+        if f.metadata["types"] == (bool,):
+            kwargs["action"] = argparse.BooleanOptionalAction
         for i, flag in enumerate(flags):
-            item = {"const": i} if len(flags) > 1 else {}
+            item = {"const": i, "action": _PairItem} if len(flags) > 1 else {}
             p.add_argument(flag, dest=f.name, default=None, help=text,
-                           **item, **f.metadata["argparse"])
+                           **kwargs, **item)
     p.add_argument("--outdir", default=None,
                    help=f"output directory (default: ${OUTDIR_ENV} or .)")
     p.set_defaults(func=cmd_run)
@@ -280,13 +219,8 @@ def cmd_synth(args) -> int:
 
 # --------------------------------------------------------------------- run
 
-def _has_types(value, types) -> bool:
-    """isinstance, except that a bool is not a number."""
-    return isinstance(value, types) and (bool in types or type(value) is not bool)
-
-
 def resolve_run_config(args) -> RunConfig:
-    """Defaults, then config file, then command-line flags, type-checked once."""
+    """Defaults, then config file, then command-line flags; RunConfig checks them."""
     values = {}
     if args.config is not None:
         path = Path(args.config)
@@ -303,74 +237,30 @@ def resolve_run_config(args) -> RunConfig:
     names = [f.name for f in fields(RunConfig)]
     values.update((name, getattr(args, name)) for name in names
                   if getattr(args, name) is not None)
-
-    bad = [f"unknown field {key!r}" for key in values if key not in names]
-    for f in fields(RunConfig):
-        value = values.get(f.name, f.default)
-        if not _has_types(value, f.metadata["types"]):
-            bad.append(f"field {f.name!r} ({f.metadata['help']}): "
-                       f"bad value {value!r}")
-    band = values.get("band")
-    if isinstance(band, list) and (
-            len(band) != 2 or not all(_has_types(v, _NUMBER)
-                                      and -math.inf < v < math.inf
-                                      for v in band)):
-        bad.append("field 'band': expected [f_lo, f_hi], two finite numbers")
-    if bad:
-        raise ConfigurationError("invalid configuration: " + "; ".join(bad))
+    unknown = [f"unknown field {key!r}" for key in values if key not in names]
+    if unknown:
+        raise ConfigurationError("invalid configuration: " + "; ".join(unknown))
     return RunConfig(**values)
 
 
 def cmd_run(args) -> int:
     cfg = resolve_run_config(args)
     outdir = Path(args.outdir if args.outdir is not None else _default_outdir())
-
-    L = float(cfg.arm_length)
-    spec = HolographicSpectrum(L)
-    cfg = replace(
-        cfg,
-        shot_noise_asd=default_shot_asd(L) if cfg.shot_noise_asd is None
-        else float(cfg.shot_noise_asd),
-        band=[spec.f_c / 20.0, 2.0 * spec.f_c] if cfg.band is None else cfg.band,
-        max_lag=4.0 * spec.coherence_time if cfg.max_lag is None
-        else float(cfg.max_lag),
-    )
-    det = DualDetectorConfig(
-        det_a=DetectorConfig(L=L, shot_noise_asd=cfg.shot_noise_asd,
-                             geometric_sensitivity=cfg.geometric_sensitivity_a),
-        det_b=DetectorConfig(L=L, shot_noise_asd=cfg.shot_noise_asd,
-                             geometric_sensitivity=cfg.geometric_sensitivity_b),
-        rho_geom=float(cfg.rho_geom),
-    )
-    welch = WelchParams(
-        segment_length=cfg.segment_length,
-        overlap_fraction=float(cfg.overlap_fraction),
-        window=cfg.window,
-    )
-
-    a, b = simulate_dual(det, duration=float(cfg.duration),
-                         sample_rate=float(cfg.sample_rate),
-                         seed=cfg.seed, method=cfg.method)
-    csd = welch_csd(a, b, welch)
-    psd_a, psd_b = csd.psds
-    coh = coherence_from_csd(csd)
-    corr = cross_correlation(a, b, cfg.max_lag)
-    detect = detection_significance(csd, spec, cfg.band)
+    result = run_pipeline(cfg)
+    cfg, spec, csd = result.config, result.spectrum, result.csd
+    coh, corr, detect = result.coherence, result.correlation, result.detection
 
     resolved = asdict(cfg)
     meta = {"config": resolved, "generator": f"holonoise {__version__} run",
             "seed": cfg.seed}
-    model_one_sided = np.asarray(one_sided_psd(spec, psd_a.frequencies))
+    model_one_sided = np.asarray(one_sided_psd(spec, csd.frequencies))
     # made only now, so that a run rejected at any stage leaves nothing behind
     outdir.mkdir(parents=True, exist_ok=True)
-    hio.write_table_csv(outdir / "psd_a.csv", {
-        "f_hz": psd_a.frequencies, "psd_m2_hz": psd_a.values,
-        "sigma_m2_hz": psd_a.sigma, "model_geometric_m2_hz": model_one_sided,
-    }, dict(meta, kind="psd_a", n_segments=psd_a.n_segments))
-    hio.write_table_csv(outdir / "psd_b.csv", {
-        "f_hz": psd_b.frequencies, "psd_m2_hz": psd_b.values,
-        "sigma_m2_hz": psd_b.sigma, "model_geometric_m2_hz": model_one_sided,
-    }, dict(meta, kind="psd_b", n_segments=psd_b.n_segments))
+    for kind, psd in zip(("psd_a", "psd_b"), csd.psds):
+        hio.write_table_csv(outdir / f"{kind}.csv", {
+            "f_hz": psd.frequencies, "psd_m2_hz": psd.values,
+            "sigma_m2_hz": psd.sigma, "model_geometric_m2_hz": model_one_sided,
+        }, dict(meta, kind=kind, n_segments=psd.n_segments))
     hio.write_table_csv(outdir / "csd.csv", {
         "f_hz": csd.frequencies, "csd_m2_hz": csd.values,
         "sigma_re_m2_hz": csd.sigma, "model_geometric_m2_hz": model_one_sided,
@@ -381,7 +271,7 @@ def cmd_run(args) -> int:
     hio.write_table_csv(outdir / "correlation.csv", {
         "lag_s": corr.lags, "covariance_m2": corr.covariance,
         "normalized": corr.normalized, "sigma_m2": corr.sigma_band,
-        "model_m2": float(det.rho_geom)
+        "model_m2": float(cfg.rho_geom)
         * np.asarray(analytic_autocorrelation(spec, corr.lags)),
     }, dict(meta, kind="correlation",
             n_samples_effective=corr.n_samples_effective))
@@ -399,8 +289,8 @@ def cmd_run(args) -> int:
         "amplitude_fit": detect.amplitude_fit,
         "amplitude_se": detect.amplitude_se,
         "snr": detect.snr,
-        "variance_a_m2": float(np.var(a.values)),
-        "variance_b_m2": float(np.var(b.values)),
+        "variance_a_m2": result.variance_a,
+        "variance_b_m2": result.variance_b,
         "model_variance_m2": spec.total_variance,
     }
     hio.write_summary_json(outdir / "summary.json", summary)

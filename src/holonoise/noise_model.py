@@ -13,12 +13,14 @@ as test oracles only.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import CONSTANTS
-from .errors import check_positive_finite
+from .errors import ConfigurationError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,11 @@ class HolographicSpectrum:
 
     def __post_init__(self):
         check_positive_finite("arm_length", self.L)
+        # the plateau grows as L^2 and the knee as 1/L; both must be floats
+        if not (self.L < math.sqrt(sys.float_info.max) and self.f_c < math.inf):
+            raise ConfigurationError(
+                f"arm_length {self.L} m puts the spectrum beyond the float range"
+            )
 
     @property
     def f_c(self) -> float:

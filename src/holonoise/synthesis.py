@@ -72,6 +72,7 @@ class SynthesisConfig:
 
     def __post_init__(self):
         spec = self.spectrum()
+        _seed_sequence(self.seed, 0)
         check_positive_finite("sample_rate", self.sample_rate)
         if self.method not in METHODS:
             raise ConfigurationError(
@@ -98,10 +99,11 @@ class SynthesisConfig:
 
 
 def _seed_sequence(seed: int, channel: int) -> np.random.SeedSequence:
-    """The SeedSequence of the (seed, channel) substream."""
-    if int(seed) < 0:
+    """The SeedSequence of the (seed, channel) substream; the one seed check."""
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0):
         raise ConfigurationError(
-            f"seed must be a non-negative integer, got {seed}"
+            f"seed must be a non-negative integer, got {seed!r}"
         )
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(channel),))
 

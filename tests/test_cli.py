@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -6,14 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import holonoise
 from holonoise import ConfigurationError, HolographicSpectrum, analytic_psd
 from holonoise import analysis
 from holonoise import io as hio
+from holonoise.analysis import WINDOWS
 from holonoise.cli import RunConfig, build_parser, main, resolve_run_config
+from holonoise.synthesis import METHODS
 
 
 def run_cli(*argv):
@@ -169,9 +172,11 @@ class TestRunCommand:
         assert "arm_legnth" in capsys.readouterr().err
 
     def test_bad_field_type_listed(self, tmp_path, capsys):
-        # a bool is not a number, not even inside the band
+        # a bool is not a number, not even inside the band, and neither is an
+        # int too large for a float
         for cfg, field in (({"seed": "twelve"}, "seed"),
-                           ({"band": [True, 1e6]}, "band")):
+                           ({"band": [True, 1e6]}, "band"),
+                           ({"duration": 10**400}, "duration")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(cfg))
             assert run_cli("run", "--config", path) == 2
@@ -221,7 +226,8 @@ class TestRunCommand:
         assert not (tmp_path / "x").exists()
 
     def test_one_spectral_pass(self, tmp_path, monkeypatch):
-        # both PSDs, the CSD and the coherence come from one paired pass
+        # both PSDs, the CSD and the coherence come from one paired pass, in
+        # the CLI and in the API alike
         calls = []
         segment_spectra = analysis._segment_spectra
 
@@ -233,6 +239,21 @@ class TestRunCommand:
         code, _ = self.run_small(tmp_path, "one_pass")
         assert code == 0
         assert len(calls) == 1
+        holonoise.run_pipeline(RunConfig(duration=0.004, seed=5))
+        assert len(calls) == 2
+
+    def test_api_and_cli_share_one_pipeline(self, tmp_path):
+        code, outdir = self.run_small(tmp_path, "cli")
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        result = holonoise.run_pipeline(RunConfig(duration=0.004, seed=5))
+        det = result.detection
+        assert summary["config"] == asdict(result.config)
+        assert [summary[key] for key in (
+            "amplitude_fit", "amplitude_se", "snr", "n_bins", "n_segments",
+            "variance_a_m2", "variance_b_m2")] == [
+            det.amplitude_fit, det.amplitude_se, det.snr, det.n_bins,
+            result.csd.n_segments, result.variance_a, result.variance_b]
 
     def test_zero_variance_band_rejected(self, tmp_path, capsys):
         # a silent detector A has zero PSD, so every band bin has sigma = 0
@@ -271,13 +292,16 @@ class TestVerifyCommand:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only oracle; the package must not pull it in
+    # scipy is a test-only oracle; the package must not pull it in, and the
+    # library must not pull in the command line
     src = str(Path(holonoise.__file__).resolve().parents[1])
-    code = ("import sys, holonoise.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for module, absent in (("holonoise.cli", ()),
+                           ("holonoise", ("argparse", "holonoise.cli"))):
+        code = (f"import sys, {module}; print([m for m in sys.modules "
+                f"if m.split('.')[0] == 'scipy' or m in {absent!r}])")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]", module
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -293,6 +317,12 @@ def test_cli_import_leaves_scipy_out():
     (["run", "--seed", "-1", "--outdir", "{tmp}/out"], "seed"),
     (["synth", "--n-samples", "100", "--seed", "-2", "-o", "{tmp}/x.hnts"],
      "seed"),
+    (["run", "--max-lag=-inf", "--duration", "1e-3", "--outdir", "{tmp}/out"],
+     "max_lag"),
+    (["run", "--shot-asd", "1e77", "--duration", "1e-3", "--outdir",
+      "{tmp}/out"], "overflows"),
+    (["run", "--segment-length", "9" * 400, "--duration", "1e-3", "--outdir",
+      "{tmp}/out"], "shorter than one segment"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, named):
     # exit 1 is reserved for a failing verify
@@ -325,3 +355,50 @@ def test_config_resolution_is_total(tmp_path, doc):
     expected = dict(asdict(RunConfig()), **doc)
     assert json.dumps(asdict(cfg), sort_keys=True) == json.dumps(
         expected, sort_keys=True)
+
+
+def _record_samples(doc) -> float:
+    """duration x sample_rate of a run config, 0 where they are not numbers."""
+    try:
+        return (float(doc.get("duration", RunConfig.duration))
+                * float(doc.get("sample_rate", RunConfig.sample_rate)))
+    except (TypeError, ValueError, OverflowError):
+        return 0.0
+
+
+# tiny runs of the README geometry, each field then possibly any JSON value
+_TINY_RUNS = st.fixed_dictionaries({
+    "arm_length": st.just(40.0),
+    "sample_rate": st.just(1.6e7),
+    "duration": st.floats(1e-5, 1e-3),
+    "method": st.sampled_from(METHODS),
+    "window": st.sampled_from(WINDOWS),
+    "segment_length": st.integers(16, 1024),
+})
+_ANY_FIELDS = st.dictionaries(
+    st.sampled_from([f.name for f in fields(RunConfig)]),
+    _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3), max_size=4)
+
+
+def _strict_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_TINY_RUNS, _ANY_FIELDS)
+def test_run_is_total(tmp_path, capsys, tiny, overrides):
+    # every config either runs to a strictly valid summary.json or is
+    # refused with exit 2; only the record size is bounded
+    doc = dict(tiny, **overrides)
+    assume(not _record_samples(doc) > 2e5)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    shutil.rmtree(outdir, ignore_errors=True)
+    code = main(["run", "--config", str(path), "--outdir", str(outdir)])
+    capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        json.loads((outdir / "summary.json").read_text(),
+                   parse_constant=_strict_constant)

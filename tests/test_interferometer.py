@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from holonoise import (
     DetectorConfig,
     DualDetectorConfig,
     HolographicSpectrum,
+    RunConfig,
     SynthesisConfig,
     WelchParams,
     analytic_autocorrelation,
@@ -68,6 +70,13 @@ class TestConfigs:
         (dual_cfg(rho=1.0), "rho_geom", 1.5),
         (SynthesisConfig(L=L, sample_rate=FS, n_samples=2**14, seed=0),
          "sample_rate", 3.9 * float(SPEC.zeros(1)[0])),
+        (SynthesisConfig(L=L, sample_rate=FS, n_samples=2**14, seed=0),
+         "seed", -1),
+        (SynthesisConfig(L=L, sample_rate=FS, n_samples=2**14, seed=0),
+         "seed", 1.9),
+        (RunConfig(), "seed", "x"),
+        (RunConfig(), "band", [True, 1e6]),
+        (RunConfig(), "band", [math.inf, 1.0]),
     ])
     def test_replace_cannot_build_invalid_config(self, valid, field, bad):
         # every config checks its invariants when built, also by replace()

@@ -32,6 +32,10 @@ class TestSpectrumObject:
     def test_rejects_bad_arm_length(self):
         with pytest.raises(ValueError):
             HolographicSpectrum(0.0)
+        # L^2 or 1/L would overflow
+        for L in (1.35e154, 5e-324):
+            with pytest.raises(ValueError, match="arm_length"):
+                HolographicSpectrum(L)
 
 
 class TestAnalyticPsd:
