@@ -9,12 +9,15 @@ the null hypothesis the reported SNR is standard normal.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _threads
 from .errors import ConfigurationError
 from .noise_model import HolographicSpectrum, one_sided_psd
 from .synthesis import TimeSeries
@@ -134,9 +137,12 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
 
     Returns (f, Pxx, Pyy, Pxy, K): one-sided densities averaged over the K
     windowed segments, with Pxy = mean(conj(X) Y).  Pyy and Pxy are None
-    when y is None.  The sums of |X|^2, |Y|^2 and conj(X) Y are accumulated
-    over blocks of `_WELCH_BLOCK` segments, so the working memory is a few
-    blocks, whatever K is.
+    when y is None.  The sums of |X|^2, |Y|^2 and conj(X) Y are taken over
+    blocks of `_WELCH_BLOCK` segments, so the working memory is a few
+    blocks and one sum per block (about N bytes, an eighth of the record,
+    at half overlap).  Contiguous runs of blocks go to the usable CPUs, the first to
+    the calling thread; the block sums are then added in block order, so
+    the result does not depend on the CPU count.
     """
     n_seg = _segment_count(x.size, p)
     window = _window(p)
@@ -148,27 +154,99 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
     if p.segment_length % 2 == 0:
         scale[-1] /= 2.0
 
-    segments_x = sliding_window_view(x, p.segment_length)[::step]
-    segments_y = None if y is None else sliding_window_view(
-        y, p.segment_length)[::step]
-    sum_xx = np.zeros(scale.size)
-    sum_yy = np.zeros(scale.size)
-    sum_xy = np.zeros(scale.size, dtype=complex)
-    for start in range(0, n_seg, _WELCH_BLOCK):
-        block = slice(start, start + _WELCH_BLOCK)
-        sx = np.fft.rfft(segments_x[block] * window, axis=-1)
-        sum_xx += np.sum(sx.real**2 + sx.imag**2, axis=0)
-        if segments_y is None:
-            continue
-        sy = np.fft.rfft(segments_y[block] * window, axis=-1)
-        sum_yy += np.sum(sy.real**2 + sy.imag**2, axis=0)
-        sum_xy += np.sum(np.conj(sx, out=sx) * sy, axis=0)
+    segments = [sliding_window_view(x, p.segment_length)[::step]]
+    if y is not None:
+        segments.append(sliding_window_view(y, p.segment_length)[::step])
+    n_blocks = -(-n_seg // _WELCH_BLOCK)
+    runs = np.array_split(np.arange(n_blocks),
+                          min(n_blocks, _threads.workers(x.size)))
+    tasks = [functools.partial(_block_sums, segments, window, runs[0])]
+    tasks += [functools.partial(_block_sums, segments, window, run,
+                                _scratch(len(segments), len(run),
+                                         min(n_seg, _WELCH_BLOCK),
+                                         p.segment_length))
+              for run in runs[1:]]
+    sums = [np.zeros(scale.size) for _ in segments]
+    if y is not None:
+        sums.append(np.zeros(scale.size, dtype=complex))
+    for run_sums in _threads.run_all(tasks, x.size):
+        for block in run_sums:
+            for total, term in zip(sums, block):
+                total += term
+    sum_xx = sums[0]
+    if y is not None:
+        sum_yy, sum_xy = sums[1:]
 
     f = np.fft.rfftfreq(p.segment_length, 1.0 / fs)
     pxx = sum_xx / n_seg * scale
     if y is None:
         return f, pxx, None, None, n_seg
     return f, pxx, sum_yy / n_seg * scale, sum_xy / n_seg * scale, n_seg
+
+
+def _scratch(n_records: int, n_blocks: int, rows: int,
+             segment_length: int) -> dict:
+    """Work arrays and block sums for `_block_sums` on a worker thread.
+
+    They share one anonymous mapping, so they never enter malloc's heaps and
+    their memory returns to the system when the last of them is freed.
+    Blocks of `rows` segments; row i of "sum<c>" holds block i's sum.
+    """
+    import mmap
+
+    bins = segment_length // 2 + 1
+    shapes = {"windowed": ((rows, segment_length), float),
+              "power": ((rows, bins), float),
+              "power_imag": ((rows, bins), float)}
+    for c in range(n_records):
+        shapes[f"spectrum{c}"] = ((rows, bins), complex)
+        shapes[f"sum{c}"] = ((n_blocks, bins), float)
+    if n_records == 2:
+        shapes["sum2"] = ((n_blocks, bins), complex)
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+             for shape, dtype in shapes.values()]
+    memory = mmap.mmap(-1, sum(sizes))
+    arrays, offset = {}, 0
+    for (name, (shape, dtype)), size in zip(shapes.items(), sizes):
+        arrays[name] = np.frombuffer(memory, dtype, math.prod(shape),
+                                     offset).reshape(shape)
+        offset += size
+    return arrays
+
+
+def _block_sums(segments: list, window: np.ndarray, blocks: np.ndarray,
+                scratch: Optional[dict] = None) -> list:
+    """Sums over the segments of each block in `blocks`.
+
+    Returns, per block, the sum of |X|^2 for each record and, for two
+    records, the sum of conj(X) Y.  Without `scratch` the work arrays are
+    allocated per block.  With arrays from `_scratch` the sums are rows of
+    them and no array data is allocated, so that a worker thread can run it.
+    """
+    def out(name, index):
+        return None if scratch is None else scratch[name][index]
+
+    sums = []
+    for k, i in enumerate(blocks):
+        rows = slice(i * _WELCH_BLOCK, (i + 1) * _WELCH_BLOCK)
+        m = slice(segments[0][rows].shape[0])
+        terms, spectra = [], []
+        for c, seg in enumerate(segments):
+            windowed = np.multiply(seg[rows], window, out=out("windowed", m))
+            spectrum = np.fft.rfft(windowed, axis=-1,
+                                   out=out(f"spectrum{c}", m))
+            power = np.square(spectrum.real, out=out("power", m))
+            power = np.add(power, np.square(spectrum.imag,
+                                            out=out("power_imag", m)),
+                           out=power)
+            terms.append(np.sum(power, axis=0, out=out(f"sum{c}", k)))
+            spectra.append(spectrum)
+        if len(spectra) == 2:
+            sx, sy = spectra
+            product = np.multiply(np.conj(sx, out=sx), sy, out=sx)
+            terms.append(np.sum(product, axis=0, out=out("sum2", k)))
+        sums.append(terms)
+    return sums
 
 
 def _check_pair(a: TimeSeries, b: TimeSeries) -> None:

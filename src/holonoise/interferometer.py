@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .errors import ConfigurationError, check_positive_finite
 from .noise_model import HolographicSpectrum
 from .synthesis import SynthesisConfig, TimeSeries, channel_rng, channel_seed, synthesize
@@ -74,12 +75,18 @@ class DualDetectorConfig:
             )
 
 
-def _shot_noise(asd: float, n: int, sample_rate: float,
-                rng: np.random.Generator) -> np.ndarray:
-    # one-sided PSD asd^2 -> per-sample variance asd^2/2 * fs
-    if asd == 0.0:
-        return np.zeros(n)
-    return rng.normal(scale=asd * np.sqrt(sample_rate / 2.0), size=n)
+def _draw_shot_noise(out: np.ndarray, asd: float, sample_rate: float,
+                     rng: np.random.Generator) -> None:
+    """Fill `out` with white noise of one-sided PSD asd^2, in place.
+
+    The per-sample variance is asd^2/2 * fs.  Filling a buffer allocates
+    nothing, so it can run on a worker thread, and gives the bytes of
+    `rng.normal(scale=..., size=n)`, which computes 0.0 + scale * z: the two
+    differ only where a draw z is -0.0, about once in 2**53 draws.
+    """
+    if asd != 0.0:
+        rng.standard_normal(out=out)
+        out *= asd * np.sqrt(sample_rate / 2.0)
 
 
 def _n_samples(duration: float, sample_rate: float) -> int:
@@ -126,22 +133,34 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     cfg_shared = synth_cfg(CH_GEOM_SHARED, cfg.det_a.L)
     cfg_indep = synth_cfg(CH_GEOM_INDEP, cfg.det_b.L)
 
-    # the shot-noise draws are fresh arrays, so the geometric parts are added
-    # in place without aliasing `shared`
     rho = cfg.rho_geom
-    values_a = _shot_noise(cfg.det_a.shot_noise_asd, n, sample_rate,
-                           channel_rng(seed, CH_SHOT_A))
-    values_b = _shot_noise(cfg.det_b.shot_noise_asd, n, sample_rate,
-                           channel_rng(seed, CH_SHOT_B))
-    if cfg.det_a.geometric_sensitivity or cfg.det_b.geometric_sensitivity:
-        shared = synthesize(cfg_shared).values
+    need_shared = (cfg.det_a.geometric_sensitivity
+                   or cfg.det_b.geometric_sensitivity)
+    need_indep = cfg.det_b.geometric_sensitivity and rho < 1.0
+
+    def geometric():
+        return (synthesize(cfg_shared).values if need_shared else None,
+                synthesize(cfg_indep).values if need_indep else None)
+
+    # a worker draws the shot noises into records allocated here (zeros for
+    # a silent detector) while this thread synthesizes; the geometric parts
+    # are then added in place, without aliasing `shared`
+    values_a, values_b = (np.zeros(n) if det.shot_noise_asd == 0.0
+                          else np.empty(n) for det in (cfg.det_a, cfg.det_b))
+
+    def shot_noise():
+        _draw_shot_noise(values_a, cfg.det_a.shot_noise_asd, sample_rate,
+                         channel_rng(seed, CH_SHOT_A))
+        _draw_shot_noise(values_b, cfg.det_b.shot_noise_asd, sample_rate,
+                         channel_rng(seed, CH_SHOT_B))
+
+    (shared, independent), _ = _threads.run_all([geometric, shot_noise], n)
     if cfg.det_a.geometric_sensitivity:
         values_a += shared
     if cfg.det_b.geometric_sensitivity:
         if rho >= 1.0:
             values_b += shared
         else:
-            independent = synthesize(cfg_indep).values
             values_b += rho * shared + np.sqrt(1.0 - rho**2) * independent
     return (TimeSeries(sample_rate=sample_rate, values=values_a),
             TimeSeries(sample_rate=sample_rate, values=values_b))

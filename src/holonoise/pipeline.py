@@ -47,7 +47,8 @@ class RunConfig:
 
     Each field declares its default, its accepted JSON types, its description
     (the flag's help text) and its flag or flags.  A None default is filled
-    in from the geometry when the run starts.  A value of the wrong type, or
+    in from the geometry when the run starts.  A band given as a tuple is
+    stored as the list that JSON holds.  A value of the wrong type, or
     a band that is not two finite numbers, raises ConfigurationError when
     the config is built, naming every bad field; the values themselves are
     checked by the detector, Welch and synthesis configs built from it.
@@ -87,6 +88,8 @@ class RunConfig:
         "if unset", "--max-lag", type=float, metavar="S")
 
     def __post_init__(self):
+        if isinstance(self.band, tuple):
+            object.__setattr__(self, "band", list(self.band))
         bad = []
         for f in fields(self):
             value = getattr(self, f.name)

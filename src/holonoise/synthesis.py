@@ -166,19 +166,27 @@ def boxcar_width(cfg: SynthesisConfig) -> int:
     return max(width, 1)
 
 
+#: Samples per in-place addition of `_circular_moving_sum`'s doubling step.
+_SUM_CHUNK = 1 << 16
+
+
 def _circular_moving_sum(x: np.ndarray, width: int) -> np.ndarray:
     """y[i] = x[i] + x[i-1] + ... + x[i-width+1], indices taken modulo n.
 
     The record is extended circularly by its last width - 1 samples; sums of
     2**b consecutive samples are built by binary doubling, and the set bits
     of `width` pick the blocks that tile the window.  That is
-    O(n log2 width) shifted-slice additions and no transform.  Requires
-    1 <= width <= n.
+    O(n log2 width) shifted-slice additions and no transform.  Each doubling
+    step runs in place, so the working memory is the extended record and
+    the result; `x` is released once extended, when the caller holds no
+    other reference to it.  Requires 1 <= width <= n.
     """
     n = x.size
     # y[i] = ext[i:i + width].sum() over the extended record ext; the loop
-    # keeps blocks[i] = ext[i:i + size].sum()
+    # keeps blocks[i] = ext[i:i + size].sum() for i < length
     blocks = np.concatenate((x[n - width + 1:], x))
+    del x
+    length = blocks.size
     size, offset = 1, 0
     out = None
     while True:
@@ -191,7 +199,12 @@ def _circular_moving_sum(x: np.ndarray, width: int) -> np.ndarray:
             offset += size
         if 2 * size > width:
             return out
-        blocks = blocks[:-size] + blocks[size:]
+        length -= size
+        # ascending chunks read only samples that no earlier chunk wrote
+        for start in range(0, length, _SUM_CHUNK):
+            stop = min(start + _SUM_CHUNK, length)
+            np.add(blocks[start:stop], blocks[start + size:stop + size],
+                   out=blocks[start:stop])
         size *= 2
 
 
@@ -213,8 +226,7 @@ def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
         )
     rng = channel_rng(cfg.seed, 0)
     sigma_white = np.sqrt(white_noise_psd() * fs)
-    white = rng.normal(scale=sigma_white, size=n)
-    values = _circular_moving_sum(white, width)
+    values = _circular_moving_sum(rng.normal(scale=sigma_white, size=n), width)
     values /= fs
     return TimeSeries(sample_rate=fs, values=values)
 

@@ -2,6 +2,8 @@ import json
 import shutil
 import subprocess
 import sys
+import threading
+from collections import defaultdict
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import holonoise
 from holonoise import ConfigurationError, HolographicSpectrum, analytic_psd
-from holonoise import analysis
+from holonoise import _threads, analysis, interferometer, synthesis
 from holonoise import io as hio
 from holonoise.analysis import WINDOWS
 from holonoise.cli import RunConfig, build_parser, main, resolve_run_config
@@ -255,6 +257,60 @@ class TestRunCommand:
             det.amplitude_fit, det.amplitude_se, det.snr, det.n_bins,
             result.csd.n_segments, result.variance_a, result.variance_b]
 
+    def test_tuple_band_same_as_list(self):
+        # the API takes the band as detection_significance does, a tuple
+        runs = [holonoise.run_pipeline(RunConfig(duration=0.004, seed=5,
+                                                 band=band))
+                for band in ((3e4, 1.2e6), [3e4, 1.2e6])]
+        assert runs[0].config.band == [3e4, 1.2e6]
+        assert runs[0].detection == runs[1].detection
+
+    @pytest.mark.parametrize("argv", [
+        ["--duration", "0.02"],
+        ["--duration", "0.01", "--method", "boxcar",
+         "--sample-rate", "29979245.8"],
+        ["--duration", "0.02", "--rho", "0.5", "--seed", "7"],
+    ])
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch,
+                                                argv):
+        outdirs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(_threads, "workers",
+                                lambda samples, workers=workers: workers)
+            outdirs.append(tmp_path / f"workers{workers}")
+            assert run_cli("run", *argv, "--outdir", outdirs[-1]) == 0
+        for name in ("psd_a.csv", "psd_b.csv", "csd.csv", "coherence.csv",
+                     "correlation.csv", "summary.json"):
+            assert ((outdirs[0] / name).read_bytes()
+                    == (outdirs[1] / name).read_bytes()), name
+
+    def test_traced_names_stay_on_calling_thread(self, tmp_path, monkeypatch):
+        # perfbench's tracer keeps one span stack: the names it wraps must
+        # be called on this thread, while the private kernels use the pool
+        threads = defaultdict(set)
+        for module, name in ((interferometer, "synthesize"),
+                             (synthesis, "analytic_psd"),
+                             (analysis, "welch_csd"),
+                             (analysis, "cross_correlation"),
+                             (analysis, "detection_significance"),
+                             (analysis, "one_sided_psd"),
+                             (interferometer, "_draw_shot_noise"),
+                             (analysis, "_block_sums")):
+            def recording(*args, _fn=getattr(module, name), _name=name,
+                          **kwargs):
+                threads[_name].add(threading.get_ident())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(_threads, "workers", lambda samples: 2)
+        # 160,000 samples: 3 Welch blocks
+        assert run_cli("run", "--duration", 0.01, "--outdir",
+                       tmp_path / "out") == 0
+        caller = threading.get_ident()
+        assert len(threads) == 8
+        for name in ("_draw_shot_noise", "_block_sums"):
+            assert threads.pop(name) - {caller}, name
+        assert all(idents == {caller} for idents in threads.values()), threads
+
     def test_zero_variance_band_rejected(self, tmp_path, capsys):
         # a silent detector A has zero PSD, so every band bin has sigma = 0
         code, _ = self.run_small(tmp_path, "silent", "--shot-asd", 0,
@@ -323,6 +379,9 @@ def test_cli_import_leaves_scipy_out():
       "{tmp}/out"], "overflows"),
     (["run", "--segment-length", "9" * 400, "--duration", "1e-3", "--outdir",
       "{tmp}/out"], "shorter than one segment"),
+    # 800,000 samples: the Welch blocks and the shot-noise draws use threads
+    (["run", "--shot-asd", "1e77", "--duration", "0.05", "--outdir",
+      "{tmp}/out"], "overflows"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, named):
     # exit 1 is reserved for a failing verify

@@ -155,7 +155,8 @@ def fft_circular_boxcar(x, taps):
     return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(taps, n), n)
 
 
-@pytest.mark.parametrize("n", [4096, 4097, 17 * 977])
+# 3 * 65,536 + 7 samples: the in-place doubling steps span several chunks
+@pytest.mark.parametrize("n", [4096, 4097, 17 * 977, 3 * 65536 + 7])
 def test_moving_sum_matches_fft_convolution(n):
     x = np.random.default_rng(n).normal(size=n)
     for width in (1, 2, 3, 4, 7, 8, 32, 1000, n - 1):
