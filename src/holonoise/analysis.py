@@ -188,12 +188,8 @@ def _scratch(n_records: int, n_blocks: int, rows: int,
              segment_length: int) -> dict:
     """Work arrays and block sums for `_block_sums` on a worker thread.
 
-    They share one anonymous mapping, so they never enter malloc's heaps and
-    their memory returns to the system when the last of them is freed.
     Blocks of `rows` segments; row i of "sum<c>" holds block i's sum.
     """
-    import mmap
-
     bins = segment_length // 2 + 1
     shapes = {"windowed": ((rows, segment_length), float),
               "power": ((rows, bins), float),
@@ -203,6 +199,19 @@ def _scratch(n_records: int, n_blocks: int, rows: int,
         shapes[f"sum{c}"] = ((n_blocks, bins), float)
     if n_records == 2:
         shapes["sum2"] = ((n_blocks, bins), complex)
+    return _mapped(shapes)
+
+
+def _mapped(shapes: dict) -> dict:
+    """Arrays of the given {name: (shape, dtype)}, in one anonymous mapping.
+
+    They never enter malloc's heaps, and their memory returns to the system
+    when the last of them is freed.  A worker thread works in such arrays:
+    what it took from malloc would stay resident in its own heap between
+    runs.
+    """
+    import mmap
+
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize
              for shape, dtype in shapes.values()]
     memory = mmap.mmap(-1, sum(sizes))
@@ -348,7 +357,8 @@ class CorrelationResult:
     autocorrelations); `normalized` divides by the lag-zero scale so an
     autocorrelation reads 1 at zero lag.  `sigma_band` is the per-lag standard
     deviation expected if the two records were independent, from the Bartlett
-    sum of their sample autocovariances.
+    sum of their sample autocovariances.  `variance_a` and `variance_b` are
+    the records' sample variances (1/N), their lag-zero auto-covariances.
     """
 
     lags: np.ndarray
@@ -356,6 +366,8 @@ class CorrelationResult:
     normalized: np.ndarray
     sigma_band: np.ndarray
     n_samples_effective: float
+    variance_a: float
+    variance_b: float
 
 
 def _smooth_length(n: int) -> int:
@@ -375,57 +387,67 @@ def _smooth_length(n: int) -> int:
 
 
 #: Record samples per chunk of the lagged products, and the row length of the
-#: chunk matrices (the chunk length is a multiple of it).  A chunk's three
-#: matrices take a few hundred kB at the lag ranges of a run.
-_LAG_CHUNK = 8192
+#: chunk matrices (the chunk length is a multiple of it).  A chunk's two
+#: centred buffers take 260 kB and stay in the L2 cache.  Measured
+#: single-threaded on a 2-vCPU Xeon VM, for N = 5,995,849 at 32 lags and
+#: N = 1,600,000 at 17: chunks of 16384 samples took 94-120 and 22-33 ms;
+#: chunks of 4096 or 8192 samples took up to 1.5 times as long, chunks of
+#: 32768 to 131072 up to 2.4 times; rows of 16 samples took up to 1.15
+#: times as long as rows of 32, rows of 64 up to 2.4 times.
+_LAG_CHUNK = 16384
 _LAG_ROW = 32
 
 #: Lag count from which the padded transforms beat the chunked products.
 #: The products cost O(N max_bins), the transforms O(N log N).  Measured
 #: single-threaded on a 2-vCPU Xeon VM: at N = 1,600,000 (an FFT-friendly
-#: length) the two tie at max_bins = 512 (0.27 s each) and the transforms
-#: win from 640; at N = 5,995,849 (17 * 19**2 * 977) the products win up to
-#: 512 (1.2 s against 1.4 s) and lose from 576 (1.35 s against 1.15 s).
-_FFT_MIN_LAGS = 512
+#: length) the two tie near 900 lags (0.31 s against 0.32 s at 896) and the
+#: transforms win at 1024 (0.21 s against 0.23 s); at N = 5,995,849
+#: (17 * 19**2 * 977) the products win at 1024 (0.85 s against 1.15 s) and
+#: lose from 1408 (1.82 s against 1.65 s).
+_FFT_MIN_LAGS = 1024
 
 
-def _padded(v: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """v[start:stop] as a new array, zero where the range leaves the record."""
-    out = np.zeros(stop - start)
-    lo, hi = max(start, 0), min(stop, v.size)
-    out[lo - start:hi - start] = v[lo:hi]
-    return out
+def _centred(v: np.ndarray, mean: float, start: int, out: np.ndarray) -> None:
+    """out[t] = v[start + t] - mean, and zero where start + t leaves v."""
+    lo, hi = max(start, 0), min(start + out.size, v.size)
+    out[:lo - start] = 0.0
+    np.subtract(v[lo:hi], mean, out=out[lo - start:hi - start])
+    out[hi - start:] = 0.0
 
 
-def _diagonal_sums(g: np.ndarray, count: int) -> np.ndarray:
-    """Sums of the first `count` diagonals of g: s[k] = sum_i g[i, i + k]."""
-    rows, cols = g.shape
-    index = np.arange(count)[:, None] + np.arange(rows) * (cols + 1)
-    return g.ravel()[index].sum(axis=1)
+def _lagged_covariances(x: np.ndarray, y: np.ndarray, mean_x: float,
+                        mean_y: float, max_bins: int):
+    """Biased lagged covariances of the centred records x - mean_x and
+    y - mean_y: (u, v), (u, u) and (v, v).
 
-
-def _lagged_covariances(x: np.ndarray, y: np.ndarray, max_bins: int):
-    """Biased lagged covariances of (x, y), (x, x) and (y, y).
-
-    Each is r[j] = (1/N) sum_t u_t v_{t+j}.  Returns r_xy for j in
-    [-max_bins, max_bins] and, since auto-covariances are even, r_xx and
-    r_yy for j in [0, max_bins] only.
+    Each is r[j] = (1/N) sum_t u_t v_{t+j}.  Returns r_uv for j in
+    [-max_bins, max_bins] and, since auto-covariances are even, r_uu and
+    r_vv for j in [0, max_bins] only.  The records are read, never copied
+    whole: each chunk or padded buffer is centred as it is filled.
 
     Below `_FFT_MIN_LAGS` lags the sums are direct, one chunk of
-    `_LAG_CHUNK` samples at a time.  A chunk of u is cut into rows u_k of
-    R = `_LAG_ROW` samples, and v into overlapping rows
-    w_k = v[kR - J : kR + R + J], zero outside the record (J = max_bins;
-    for the auto lags w_k starts at kR).  One matrix product accumulates
-    G[i, m] = sum_k u_k[i] w_k[m], and lag j is the sum of the diagonal
-    m = i + J + j of G.  From `_FFT_MIN_LAGS` lags on, each record is
-    transformed once instead, zero-padded to at least N + max_bins so the
-    circular products are free of wrap-around at the lags kept.
+    `_LAG_CHUNK` samples at a time.  A chunk's samples, and the J =
+    max_bins on either side of them, are centred into a buffer that is cut
+    into rows of R = `_LAG_ROW` samples.  With u_k the k-th row of the
+    chunk and w_k the k-th row of the buffer, which starts J samples
+    earlier, the R x R column block q of G[i, m] = sum_k u_k[i] w_{k+q}[m]
+    is one matrix product on contiguous rows, and lag j is the sum of the
+    diagonal m = i + J + j of G.  Contiguous runs of chunks go to the
+    usable CPUs; each chunk's lag sums are kept and added in chunk order,
+    so the result does not depend on the CPU count.  From `_FFT_MIN_LAGS`
+    lags on, each record is transformed once instead, zero-padded to at
+    least N + max_bins so the circular products are free of wrap-around at
+    the lags kept.
     """
     n = x.size
     if max_bins >= _FFT_MIN_LAGS:
         m = _smooth_length(n + max_bins)
-        fx = np.fft.rfft(x, m)
-        fy = np.fft.rfft(y, m)
+        padded = np.empty(m)
+        _centred(x, mean_x, 0, padded)
+        fx = np.fft.rfft(padded)
+        _centred(y, mean_y, 0, padded)
+        fy = np.fft.rfft(padded)
+        del padded
 
         def lags(spectrum, negative):
             r = np.fft.irfft(spectrum, m)
@@ -436,26 +458,70 @@ def _lagged_covariances(x: np.ndarray, y: np.ndarray, max_bins: int):
                 lags(fy.real**2 + fy.imag**2, 0))
 
     row = _LAG_ROW
-    g_xy = np.zeros((row, row + 2 * max_bins))
-    g_xx = np.zeros((row, row + max_bins))
-    g_yy = np.zeros((row, row + max_bins))
-    for start in range(0, n, _LAG_CHUNK):
-        size = min(_LAG_CHUNK, -(-(n - start) // row) * row)
-        xc = _padded(x, start, start + size + max_bins)
-        yc = _padded(y, start - max_bins, start + size + max_bins)
-        x_rows = xc[:size].reshape(-1, row)
-        y_rows = yc[max_bins:max_bins + size].reshape(-1, row)
-        # the rows overlap, so BLAS needs them copied out of the views
-        wx = np.ascontiguousarray(
-            sliding_window_view(xc, row + max_bins)[::row])
-        wy = np.ascontiguousarray(
-            sliding_window_view(yc, row + 2 * max_bins)[::row])
-        g_xy += x_rows.T @ wy
-        g_xx += x_rows.T @ wx
-        g_yy += y_rows.T @ wy[:, max_bins:]
-    return (_diagonal_sums(g_xy, 2 * max_bins + 1) / n,
-            _diagonal_sums(g_xx, max_bins + 1) / n,
-            _diagonal_sums(g_yy, max_bins + 1) / n)
+    # G's R x R blocks, as (u, v, q): u's chunk rows times v's buffer rows
+    # from row q on; the cross products, then each record's auto products
+    # from the first block with a lag >= 0
+    blocks = -(-(row + 2 * max_bins) // row)
+    first = max_bins // row
+    products = ([(0, 1, q) for q in range(blocks)]
+                + [(c, c, q) for c in (0, 1) for q in range(first, blocks)])
+
+    def diagonal(j, block0):
+        m = np.arange(row) + max_bins + j[:, None]
+        return ((block0 + m // row) * row + np.arange(row)) * row + m % row
+
+    auto = np.arange(max_bins + 1)
+    index = np.concatenate([
+        diagonal(np.arange(-max_bins, max_bins + 1), 0),
+        diagonal(auto, blocks - first),
+        diagonal(auto, 2 * (blocks - first))])
+    n_chunks = -(-n // _LAG_CHUNK)
+    buffer = ((min(_LAG_CHUNK, n + row - 1) // row + blocks - 1) * row,)
+    shapes = {"g": ((len(products), row, row), float),
+              "gathered": (index.shape, float),
+              "buffer0": (buffer, float), "buffer1": (buffer, float)}
+    sums = np.empty((n_chunks, index.shape[0]))
+    runs = np.array_split(np.arange(n_chunks),
+                          min(n_chunks, _threads.workers(n)))
+    records = ((x, mean_x), (y, mean_y))
+    _threads.run_all([functools.partial(_chunk_lags, records, max_bins,
+                                        products, index, run, sums,
+                                        _mapped(shapes))
+                      for run in runs], n)
+    total = np.sum(sums, axis=0) / n
+    return (total[:2 * max_bins + 1], total[2 * max_bins + 1:3 * max_bins + 2],
+            total[3 * max_bins + 2:])
+
+
+def _chunk_lags(records: tuple, max_bins: int, products: list,
+                index: np.ndarray, chunks: np.ndarray, sums: np.ndarray,
+                scratch: dict) -> None:
+    """Lag sums of each chunk in `chunks`, into row `chunk` of `sums`.
+
+    `records` holds the (values, mean) of both records, and `products` and
+    `index` are the blocks of G and the picks of their lags, all as
+    `_lagged_covariances` describes.  The work arrays are those of
+    `scratch` (from `_mapped`) and the rows of `sums` belong to these
+    chunks alone, so no array data is allocated and a worker thread can
+    run it.
+    """
+    row = _LAG_ROW
+    g, gathered = scratch["g"], scratch["gathered"]
+    n = records[0][0].size
+    for chunk in chunks:
+        start = chunk * _LAG_CHUNK
+        k = min(_LAG_CHUNK, n - start + row - 1) // row
+        chunk_rows, buffer_rows = [], []
+        for c, (values, mean) in enumerate(records):
+            buffer = scratch[f"buffer{c}"]
+            _centred(values, mean, start - max_bins, buffer)
+            chunk_rows.append(
+                buffer[max_bins:max_bins + k * row].reshape(k, row).T)
+            buffer_rows.append(buffer.reshape(-1, row))
+        for block, (u, v, q) in enumerate(products):
+            np.matmul(chunk_rows[u], buffer_rows[v][q:q + k], out=g[block])
+        np.take(g.reshape(-1), index, out=gathered, mode="clip")
+        np.sum(gathered, axis=1, out=sums[chunk])
 
 
 def cross_correlation(a: TimeSeries, b: TimeSeries,
@@ -476,13 +542,12 @@ def cross_correlation(a: TimeSeries, b: TimeSeries,
     if j_max < 1:
         raise ValueError("max_lag shorter than one sample interval")
     n = a.n
-    x = a.values - a.values.mean()
-    y = b.values - b.values.mean()
-    cov, cxx, cyy = _lagged_covariances(x, y, j_max)
+    cov, cxx, cyy = _lagged_covariances(a.values, b.values, a.values.mean(),
+                                        b.values.mean(), j_max)
     lags = np.arange(-j_max, j_max + 1) / a.sample_rate
 
-    var_x = float(x @ x) / n
-    var_y = float(y @ y) / n
+    var_x = float(cxx[0])
+    var_y = float(cyy[0])
     scale = np.sqrt(var_x * var_y)
     normalized = cov / scale if scale > 0 else np.zeros_like(cov)
 
@@ -496,6 +561,7 @@ def cross_correlation(a: TimeSeries, b: TimeSeries,
     return CorrelationResult(
         lags=lags, covariance=cov, normalized=normalized,
         sigma_band=sigma_band, n_samples_effective=n_eff,
+        variance_a=var_x, variance_b=var_y,
     )
 
 

@@ -112,7 +112,8 @@ class RunResult:
     `config` is the run's config with the geometry defaults filled in.  The
     two PSDs are `csd.psds`, from the same paired pass as the CSD.  The
     records themselves are not kept; `variance_a` and `variance_b` are their
-    sample variances in m^2.
+    sample variances (1/N) in m^2, the lag-zero auto-covariances of the
+    correlation pass (`correlation.variance_a` and `variance_b`).
     """
 
     config: RunConfig
@@ -166,15 +167,16 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 sample_rate=float(cfg.sample_rate), seed=cfg.seed,
                 method=cfg.method)
             csd = analysis.welch_csd(a, b, welch)
+            correlation = analysis.cross_correlation(a, b, cfg.max_lag)
             return RunResult(
                 config=cfg,
                 spectrum=spec,
                 csd=csd,
                 coherence=analysis.coherence_from_csd(csd),
-                correlation=analysis.cross_correlation(a, b, cfg.max_lag),
+                correlation=correlation,
                 detection=analysis.detection_significance(csd, spec, cfg.band),
-                variance_a=float(np.var(a.values)),
-                variance_b=float(np.var(b.values)),
+                variance_a=correlation.variance_a,
+                variance_b=correlation.variance_b,
             )
     except FloatingPointError as exc:
         raise ConfigurationError(

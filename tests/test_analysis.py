@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from holonoise import analysis
+from holonoise import _threads, analysis
 from holonoise import (
     HolographicSpectrum,
     SpectrumEstimate,
@@ -411,22 +412,41 @@ def test_welch_memory_does_not_grow_with_segments():
     assert peaks[1] < 1.5 * peaks[0]
 
 
-@pytest.mark.parametrize("n, j_max", [
-    # below one chunk, on both sides of the transform crossover
-    (3001, 40),
-    (3001, analysis._FFT_MIN_LAGS),
-    # several chunks and a partial last one (not a whole number of rows)
-    (2 * analysis._LAG_CHUNK + 1237, 1),
-    (2 * analysis._LAG_CHUNK + 1237, 40),
-    (2 * analysis._LAG_CHUNK + 1237, analysis._FFT_MIN_LAGS - 1),
-    (2 * analysis._LAG_CHUNK + 1237, analysis._FFT_MIN_LAGS + 100),
+def lag_case(n, j_max, offset=0.0):
+    return pytest.param(n, j_max, offset, id=f"{n}-{j_max}" + (
+        f"-offset{offset:g}" if offset else ""))
+
+
+# a partial last chunk, not a whole number of rows long
+PARTIAL = 2 * analysis._LAG_CHUNK + 1237
+
+
+@pytest.mark.parametrize("n, j_max, offset", [
+    # on both sides of a chunk length of 8192 samples and a crossover of
+    # 512 lags, the values these constants had when the cases were written
+    lag_case(3001, 40),
+    lag_case(3001, 512),
+    lag_case(17621, 1),
+    lag_case(17621, 40),
+    lag_case(17621, 511),
+    lag_case(17621, 612),
+    # several chunks; the 2J + R columns of 17 lags are no whole number of
+    # rows; a mean of 1e3 standard deviations, removed chunk by chunk
+    lag_case(PARTIAL, 17),
+    lag_case(PARTIAL, 40),
+    lag_case(PARTIAL, 40, offset=1e3),
+    # both sides of the transform crossover
+    lag_case(PARTIAL, analysis._FFT_MIN_LAGS - 1),
+    lag_case(PARTIAL, analysis._FFT_MIN_LAGS),
 ])
-def test_lagged_covariance_matches_fftconvolve_oracle(n, j_max):
+def test_lagged_covariance_matches_fftconvolve_oracle(n, j_max, offset):
     signal = pytest.importorskip("scipy.signal")
     # coloured, correlated records, so every lag of the Bartlett sum counts
     taps = np.ones(9) / 9.0
-    a = TimeSeries(1.0, np.convolve(white(n, seed=44).values, taps, "same"))
-    b = TimeSeries(1.0, 0.5 * np.roll(a.values, 5) + white(n, seed=45).values)
+    a = np.convolve(white(n, seed=44).values, taps, "same")
+    b = 0.5 * np.roll(a, 5) + white(n, seed=45).values
+    a = TimeSeries(1.0, a + offset * np.std(a))
+    b = TimeSeries(1.0, b - offset * np.std(b))
     res = cross_correlation(a, b, max_lag=float(j_max))
 
     x, y = a.values - a.values.mean(), b.values - b.values.mean()
@@ -445,3 +465,35 @@ def test_lagged_covariance_matches_fftconvolve_oracle(n, j_max):
                     rtol=1e-12)
     assert_allclose(res.n_samples_effective,
                     n * (x @ x / n) * (y @ y / n) / bartlett, rtol=1e-12)
+    assert_allclose(res.variance_a, x @ x / n, rtol=1e-12)
+    assert_allclose(res.variance_b, y @ y / n, rtol=1e-12)
+
+
+def test_lagged_covariance_does_not_depend_on_cpu_count(monkeypatch):
+    # contiguous runs of chunks on 1, 2 and 3 threads, a partial last chunk
+    n = 8 * analysis._LAG_CHUNK + 1237
+    assert n > _threads.MIN_SAMPLES
+    a = white(n, seed=46)
+    b = TimeSeries(a.sample_rate, 0.5 * a.values + white(n, seed=47).values)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers",
+                            lambda samples, workers=workers: workers)
+        results.append(cross_correlation(a, b, max_lag=40 / a.sample_rate))
+    for res in results[1:]:
+        for field in dataclasses.fields(res):
+            assert np.array_equal(getattr(res, field.name),
+                                  getattr(results[0], field.name)), field.name
+
+
+def test_lagged_covariance_copies_no_record():
+    # the chunks are centred as they are filled: no record-size copy
+    n = 2**20
+    a, b = white(n, seed=48), white(n, seed=49)
+    tracemalloc.start()
+    try:
+        cross_correlation(a, b, max_lag=40 / a.sample_rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.values.nbytes / 4

@@ -295,19 +295,20 @@ class TestRunCommand:
                              (analysis, "detection_significance"),
                              (analysis, "one_sided_psd"),
                              (interferometer, "_draw_shot_noise"),
-                             (analysis, "_block_sums")):
+                             (analysis, "_block_sums"),
+                             (analysis, "_chunk_lags")):
             def recording(*args, _fn=getattr(module, name), _name=name,
                           **kwargs):
                 threads[_name].add(threading.get_ident())
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         monkeypatch.setattr(_threads, "workers", lambda samples: 2)
-        # 160,000 samples: 3 Welch blocks
+        # 160,000 samples: 3 Welch blocks and 10 lag chunks
         assert run_cli("run", "--duration", 0.01, "--outdir",
                        tmp_path / "out") == 0
         caller = threading.get_ident()
-        assert len(threads) == 8
-        for name in ("_draw_shot_noise", "_block_sums"):
+        assert len(threads) == 9
+        for name in ("_draw_shot_noise", "_block_sums", "_chunk_lags"):
             assert threads.pop(name) - {caller}, name
         assert all(idents == {caller} for idents in threads.values()), threads
 
