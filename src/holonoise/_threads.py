@@ -8,7 +8,10 @@ worker threads, except the first, which runs on the calling thread.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
+import mmap
 import os
 import threading
 
@@ -28,6 +31,31 @@ def workers(samples: int) -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def runs(n_items: int, threads: int) -> list[np.ndarray]:
+    """range(n_items) cut into contiguous runs, one per thread (at least
+    one run, and none empty), to be handed to `run_all` in order."""
+    return np.array_split(np.arange(n_items), max(1, min(n_items, threads)))
+
+
+def mapped(shapes: dict) -> dict:
+    """Arrays of the given {name: (shape, dtype)}, in one anonymous mapping.
+
+    They never enter malloc's heaps, and their memory returns to the system
+    when the last of them is freed.  A worker thread works in such arrays:
+    what it took from malloc would stay resident in its own heap between
+    runs.
+    """
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+             for shape, dtype in shapes.values()]
+    memory = mmap.mmap(-1, sum(sizes))
+    arrays, offset = {}, 0
+    for (name, (shape, dtype)), size in zip(shapes.items(), sizes):
+        arrays[name] = np.frombuffer(memory, dtype, math.prod(shape),
+                                     offset).reshape(shape)
+        offset += size
+    return arrays
 
 
 class _Worker:
@@ -90,6 +118,41 @@ def run_all(tasks: list, samples: int) -> list:
         return _run_on_workers(tasks)
     finally:
         _workers_lock.release()
+
+
+#: Work offered by a caller to the CPUs that a one-thread step leaves idle
+#: (`offering`, `beside`), one offer per calling thread.
+_offer = threading.local()
+
+
+@contextlib.contextmanager
+def offering(kernel, n_items: int, samples: int):
+    """Offer kernel(items) over range(n_items) to the first `beside` call
+    made on this thread within the block.
+
+    `beside` runs it on the CPUs other than its own; if no call takes it,
+    it runs when the block ends, on all usable CPUs.  `kernel` is called
+    on contiguous runs of items and must be a task for `run_all`.
+    """
+    _offer.work = (kernel, n_items)
+    try:
+        yield
+    finally:
+        work, _offer.work = _offer.work, None
+    if work is not None:
+        run_all([functools.partial(kernel, run)
+                 for run in runs(n_items, workers(samples))], samples)
+
+
+def beside(step, samples: int):
+    """Return step(), run on this thread, while the work offered to this
+    thread (`offering`) runs on the other usable CPUs."""
+    work, _offer.work = getattr(_offer, "work", None), None
+    if work is None:
+        return step()
+    kernel, n_items = work
+    return run_all([step] + [functools.partial(kernel, run) for run in
+                             runs(n_items, workers(samples) - 1)], samples)[0]
 
 
 def _run_on_workers(tasks: list) -> list:

@@ -10,7 +10,6 @@ the null hypothesis the reported SNR is standard normal.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,8 +157,7 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
     if y is not None:
         segments.append(sliding_window_view(y, p.segment_length)[::step])
     n_blocks = -(-n_seg // _WELCH_BLOCK)
-    runs = np.array_split(np.arange(n_blocks),
-                          min(n_blocks, _threads.workers(x.size)))
+    runs = _threads.runs(n_blocks, _threads.workers(x.size))
     tasks = [functools.partial(_block_sums, segments, window, runs[0])]
     tasks += [functools.partial(_block_sums, segments, window, run,
                                 _scratch(len(segments), len(run),
@@ -199,28 +197,7 @@ def _scratch(n_records: int, n_blocks: int, rows: int,
         shapes[f"sum{c}"] = ((n_blocks, bins), float)
     if n_records == 2:
         shapes["sum2"] = ((n_blocks, bins), complex)
-    return _mapped(shapes)
-
-
-def _mapped(shapes: dict) -> dict:
-    """Arrays of the given {name: (shape, dtype)}, in one anonymous mapping.
-
-    They never enter malloc's heaps, and their memory returns to the system
-    when the last of them is freed.  A worker thread works in such arrays:
-    what it took from malloc would stay resident in its own heap between
-    runs.
-    """
-    import mmap
-
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
-             for shape, dtype in shapes.values()]
-    memory = mmap.mmap(-1, sum(sizes))
-    arrays, offset = {}, 0
-    for (name, (shape, dtype)), size in zip(shapes.items(), sizes):
-        arrays[name] = np.frombuffer(memory, dtype, math.prod(shape),
-                                     offset).reshape(shape)
-        offset += size
-    return arrays
+    return _threads.mapped(shapes)
 
 
 def _block_sums(segments: list, window: np.ndarray, blocks: np.ndarray,
@@ -481,12 +458,11 @@ def _lagged_covariances(x: np.ndarray, y: np.ndarray, mean_x: float,
               "gathered": (index.shape, float),
               "buffer0": (buffer, float), "buffer1": (buffer, float)}
     sums = np.empty((n_chunks, index.shape[0]))
-    runs = np.array_split(np.arange(n_chunks),
-                          min(n_chunks, _threads.workers(n)))
+    runs = _threads.runs(n_chunks, _threads.workers(n))
     records = ((x, mean_x), (y, mean_y))
     _threads.run_all([functools.partial(_chunk_lags, records, max_bins,
                                         products, index, run, sums,
-                                        _mapped(shapes))
+                                        _threads.mapped(shapes))
                       for run in runs], n)
     total = np.sum(sums, axis=0) / n
     return (total[:2 * max_bins + 1], total[2 * max_bins + 1:3 * max_bins + 2],
@@ -501,9 +477,9 @@ def _chunk_lags(records: tuple, max_bins: int, products: list,
     `records` holds the (values, mean) of both records, and `products` and
     `index` are the blocks of G and the picks of their lags, all as
     `_lagged_covariances` describes.  The work arrays are those of
-    `scratch` (from `_mapped`) and the rows of `sums` belong to these
-    chunks alone, so no array data is allocated and a worker thread can
-    run it.
+    `scratch` (from `_threads.mapped`) and the rows of `sums` belong to
+    these chunks alone, so no array data is allocated and a worker thread
+    can run it.
     """
     row = _LAG_ROW
     g, gathered = scratch["g"], scratch["gathered"]

@@ -199,6 +199,20 @@ class TestRunCommand:
         assert run_cli("run", *argv, "--outdir", tmp_path) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "--duration", "1e5"], "duration"),
+        (["run", "--duration", "1e300", "--sample-rate", "1e10"], "duration"),
+        (["synth", "--n-samples", "1000000000000"], "n_samples"),
+    ])
+    def test_too_large_for_memory_is_config_error(self, tmp_path, capsys,
+                                                  argv, field):
+        # sizes no machine holds, refused before anything is allocated
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--outdir" if argv[0] == "run" else "-o",
+                       out) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, doc", [
         (["--band-lo", "1000", "--band-hi", "inf"], None),
         (["--band-lo=-inf", "--band-hi", "1e6"], None),
@@ -274,15 +288,16 @@ class TestRunCommand:
     def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch,
                                                 argv):
         outdirs = []
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(_threads, "workers",
                                 lambda samples, workers=workers: workers)
             outdirs.append(tmp_path / f"workers{workers}")
             assert run_cli("run", *argv, "--outdir", outdirs[-1]) == 0
         for name in ("psd_a.csv", "psd_b.csv", "csd.csv", "coherence.csv",
                      "correlation.csv", "summary.json"):
-            assert ((outdirs[0] / name).read_bytes()
-                    == (outdirs[1] / name).read_bytes()), name
+            first = (outdirs[0] / name).read_bytes()
+            for outdir in outdirs[1:]:
+                assert (outdir / name).read_bytes() == first, (outdir, name)
 
     def test_traced_names_stay_on_calling_thread(self, tmp_path, monkeypatch):
         # perfbench's tracer keeps one span stack: the names it wraps must
@@ -294,7 +309,8 @@ class TestRunCommand:
                              (analysis, "cross_correlation"),
                              (analysis, "detection_significance"),
                              (analysis, "one_sided_psd"),
-                             (interferometer, "_draw_shot_noise"),
+                             (synthesis, "_draw_blocks"),
+                             (interferometer, "_mix_blocks"),
                              (analysis, "_block_sums"),
                              (analysis, "_chunk_lags")):
             def recording(*args, _fn=getattr(module, name), _name=name,
@@ -303,12 +319,14 @@ class TestRunCommand:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         monkeypatch.setattr(_threads, "workers", lambda samples: 2)
-        # 160,000 samples: 3 Welch blocks and 10 lag chunks
+        # 160,000 samples: 3 blocks of draws, 3 Welch blocks and 10 lag
+        # chunks
         assert run_cli("run", "--duration", 0.01, "--outdir",
                        tmp_path / "out") == 0
         caller = threading.get_ident()
-        assert len(threads) == 9
-        for name in ("_draw_shot_noise", "_block_sums", "_chunk_lags"):
+        assert len(threads) == 10
+        for name in ("_draw_blocks", "_mix_blocks", "_block_sums",
+                     "_chunk_lags"):
             assert threads.pop(name) - {caller}, name
         assert all(idents == {caller} for idents in threads.values()), threads
 

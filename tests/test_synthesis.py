@@ -13,10 +13,12 @@ from holonoise import (
     synthesize_spectral,
     white_noise_psd,
 )
+from holonoise import _threads, synthesis
 from holonoise.algebra import CONSTANTS
 from holonoise.errors import ConfigurationError
 from holonoise.synthesis import (
-    _circular_moving_sum,
+    _BLOCK,
+    _boxcar,
     boxcar_width,
     channel_rng,
     channel_seed,
@@ -149,19 +151,30 @@ def test_boxcar_triangle_autocovariance():
         assert abs(r_j - model[j]) < 3.5 * sigma
 
 
-def fft_circular_boxcar(x, taps):
-    """Oracle: circular convolution of x with `taps` through full-length FFTs."""
-    n = x.size
-    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(taps, n), n)
+def documented_stream(seed, channel, size):
+    """Test-side re-draw of the README's layout: block b of the stream is the
+    draws of SeedSequence(seed, spawn_key=(channel, b)), cut at `size`."""
+    blocks = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(channel, b)))).standard_normal(
+            min(_BLOCK, size - b * _BLOCK))
+        for b in range(-(-size // _BLOCK))]
+    return np.concatenate(blocks)
 
 
-# 3 * 65,536 + 7 samples: the in-place doubling steps span several chunks
+def linear_boxcar(driver, width):
+    """Oracle: the linear moving sum of `width` samples of `driver`, without
+    wrap-around ("valid" mode), through zero-padded FFTs."""
+    from scipy.signal import fftconvolve
+
+    return fftconvolve(driver, np.ones(width), mode="valid")
+
+
+# 3 * 65,536 + 7 samples: several blocks and a remainder
 @pytest.mark.parametrize("n", [4096, 4097, 17 * 977, 3 * 65536 + 7])
 def test_moving_sum_matches_fft_convolution(n):
-    x = np.random.default_rng(n).normal(size=n)
     for width in (1, 2, 3, 4, 7, 8, 32, 1000, n - 1):
-        ref = fft_circular_boxcar(x, np.ones(width))
-        assert_allclose(_circular_moving_sum(x, width), ref, rtol=0,
+        ref = linear_boxcar(documented_stream(n, 0, n + width - 1), width)
+        assert_allclose(_boxcar(n, n, width, 1.0), ref, rtol=0,
                         atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -169,11 +182,71 @@ def test_boxcar_matches_fft_convolution_of_its_driver():
     # a record length with a large prime factor, as in long runs
     cfg = make_cfg("boxcar", n=17 * 977, seed=4)
     width = boxcar_width(cfg)
-    white = channel_rng(cfg.seed, 0).normal(
-        scale=np.sqrt(white_noise_psd() * FS), size=cfg.n_samples)
-    ref = fft_circular_boxcar(white, np.full(width, 1.0 / FS))
+    white = np.sqrt(white_noise_psd() * FS) * documented_stream(
+        cfg.seed, 0, cfg.n_samples + width - 1)
+    ref = linear_boxcar(white, width) / FS
     assert_allclose(synthesize_boxcar(cfg).values, ref, rtol=0,
                     atol=1e-12 * np.max(np.abs(ref)))
+
+
+# three blocks and a remainder
+N_BLOCKS = 3 * _BLOCK + 1237
+
+
+def over_cpu_counts(monkeypatch, make):
+    """make() with `_threads.workers` patched to 1, 2 and 3."""
+    records = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers",
+                            lambda samples, workers=workers: workers)
+        records.append(make())
+    return records
+
+
+@pytest.mark.parametrize("width", [1, 4, 32, _BLOCK + 2])
+def test_boxcar_does_not_depend_on_cpu_count(monkeypatch, width):
+    first, *others = over_cpu_counts(
+        monkeypatch, lambda: _boxcar(7, N_BLOCKS, width, 1.0))
+    for other in others:
+        assert np.array_equal(first, other)
+
+
+@pytest.mark.parametrize("method", ["spectral", "boxcar"])
+def test_synthesize_does_not_depend_on_cpu_count(monkeypatch, method):
+    first, *others = over_cpu_counts(
+        monkeypatch, lambda: synthesize(make_cfg(method, n=N_BLOCKS)).values)
+    for other in others:
+        assert np.array_equal(first, other)
+
+
+def seam_statistics(x, block, lag):
+    """Mean of x[i] x[i + lag] over the pairs that straddle a block edge and
+    over those inside a block, each with its standard error from the
+    per-block means; `lag` is below `block`, which is far longer than the
+    window, so that the blocks' means are nearly independent."""
+    n_blocks = x.size // block
+    rows = x[:n_blocks * block].reshape(n_blocks, block)
+    inside = (rows[:, :-lag] * rows[:, lag:]).mean(axis=1)
+    # pairs (i, i + lag) with i in the last `lag` samples of a block
+    across = (rows[:-1, -lag:] * np.concatenate(
+        (rows[:-1, lag:], rows[1:, :lag]), axis=1)[:, -lag:]).mean(axis=1)
+    return [(m.mean(), m.std() / np.sqrt(m.size)) for m in (across, inside)]
+
+
+@pytest.mark.parametrize("width", [8, 32])
+def test_boxcar_block_seams_match_interior(monkeypatch, width):
+    # blocks of 256 samples, so that a record has thousands of seams; the
+    # moving sum of unit normals has autocovariance width - lag up to width
+    block = 256
+    monkeypatch.setattr(synthesis, "_BLOCK", block)
+    x = _boxcar(9, 2**20, width, 1.0)
+    for lag in (1, width):
+        expected = max(width - lag, 0)
+        (across, se_across), (inside, se_inside) = seam_statistics(
+            x, block, lag)
+        assert abs(across - expected) < 4.0 * se_across, lag
+        assert abs(inside - expected) < 4.0 * se_inside, lag
+        assert abs(across - inside) < 4.0 * np.hypot(se_across, se_inside)
 
 
 def test_increment_scaling():

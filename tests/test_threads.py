@@ -96,3 +96,53 @@ def test_concurrent_callers_get_their_own_results(three_workers):
     assert sorted(results) == list(range(4))
     assert all(run == [(c, 0), (c, 1), (c, 2)]
                for c, runs in results.items() for run in runs)
+
+
+def test_runs_cover_the_items_in_order():
+    assert [list(run) for run in _threads.runs(5, 2)] == [[0, 1, 2], [3, 4]]
+    assert [list(run) for run in _threads.runs(2, 3)] == [[0], [1]]
+    assert [list(run) for run in _threads.runs(4, 0)] == [[0, 1, 2, 3]]
+
+
+def test_mapped_arrays_do_not_overlap():
+    arrays = _threads.mapped({"a": ((3, 4), float), "b": ((5,), complex)})
+    arrays["a"][...] = 1.0
+    arrays["b"][...] = 2.0 + 1.0j
+    assert arrays["a"].shape == (3, 4) and np.all(arrays["a"] == 1.0)
+    assert arrays["b"].dtype == complex and np.all(arrays["b"] == 2.0 + 1.0j)
+
+
+def offered_items(calls):
+    """An offerable kernel that records (thread, items) per call."""
+    def kernel(items):
+        calls.append((threading.get_ident(), list(items)))
+    return kernel
+
+
+def test_offered_work_runs_beside_the_step(three_workers):
+    caller = threading.get_ident()
+    calls = []
+    with _threads.offering(offered_items(calls), 5, LARGE):
+        assert _threads.beside(threading.get_ident, LARGE) == caller
+        # the offer is taken once
+        assert _threads.beside(lambda: "again", LARGE) == "again"
+    assert sorted(items for _, items in calls) == [[0, 1, 2], [3, 4]]
+    assert all(ident != caller for ident, _ in calls)
+
+
+def test_offered_work_not_taken_runs_at_the_end(three_workers):
+    calls = []
+    with _threads.offering(offered_items(calls), 5, LARGE):
+        assert calls == []
+    runs = dict((items[0], ident) for ident, items in calls)
+    assert sorted(items for _, items in calls) == [[0, 1], [2, 3], [4]]
+    assert runs[0] == threading.get_ident() != runs[2]
+
+
+def test_offered_work_dropped_on_error(three_workers):
+    calls = []
+    with pytest.raises(ValueError):
+        with _threads.offering(offered_items(calls), 5, LARGE):
+            raise ValueError("stop")
+    assert calls == []
+    assert _threads.beside(lambda: "alone", LARGE) == "alone"
