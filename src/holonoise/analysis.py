@@ -1,15 +1,17 @@
 """Spectral estimation and the cross-correlation detection pipeline.
 
 Welch-averaged PSD/CSD/coherence estimates (one-sided, density scaling),
-lagged cross-correlation with analytic confidence bands, and a template-fit
-detection statistic: the least-squares amplitude of the predicted spectrum
-against the real part of a measured cross-spectrum, normalized so that under
-the null hypothesis the reported SNR is standard normal.
+the lagged cross-correlation from the same pass with an analytic confidence
+band, and a template-fit detection statistic: the least-squares amplitude
+of the predicted spectrum against the real part of a measured
+cross-spectrum, normalized so that under the null hypothesis the reported
+SNR is standard normal.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,9 +64,11 @@ class SpectrumEstimate:
 
     `values` is real for PSDs and coherence, complex for CSDs.  `sigma` is the
     per-bin 1-sigma scale of the estimate (of the real part, for CSDs, under
-    the independent-channels null); None where not defined.  `psds` is set
-    only for CSDs: the PSD estimates of the two records from the same pass,
-    each what `welch_psd` returns for that record.
+    the independent-channels null); None where not defined.  `psds` and
+    `low_bins` are set only for CSDs: the PSD estimates of the two records
+    from the same pass, each what `welch_psd` returns for that record, and
+    bins 0 and 1 of every segment's transform of each record (2 x K x 2),
+    where a record mean leaks.
     """
 
     frequencies: np.ndarray
@@ -75,6 +79,7 @@ class SpectrumEstimate:
     kind: str = "psd"
     sigma: Optional[np.ndarray] = None
     psds: Optional[tuple[SpectrumEstimate, SpectrumEstimate]] = None
+    low_bins: Optional[np.ndarray] = None
 
     @property
     def df(self) -> float:
@@ -123,6 +128,18 @@ def effective_segments(n_seg: int, p: WelchParams) -> float:
     return n_seg / inflation
 
 
+def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
+    """Per-bin factor from the segment mean of conj(X) Y to a one-sided
+    density: every bin but DC (and Nyquist, for even lengths) folds in its
+    negative-frequency twin."""
+    window = _window(p)
+    scale = np.full(p.segment_length // 2 + 1, 2.0 / (fs * (window @ window)))
+    scale[0] /= 2.0
+    if p.segment_length % 2 == 0:
+        scale[-1] /= 2.0
+    return scale
+
+
 #: Welch segments transformed together.  32 segments of 4096 samples and
 #: their spectra take about 2 MB.  On a 2-vCPU Xeon VM (2 MB of L2 per core)
 #: blocks of 8 to 32 segments ran equally fast and 64 to 128 up to 40 %
@@ -134,9 +151,10 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
                      p: WelchParams):
     """Welch densities of x and y and their cross-spectrum in one pass.
 
-    Returns (f, Pxx, Pyy, Pxy, K): one-sided densities averaged over the K
-    windowed segments, with Pxy = mean(conj(X) Y).  Pyy and Pxy are None
-    when y is None.  The sums of |X|^2, |Y|^2 and conj(X) Y are taken over
+    Returns (f, Pxx, Pyy, Pxy, K, lows): one-sided densities averaged over
+    the K windowed segments, with Pxy = mean(conj(X) Y), and bins 0 and 1
+    of each segment's X and Y (2 x K x 2).  Pyy, Pxy and lows are None when
+    y is None.  The sums of |X|^2, |Y|^2 and conj(X) Y are taken over
     blocks of `_WELCH_BLOCK` segments, so the working memory is a few
     blocks and one sum per block (about N bytes, an eighth of the record,
     at half overlap).  Contiguous runs of blocks go to the usable CPUs, the first to
@@ -146,20 +164,16 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
     n_seg = _segment_count(x.size, p)
     window = _window(p)
     step = p.segment_length - p.noverlap
-    # density scaling; every bin but DC (and Nyquist, for even lengths)
-    # folds in its negative-frequency twin
-    scale = np.full(p.segment_length // 2 + 1, 2.0 / (fs * (window @ window)))
-    scale[0] /= 2.0
-    if p.segment_length % 2 == 0:
-        scale[-1] /= 2.0
+    scale = _density_scale(p, fs)
 
     segments = [sliding_window_view(x, p.segment_length)[::step]]
     if y is not None:
         segments.append(sliding_window_view(y, p.segment_length)[::step])
     n_blocks = -(-n_seg // _WELCH_BLOCK)
     runs = _threads.runs(n_blocks, _threads.workers(x.size))
-    tasks = [functools.partial(_block_sums, segments, window, runs[0])]
-    tasks += [functools.partial(_block_sums, segments, window, run,
+    lows = None if y is None else np.empty((2, n_seg, 2), dtype=complex)
+    tasks = [functools.partial(_block_sums, segments, window, runs[0], lows)]
+    tasks += [functools.partial(_block_sums, segments, window, run, lows,
                                 _scratch(len(segments), len(run),
                                          min(n_seg, _WELCH_BLOCK),
                                          p.segment_length))
@@ -171,15 +185,9 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
         for block in run_sums:
             for total, term in zip(sums, block):
                 total += term
-    sum_xx = sums[0]
-    if y is not None:
-        sum_yy, sum_xy = sums[1:]
-
-    f = np.fft.rfftfreq(p.segment_length, 1.0 / fs)
-    pxx = sum_xx / n_seg * scale
-    if y is None:
-        return f, pxx, None, None, n_seg
-    return f, pxx, sum_yy / n_seg * scale, sum_xy / n_seg * scale, n_seg
+    densities = [total / n_seg * scale for total in sums] + [None, None]
+    return (np.fft.rfftfreq(p.segment_length, 1.0 / fs), *densities[:3],
+            n_seg, lows)
 
 
 def _scratch(n_records: int, n_blocks: int, rows: int,
@@ -201,11 +209,13 @@ def _scratch(n_records: int, n_blocks: int, rows: int,
 
 
 def _block_sums(segments: list, window: np.ndarray, blocks: np.ndarray,
-                scratch: Optional[dict] = None) -> list:
+                lows: Optional[np.ndarray], scratch: Optional[dict] = None
+                ) -> list:
     """Sums over the segments of each block in `blocks`.
 
     Returns, per block, the sum of |X|^2 for each record and, for two
-    records, the sum of conj(X) Y.  Without `scratch` the work arrays are
+    records, the sum of conj(X) Y; bins 0 and 1 of each segment's X and Y
+    go to its rows of `lows`.  Without `scratch` the work arrays are
     allocated per block.  With arrays from `_scratch` the sums are rows of
     them and no array data is allocated, so that a worker thread can run it.
     """
@@ -228,6 +238,8 @@ def _block_sums(segments: list, window: np.ndarray, blocks: np.ndarray,
             terms.append(np.sum(power, axis=0, out=out(f"sum{c}", k)))
             spectra.append(spectrum)
         if len(spectra) == 2:
+            for c, spectrum in enumerate(spectra):
+                lows[c, rows] = spectrum[:, :2]
             sx, sy = spectra
             product = np.multiply(np.conj(sx, out=sx), sy, out=sx)
             terms.append(np.sum(product, axis=0, out=out("sum2", k)))
@@ -269,7 +281,8 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
         With `sigma` = values / sqrt(effective segments), the chi-squared
         scale of an averaged periodogram corrected for segment overlap.
     """
-    f, pxx, _, _, n_seg = _segment_spectra(ts.values, None, ts.sample_rate, p)
+    f, pxx, _, _, n_seg, _ = _segment_spectra(ts.values, None,
+                                              ts.sample_rate, p)
     return _psd_estimate(f, pxx, n_seg, ts.sample_rate, p)
 
 
@@ -286,13 +299,15 @@ def welch_csd(a: TimeSeries, b: TimeSeries,
     """
     _check_pair(a, b)
     fs = a.sample_rate
-    f, paa, pbb, pab, n_seg = _segment_spectra(a.values, b.values, fs, p)
+    f, paa, pbb, pab, n_seg, lows = _segment_spectra(a.values, b.values,
+                                                     fs, p)
     return SpectrumEstimate(
         frequencies=f, values=pab, n_segments=n_seg, sample_rate=fs,
         params=p, kind="csd",
         sigma=np.sqrt(paa * pbb / (2.0 * effective_segments(n_seg, p))),
         psds=(_psd_estimate(f, paa, n_seg, fs, p),
               _psd_estimate(f, pbb, n_seg, fs, p)),
+        low_bins=lows,
     )
 
 
@@ -330,12 +345,10 @@ def coherence(a: TimeSeries, b: TimeSeries,
 class CorrelationResult:
     """Lagged covariance of two records with a null-hypothesis 1-sigma band.
 
-    `covariance` uses the biased 1/N normalization (positive semidefinite for
-    autocorrelations); `normalized` divides by the lag-zero scale so an
-    autocorrelation reads 1 at zero lag.  `sigma_band` is the per-lag standard
-    deviation expected if the two records were independent, from the Bartlett
-    sum of their sample autocovariances.  `variance_a` and `variance_b` are
-    the records' sample variances (1/N), their lag-zero auto-covariances.
+    `normalized` divides `covariance` by sqrt(variance_a * variance_b), so
+    an autocorrelation reads about 1 at zero lag.  `sigma_band` is the
+    per-lag standard deviation expected if the records were independent.
+    `variance_a` and `variance_b` are their sample variances (1/N).
     """
 
     lags: np.ndarray
@@ -347,197 +360,95 @@ class CorrelationResult:
     variance_b: float
 
 
-def _smooth_length(n: int) -> int:
-    """Smallest 2*3*5-smooth integer >= n (a fast FFT length)."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+#: Samples per chunk of `_mean_variance`: 512 kB of differences.
+_VARIANCE_CHUNK = 1 << 16
 
 
-#: Record samples per chunk of the lagged products, and the row length of the
-#: chunk matrices (the chunk length is a multiple of it).  A chunk's two
-#: centred buffers take 260 kB and stay in the L2 cache.  Measured
-#: single-threaded on a 2-vCPU Xeon VM, for N = 5,995,849 at 32 lags and
-#: N = 1,600,000 at 17: chunks of 16384 samples took 94-120 and 22-33 ms;
-#: chunks of 4096 or 8192 samples took up to 1.5 times as long, chunks of
-#: 32768 to 131072 up to 2.4 times; rows of 16 samples took up to 1.15
-#: times as long as rows of 32, rows of 64 up to 2.4 times.
-_LAG_CHUNK = 16384
-_LAG_ROW = 32
-
-#: Lag count from which the padded transforms beat the chunked products.
-#: The products cost O(N max_bins), the transforms O(N log N).  Measured
-#: single-threaded on a 2-vCPU Xeon VM: at N = 1,600,000 (an FFT-friendly
-#: length) the two tie near 900 lags (0.31 s against 0.32 s at 896) and the
-#: transforms win at 1024 (0.21 s against 0.23 s); at N = 5,995,849
-#: (17 * 19**2 * 977) the products win at 1024 (0.85 s against 1.15 s) and
-#: lose from 1408 (1.82 s against 1.65 s).
-_FFT_MIN_LAGS = 1024
+def _mean_variance(x: np.ndarray, scratch: Optional[dict] = None):
+    """Mean and sample variance (1/N), centred a chunk at a time, in
+    `scratch["chunk"]` (from `_threads.mapped`) if given, so that a worker
+    thread allocates nothing.  numpy sums the squares: BLAS's sum order
+    depends on its thread count."""
+    buffer = np.empty(_VARIANCE_CHUNK) if scratch is None else scratch["chunk"]
+    mean = x.mean()
+    total = 0.0
+    for start in range(0, x.size, _VARIANCE_CHUNK):
+        chunk = x[start:start + _VARIANCE_CHUNK]
+        d = np.subtract(chunk, mean, out=buffer[:chunk.size])
+        total += float(np.sum(np.square(d, out=d)))
+    return mean, total / x.size
 
 
-def _centred(v: np.ndarray, mean: float, start: int, out: np.ndarray) -> None:
-    """out[t] = v[start + t] - mean, and zero where start + t leaves v."""
-    lo, hi = max(start, 0), min(start + out.size, v.size)
-    out[:lo - start] = 0.0
-    np.subtract(v[lo:hi], mean, out=out[lo - start:hi - start])
-    out[hi - start:] = 0.0
+def _lagged_sums(v: np.ndarray, size: int) -> np.ndarray:
+    """sum_n v_n v_{n+k} for k in [0, size], for v no longer than size."""
+    spectrum = np.fft.rfft(v, 2 * size)
+    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2,
+                        2 * size)[:size + 1]
 
 
-def _lagged_covariances(x: np.ndarray, y: np.ndarray, mean_x: float,
-                        mean_y: float, max_bins: int):
-    """Biased lagged covariances of the centred records x - mean_x and
-    y - mean_y: (u, v), (u, u) and (v, v).
-
-    Each is r[j] = (1/N) sum_t u_t v_{t+j}.  Returns r_uv for j in
-    [-max_bins, max_bins] and, since auto-covariances are even, r_uu and
-    r_vv for j in [0, max_bins] only.  The records are read, never copied
-    whole: each chunk or padded buffer is centred as it is filled.
-
-    Below `_FFT_MIN_LAGS` lags the sums are direct, one chunk of
-    `_LAG_CHUNK` samples at a time.  A chunk's samples, and the J =
-    max_bins on either side of them, are centred into a buffer that is cut
-    into rows of R = `_LAG_ROW` samples.  With u_k the k-th row of the
-    chunk and w_k the k-th row of the buffer, which starts J samples
-    earlier, the R x R column block q of G[i, m] = sum_k u_k[i] w_{k+q}[m]
-    is one matrix product on contiguous rows, and lag j is the sum of the
-    diagonal m = i + J + j of G.  Contiguous runs of chunks go to the
-    usable CPUs; each chunk's lag sums are kept and added in chunk order,
-    so the result does not depend on the CPU count.  From `_FFT_MIN_LAGS`
-    lags on, each record is transformed once instead, zero-padded to at
-    least N + max_bins so the circular products are free of wrap-around at
-    the lags kept.
-    """
-    n = x.size
-    if max_bins >= _FFT_MIN_LAGS:
-        m = _smooth_length(n + max_bins)
-        padded = np.empty(m)
-        _centred(x, mean_x, 0, padded)
-        fx = np.fft.rfft(padded)
-        _centred(y, mean_y, 0, padded)
-        fy = np.fft.rfft(padded)
-        del padded
-
-        def lags(spectrum, negative):
-            r = np.fft.irfft(spectrum, m)
-            return np.concatenate([r[m - negative:], r[:max_bins + 1]]) / n
-
-        return (lags(np.conj(fx) * fy, max_bins),
-                lags(fx.real**2 + fx.imag**2, 0),
-                lags(fy.real**2 + fy.imag**2, 0))
-
-    row = _LAG_ROW
-    # G's R x R blocks, as (u, v, q): u's chunk rows times v's buffer rows
-    # from row q on; the cross products, then each record's auto products
-    # from the first block with a lag >= 0
-    blocks = -(-(row + 2 * max_bins) // row)
-    first = max_bins // row
-    products = ([(0, 1, q) for q in range(blocks)]
-                + [(c, c, q) for c in (0, 1) for q in range(first, blocks)])
-
-    def diagonal(j, block0):
-        m = np.arange(row) + max_bins + j[:, None]
-        return ((block0 + m // row) * row + np.arange(row)) * row + m % row
-
-    auto = np.arange(max_bins + 1)
-    index = np.concatenate([
-        diagonal(np.arange(-max_bins, max_bins + 1), 0),
-        diagonal(auto, blocks - first),
-        diagonal(auto, 2 * (blocks - first))])
-    n_chunks = -(-n // _LAG_CHUNK)
-    buffer = ((min(_LAG_CHUNK, n + row - 1) // row + blocks - 1) * row,)
-    shapes = {"g": ((len(products), row, row), float),
-              "gathered": (index.shape, float),
-              "buffer0": (buffer, float), "buffer1": (buffer, float)}
-    sums = np.empty((n_chunks, index.shape[0]))
-    runs = _threads.runs(n_chunks, _threads.workers(n))
-    records = ((x, mean_x), (y, mean_y))
-    _threads.run_all([functools.partial(_chunk_lags, records, max_bins,
-                                        products, index, run, sums,
-                                        _threads.mapped(shapes))
-                      for run in runs], n)
-    total = np.sum(sums, axis=0) / n
-    return (total[:2 * max_bins + 1], total[2 * max_bins + 1:3 * max_bins + 2],
-            total[3 * max_bins + 2:])
-
-
-def _chunk_lags(records: tuple, max_bins: int, products: list,
-                index: np.ndarray, chunks: np.ndarray, sums: np.ndarray,
-                scratch: dict) -> None:
-    """Lag sums of each chunk in `chunks`, into row `chunk` of `sums`.
-
-    `records` holds the (values, mean) of both records, and `products` and
-    `index` are the blocks of G and the picks of their lags, all as
-    `_lagged_covariances` describes.  The work arrays are those of
-    `scratch` (from `_threads.mapped`) and the rows of `sums` belong to
-    these chunks alone, so no array data is allocated and a worker thread
-    can run it.
-    """
-    row = _LAG_ROW
-    g, gathered = scratch["g"], scratch["gathered"]
-    n = records[0][0].size
-    for chunk in chunks:
-        start = chunk * _LAG_CHUNK
-        k = min(_LAG_CHUNK, n - start + row - 1) // row
-        chunk_rows, buffer_rows = [], []
-        for c, (values, mean) in enumerate(records):
-            buffer = scratch[f"buffer{c}"]
-            _centred(values, mean, start - max_bins, buffer)
-            chunk_rows.append(
-                buffer[max_bins:max_bins + k * row].reshape(k, row).T)
-            buffer_rows.append(buffer.reshape(-1, row))
-        for block, (u, v, q) in enumerate(products):
-            np.matmul(chunk_rows[u], buffer_rows[v][q:q + k], out=g[block])
-        np.take(g.reshape(-1), index, out=gathered, mode="clip")
-        np.sum(gathered, axis=1, out=sums[chunk])
-
-
-def cross_correlation(a: TimeSeries, b: TimeSeries,
+def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
                       max_lag: float) -> CorrelationResult:
     """Lagged cross-covariance of two records out to +-max_lag seconds.
 
-    Positive lags mean features in `a` lead those in `b`.  Means are removed.
-    The returned band assumes correlations (of each record with itself) die
-    out within max_lag, so choose max_lag beyond the physical coherence time.
+    `csd` is `welch_csd(a, b, p)`; the records are read only for their means
+    and variances.  At lag j, the inverse FFT of the segments' summed
+    conj(X) Y, with bins 0 and 1 (where the means leak) taken mean-free from
+    `csd.low_bins`, sums their circular products w_n w_{n+j} a_n b_{n+j};
+    divided by K sum_n w_n w_{n+|j|} it is the covariance.  The wrapped
+    products pair samples most of a segment apart and add only zero-mean
+    noise.  Positive lags mean features in `a` lead those in `b`; max_lag
+    is at most a quarter segment.  The band's variance is Bartlett's sum_k
+    c_aa(k) c_bb(k), from the mean-free PSDs, times sum_t g_t^2 / (sum_t
+    g_t)^2 for the summed segment weights g_t of the products, wrapped ones
+    included: about 1.056 / N for hann at half overlap.
     """
     _check_pair(a, b)
-    if not 0.0 < max_lag < 0.5 * a.duration:
-        raise ValueError(
-            f"max_lag {max_lag} s must be positive and below half the record "
-            f"duration {a.duration} s"
-        )
-    j_max = int(round(max_lag * a.sample_rate))
-    if j_max < 1:
-        raise ValueError("max_lag shorter than one sample interval")
-    n = a.n
-    cov, cxx, cyy = _lagged_covariances(a.values, b.values, a.values.mean(),
-                                        b.values.mean(), j_max)
-    lags = np.arange(-j_max, j_max + 1) / a.sample_rate
+    p, fs, k = csd.params, csd.sample_rate, csd.n_segments
+    if (csd.low_bins is None or fs != a.sample_rate
+            or k != _segment_count(a.n, p)):
+        raise ValueError("csd must be the welch_csd of the two records")
+    size, step = p.segment_length, p.segment_length - p.noverlap
+    j_max = int(round(max_lag * fs)) if 0.0 < max_lag * fs < math.inf else 0
+    if not 1 <= j_max <= size / 4:
+        raise ConfigurationError(
+            f"max_lag {max_lag} s must span 1 to segment_length/4 = "
+            f"{size / 4:g} samples; lower max_lag or raise segment_length")
+    window, scale = _window(p), _density_scale(p, fs)
+    (mean_a, var_a), (mean_b, var_b) = _threads.run_all([
+        functools.partial(_mean_variance, a.values),
+        functools.partial(_mean_variance, b.values, _threads.mapped(
+            {"chunk": ((_VARIANCE_CHUNK,), float)}))], a.n)
 
-    var_x = float(cxx[0])
-    var_y = float(cyy[0])
-    scale = np.sqrt(var_x * var_y)
-    normalized = cov / scale if scale > 0 else np.zeros_like(cov)
+    # segment means of conj(X) Y, |X|^2 and |Y|^2, bins 0 and 1 mean-free
+    leak = np.fft.rfft(window)[:2]
+    low_a, low_b = (low - mean * leak
+                    for low, mean in zip(csd.low_bins, (mean_a, mean_b)))
+    cross = csd.values / scale
+    cross[:2] = np.mean(np.conj(low_a) * low_b, axis=0)
+    power_a, power_b = (psd.values / scale for psd in csd.psds)
+    power_a[:2] = np.mean(np.abs(low_a) ** 2, axis=0)
+    power_b[:2] = np.mean(np.abs(low_b) ** 2, axis=0)
 
-    # Bartlett band: var(r[j]) ~ (N - |j|)/N^2 * sum_k c_xx[k] c_yy[k],
-    # the sum over k in [-j_max, j_max] of even sequences
-    products = cxx * cyy
-    bartlett = float(products[0] + 2.0 * np.sum(products[1:]))
-    counts = n - np.abs(np.arange(-j_max, j_max + 1))
-    sigma_band = np.sqrt(np.clip(bartlett, 0.0, None) * counts) / n
-    n_eff = n * var_x * var_y / bartlett if bartlett > 0 else float(n)
+    lags = np.arange(-j_max, j_max + 1)
+    weight = _lagged_sums(window, size)[:j_max + 1]
+    cov = np.fft.irfft(cross, size)[lags] / weight[np.abs(lags)]
+    scale_ab = np.sqrt(var_a * var_b)
+    normalized = cov / scale_ab if scale_ab > 0 else np.zeros_like(cov)
+    bartlett = float(fs * np.sum(power_a * power_b * scale)
+                     / (size * (window @ window)))
+    # sum over segment pairs (s, s + d) of the products of their weights on
+    # the pairs (t, t + j) and on the wrapped pairs (t, t + j - L)
+    overlap = np.zeros(j_max + 1)
+    for d in range(min(k, -(-size // step))):
+        sums = _lagged_sums(window[:size - d * step] * window[d * step:], size)
+        overlap += (k if d == 0 else 2 * (k - d)) * (
+            sums[:j_max + 1] + sums[:size - j_max - 1:-1])
+    sigma_band = np.sqrt(bartlett * overlap) / (k * weight)
+    n_eff = a.n * var_a * var_b / bartlett if bartlett > 0 else float(a.n)
     return CorrelationResult(
-        lags=lags, covariance=cov, normalized=normalized,
-        sigma_band=sigma_band, n_samples_effective=n_eff,
-        variance_a=var_x, variance_b=var_y,
+        lags=lags / fs, covariance=cov, normalized=normalized,
+        sigma_band=sigma_band[np.abs(lags)], n_samples_effective=n_eff,
+        variance_a=var_a, variance_b=var_b,
     )
 
 

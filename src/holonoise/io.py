@@ -97,8 +97,10 @@ def _preamble(metadata: dict) -> str:
 def format_table_csv(columns: dict, metadata: dict | None = None) -> str:
     """Render a CSV table with a '#'-prefixed metadata preamble.
 
-    `columns` maps column name to a 1-d array; all columns must be equally
-    long.  Complex columns are split into `<name>_re` and `<name>_im`.
+    `columns` maps column name to a 1-d array of real or complex floats; all
+    columns must be equally long.  Complex columns are split into
+    `<name>_re` and `<name>_im`.  Cells are written as `%.12e`; NaN cells
+    are left empty.
     """
     cols: dict[str, np.ndarray] = {}
     for name, values in columns.items():
@@ -112,22 +114,17 @@ def format_table_csv(columns: dict, metadata: dict | None = None) -> str:
     if len(lengths) != 1:
         raise ValueError(f"columns have unequal lengths: {sorted(lengths)}")
     (n,) = lengths
-    lines = [",".join(cols)]
-    arrays = list(cols.values())
-    for i in range(n):
-        lines.append(",".join(_format_cell(a[i]) for a in arrays))
-    return _preamble(metadata or {}) + "\n".join(lines) + "\n"
+    row = ",".join(["%.12e"] * len(cols)) + "\n"
+    cells = np.column_stack(list(cols.values())).ravel().tolist()
+    body = (row * n) % tuple(cells)
+    # "nan" is the only cell text holding those letters
+    return (_preamble(metadata or {}) + ",".join(cols) + "\n"
+            + body.replace("nan", ""))
 
 
 def write_table_csv(path, columns: dict, metadata: dict | None = None) -> None:
     """Write `format_table_csv` output to a file."""
     Path(path).write_text(format_table_csv(columns, metadata), encoding="utf-8")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, (np.floating, float)):
-        return "" if np.isnan(v) else f"{v:.12e}"
-    return str(v)
 
 
 def read_table_csv(path) -> tuple[dict, dict]:

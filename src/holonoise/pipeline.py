@@ -119,8 +119,8 @@ class RunResult:
     `config` is the run's config with the geometry defaults filled in.  The
     two PSDs are `csd.psds`, from the same paired pass as the CSD.  The
     records themselves are not kept; `variance_a` and `variance_b` are their
-    sample variances (1/N) in m^2, the lag-zero auto-covariances of the
-    correlation pass (`correlation.variance_a` and `variance_b`).
+    sample variances (1/N) in m^2 (`correlation.variance_a` and
+    `variance_b`).
     """
 
     config: RunConfig
@@ -180,7 +180,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 det, duration=duration, sample_rate=sample_rate, seed=cfg.seed,
                 method=cfg.method)
             csd = analysis.welch_csd(a, b, welch)
-            correlation = analysis.cross_correlation(a, b, cfg.max_lag)
+            correlation = analysis.cross_correlation(a, b, csd, cfg.max_lag)
             return RunResult(
                 config=cfg,
                 spectrum=spec,

@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from holonoise import _threads, analysis
+from holonoise.analysis import WINDOWS
+from holonoise.errors import ConfigurationError
 from holonoise import (
     HolographicSpectrum,
     SpectrumEstimate,
@@ -169,25 +171,58 @@ class TestCoherence:
         assert np.array_equal(est.values, np.zeros_like(est.values))
 
 
+#: Welch parameters of the correlation tests' short records.
+LAG_WELCH = WelchParams(segment_length=256)
+
+
+def correlate(a, b, max_lag, p=LAG_WELCH):
+    return cross_correlation(a, b, welch_csd(a, b, p), max_lag)
+
+
 class TestCrossCorrelation:
     def test_matches_direct_computation(self):
+        # a double loop over the windowed segments of the mean-free records
+        # and their circular lagged products; every lag to 1e-12 of the
+        # summed magnitudes of its terms
         rng = np.random.default_rng(11)
-        x = rng.normal(size=60)
-        y = rng.normal(size=60) + 0.5 * np.roll(x, 3)
-        a = TimeSeries(1.0, x)
-        b = TimeSeries(1.0, y)
-        res = cross_correlation(a, b, max_lag=10.0)
-        x0, y0 = x - x.mean(), y - y.mean()
-        for i, j in enumerate(range(-10, 11)):
-            direct = sum(x0[t] * y0[t + j] for t in range(60)
-                         if 0 <= t + j < 60) / 60
-            assert_allclose(res.covariance[i], direct, rtol=1e-10, atol=1e-12)
+        for window in WINDOWS:
+            for overlap in (0.0, 0.5):
+                for size in (255, 256):
+                    p = WelchParams(segment_length=size,
+                                    overlap_fraction=overlap, window=window)
+                    x = rng.normal(size=5 * size + 17)
+                    y = 0.5 * np.roll(x, 3) + rng.normal(size=x.size) + 7.0
+                    a, b = TimeSeries(1.0, x), TimeSeries(1.0, y)
+                    j_max = size // 4
+                    res = correlate(a, b, float(j_max), p)
+
+                    w = analysis._window(p)
+                    step = size - p.noverlap
+                    lags = range(-j_max, j_max + 1)
+                    sums = np.zeros(len(lags))
+                    magnitudes = np.zeros(len(lags))
+                    x0, y0 = x - x.mean(), y - y.mean()
+                    for start in range(0, x.size - size + 1, step):
+                        u = w * x0[start:start + size]
+                        v = w * y0[start:start + size]
+                        for i, j in enumerate(lags):
+                            products = u * np.roll(v, -j)
+                            sums[i] += np.sum(products)
+                            magnitudes[i] += np.sum(np.abs(products))
+                    segments = (x.size - size) // step + 1
+                    weight = np.array([w[:size - abs(j)] @ w[abs(j):]
+                                       for j in lags]) * segments
+                    assert np.all(np.abs(res.covariance - sums / weight)
+                                  <= 1e-12 * magnitudes / weight), (
+                        window, overlap, size)
 
     def test_autocorrelation_normalization(self):
+        # about 1 at zero lag: the windowed estimate against the sample
+        # variance; and even
         ts = white(4096, seed=12)
-        res = cross_correlation(ts, ts, max_lag=0.02)
+        res = correlate(ts, ts, max_lag=0.02)
         mid = res.lags.size // 2
-        assert res.normalized[mid] == pytest.approx(1.0)
+        assert abs(res.normalized[mid] - 1.0) < 0.05
         assert_allclose(res.normalized, res.normalized[::-1], rtol=1e-10)
 
     def test_lagged_copy_peaks_at_lag(self):
@@ -196,7 +231,7 @@ class TestCrossCorrelation:
         shift = 7
         a = TimeSeries(100.0, x)
         b = TimeSeries(100.0, np.roll(x, shift))
-        res = cross_correlation(a, b, max_lag=0.2)
+        res = correlate(a, b, max_lag=0.2)
         assert res.lags[np.argmax(res.covariance)] == pytest.approx(shift / 100.0)
 
     def test_white_null_band_coverage(self):
@@ -205,27 +240,40 @@ class TestCrossCorrelation:
         for trial in range(200):
             a = white(4096, seed=2000 + trial)
             b = white(4096, seed=7000 + trial)
-            res = cross_correlation(a, b, max_lag=0.02)
+            res = correlate(a, b, max_lag=0.02)
             inside += int(np.sum(np.abs(res.covariance) < 3 * res.sigma_band))
             total += res.lags.size
         assert inside / total > 0.99
 
     def test_effective_samples_white(self):
         ts = white(2**14, seed=14)
-        res = cross_correlation(ts, ts, max_lag=0.02)
+        res = correlate(ts, ts, max_lag=0.02)
         # white noise: every sample is effectively independent
         assert res.n_samples_effective > 0.8 * ts.n
 
     def test_max_lag_validation(self):
         ts = white(1024)
-        with pytest.raises(ValueError):
-            cross_correlation(ts, ts, max_lag=0.6 * ts.duration)
-        with pytest.raises(ValueError):
-            cross_correlation(ts, ts, max_lag=1e-9)
+        csd = welch_csd(ts, ts, LAG_WELCH)
+        for max_lag in (0.6 * ts.duration, 1e-9, 0.0, -1.0, np.inf, np.nan,
+                        65 / ts.sample_rate):
+            with pytest.raises(ConfigurationError, match="max_lag"):
+                cross_correlation(ts, ts, csd, max_lag=max_lag)
+        # a quarter segment is the longest lag
+        with pytest.raises(ConfigurationError, match="segment_length"):
+            cross_correlation(ts, ts, csd, max_lag=65 / ts.sample_rate)
+        res = cross_correlation(ts, ts, csd, max_lag=64 / ts.sample_rate)
+        assert res.lags.size == 129
 
     def test_mismatched_inputs(self):
+        a, b = white(1024), white(2048)
         with pytest.raises(ValueError):
-            cross_correlation(white(1024), white(2048), max_lag=0.01)
+            cross_correlation(a, b, welch_csd(a, a, LAG_WELCH), max_lag=0.01)
+        # the CSD must be that of these records
+        with pytest.raises(ValueError, match="welch_csd"):
+            cross_correlation(a, a, welch_csd(b, b, LAG_WELCH), max_lag=0.01)
+        with pytest.raises(ValueError, match="welch_csd"):
+            cross_correlation(a, a, welch_csd(a, a, LAG_WELCH).psds[0],
+                              max_lag=0.01)
 
 
 class TestDetectionSignificance:
@@ -335,14 +383,6 @@ def test_estimators_match_scipy_oracle(window, segment_length, overlap):
     assert_allclose(welch_csd(a, b, p).values, pab, rtol=1e-12)
     assert_allclose(coherence(a, b, p).values, coh, rtol=1e-12)
 
-    # lagged covariance against a full linear correlation, to 1e-12 of its peak
-    j_max = 40
-    res = cross_correlation(a, b, max_lag=j_max / a.sample_rate)
-    x, y = a.values - a.values.mean(), b.values - b.values.mean()
-    full = signal.fftconvolve(y, x[::-1])
-    center = a.n - 1
-    ref = full[center - j_max:center + j_max + 1] / a.n
-    assert_allclose(res.covariance, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.5])
@@ -417,61 +457,137 @@ def lag_case(n, j_max, offset=0.0):
         f"-offset{offset:g}" if offset else ""))
 
 
-# a partial last chunk, not a whole number of rows long
-PARTIAL = 2 * analysis._LAG_CHUNK + 1237
+# several segments of every length used below and a partial last one
+PARTIAL = 34005
 
 
 @pytest.mark.parametrize("n, j_max, offset", [
-    # on both sides of a chunk length of 8192 samples and a crossover of
-    # 512 lags, the values these constants had when the cases were written
+    # one segment of 2048 samples (3001-512) up to hundreds of 64 samples
     lag_case(3001, 40),
     lag_case(3001, 512),
     lag_case(17621, 1),
     lag_case(17621, 40),
     lag_case(17621, 511),
     lag_case(17621, 612),
-    # several chunks; the 2J + R columns of 17 lags are no whole number of
-    # rows; a mean of 1e3 standard deviations, removed chunk by chunk
     lag_case(PARTIAL, 17),
     lag_case(PARTIAL, 40),
+    # a mean of 1e3 standard deviations, which the Welch pass keeps
     lag_case(PARTIAL, 40, offset=1e3),
-    # both sides of the transform crossover
-    lag_case(PARTIAL, analysis._FFT_MIN_LAGS - 1),
-    lag_case(PARTIAL, analysis._FFT_MIN_LAGS),
+    lag_case(PARTIAL, 1023),
+    lag_case(PARTIAL, 1024),
 ])
 def test_lagged_covariance_matches_fftconvolve_oracle(n, j_max, offset):
     signal = pytest.importorskip("scipy.signal")
-    # coloured, correlated records, so every lag of the Bartlett sum counts
+    # coloured, correlated records; the shortest hann segments that hold
+    # the lags
     taps = np.ones(9) / 9.0
     a = np.convolve(white(n, seed=44).values, taps, "same")
     b = 0.5 * np.roll(a, 5) + white(n, seed=45).values
     a = TimeSeries(1.0, a + offset * np.std(a))
     b = TimeSeries(1.0, b - offset * np.std(b))
-    res = cross_correlation(a, b, max_lag=float(j_max))
+    p = WelchParams(segment_length=max(64, 4 * j_max))
+    res = cross_correlation(a, b, welch_csd(a, b, p), max_lag=float(j_max))
 
+    # each segment's circular products are its linear ones folded at the
+    # segment length
+    size, step = p.segment_length, p.segment_length - p.noverlap
+    w = analysis._window(p)
     x, y = a.values - a.values.mean(), b.values - b.values.mean()
-    center = n - 1
-
-    def lags(u, v):
-        full = signal.fftconvolve(v, u[::-1])
-        return full[center - j_max:center + j_max + 1] / n
-
-    ref = lags(x, y)
+    circular, power_a, power_b = np.zeros(size), 0.0, 0.0
+    starts = range(0, n - size + 1, step)
+    for start in starts:
+        u, v = w * x[start:start + size], w * y[start:start + size]
+        linear = signal.fftconvolve(v, u[::-1])
+        circular += linear[size - 1:]
+        circular[1:] += linear[:size - 1]
+        power_a = power_a + np.abs(np.fft.fft(u)) ** 2
+        power_b = power_b + np.abs(np.fft.fft(v)) ** 2
+    lags = np.arange(-j_max, j_max + 1)
+    weight = np.array([w[:size - j] @ w[j:] for j in np.abs(lags)])
+    ref = circular[lags] / (len(starts) * weight)
     assert_allclose(res.covariance, ref, rtol=0,
                     atol=1e-12 * np.max(np.abs(ref)))
-    bartlett = np.sum(lags(x, x) * lags(y, y))
-    counts = n - np.abs(np.arange(-j_max, j_max + 1))
-    assert_allclose(res.sigma_band, np.sqrt(bartlett * counts) / n,
-                    rtol=1e-12)
+
+    # Bartlett's sum_k c_aa c_bb = fs int S_aa S_bb df over the mean-free
+    # two-sided periodograms, times sum g^2 / (sum g)^2 of the summed
+    # segment weights of the products (t, t + j) and the wrapped ones
+    # (t, t + j - L)
+    bartlett = np.sum(power_a * power_b) / len(starts) ** 2 / (
+        size * (w @ w) ** 2)
+    for j in range(j_max + 1):
+        g, wrapped = np.zeros(n), np.zeros(n)
+        for start in starts:
+            g[start:start + size - j] += w[:size - j] * w[j:]
+            wrapped[start + size - j:start + size] += w[size - j:] * w[:j]
+        sigma = np.sqrt(bartlett * (g @ g + wrapped @ wrapped)) / np.sum(g)
+        assert_allclose(res.sigma_band[j_max + j], sigma, rtol=1e-12)
+        assert_allclose(res.sigma_band[j_max - j], sigma, rtol=1e-12)
     assert_allclose(res.n_samples_effective,
                     n * (x @ x / n) * (y @ y / n) / bartlett, rtol=1e-12)
     assert_allclose(res.variance_a, x @ x / n, rtol=1e-12)
     assert_allclose(res.variance_b, y @ y / n, rtol=1e-12)
 
 
+#: (window, overlap) of the ensemble tests.  With the rectangular window the
+#: wrapped products are j / L of those at lag j: a third at L/4.
+ENSEMBLE_WELCH = [pytest.param(WelchParams(256, 0.5, "hann"), id="hann"),
+                  pytest.param(WelchParams(256, 0.0, "rectangular"),
+                               id="rectangular")]
+
+
+@pytest.mark.parametrize("p", ENSEMBLE_WELCH)
+def test_null_lag_z_scores_have_unit_variance(p):
+    # independent coloured records: covariance / sigma_band is standard
+    # normal, at every lag out to a quarter segment, wrapped lags included
+    taps = np.ones(9) / 9.0
+    j_max = p.segment_length // 4
+    z = []
+    for seed in range(200):
+        a, b = (TimeSeries(1.0, np.convolve(white(2**14, seed=s).values,
+                                            taps, "same"))
+                for s in (5000 + seed, 9000 + seed))
+        res = cross_correlation(a, b, welch_csd(a, b, p), float(j_max))
+        z.append(res.covariance / res.sigma_band)
+    z = np.asarray(z)
+    assert abs(np.var(z) - 1.0) < 0.1
+    far = np.abs(np.arange(-j_max, j_max + 1)) > j_max // 2
+    assert abs(np.var(z[:, far]) - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("p", ENSEMBLE_WELCH)
+def test_correlated_mean_matches_expected_covariance(p):
+    # b = 0.5 a delayed by 5 samples plus white noise, a white noise through
+    # 9 taps: the mean over 200 seeds lies within 3 standard errors of the
+    # true covariance C (from fftconvolve of the taps) less the bias of the
+    # sample means, sum C / N.  The wrapped products pair lags beyond the
+    # taps, so they add nothing.
+    signal = pytest.importorskip("scipy.signal")
+    taps = np.ones(9) / 9.0
+    n, delay, j_max = 2**14, 5, p.segment_length // 4
+    runs = []
+    for seed in range(200):
+        z = white(n + delay + taps.size - 1, seed=3000 + seed).values
+        filtered = np.convolve(z, taps, "valid")
+        a = TimeSeries(1.0, filtered[delay:])
+        b = TimeSeries(1.0, 0.5 * filtered[:n]
+                       + white(n, seed=8000 + seed).values)
+        runs.append(cross_correlation(a, b, welch_csd(a, b, p),
+                                      float(j_max)).covariance)
+    runs = np.asarray(runs)
+
+    # C(tau) = E[a_t b_{t + tau}] = 0.5 R(tau - 5), R the taps' autocorrelation
+    true = np.zeros(2 * j_max + 1)
+    true[j_max + delay - 8:j_max + delay + 9] = 0.5 * signal.fftconvolve(
+        taps, taps[::-1])
+    expected = true - np.sum(true) / n
+    se = np.std(runs, axis=0) / np.sqrt(len(runs))
+    assert np.all(np.abs(np.mean(runs, axis=0) - expected) < 3.0 * se)
+
+
 def test_lagged_covariance_does_not_depend_on_cpu_count(monkeypatch):
-    # contiguous runs of chunks on 1, 2 and 3 threads, a partial last chunk
-    n = 8 * analysis._LAG_CHUNK + 1237
+    # contiguous runs of Welch blocks on 1, 2 and 3 threads, a partial
+    # last block
+    n = 8 * 16384 + 1237
     assert n > _threads.MIN_SAMPLES
     a = white(n, seed=46)
     b = TimeSeries(a.sample_rate, 0.5 * a.values + white(n, seed=47).values)
@@ -479,7 +595,8 @@ def test_lagged_covariance_does_not_depend_on_cpu_count(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(_threads, "workers",
                             lambda samples, workers=workers: workers)
-        results.append(cross_correlation(a, b, max_lag=40 / a.sample_rate))
+        results.append(cross_correlation(a, b, welch_csd(a, b),
+                                         max_lag=40 / a.sample_rate))
     for res in results[1:]:
         for field in dataclasses.fields(res):
             assert np.array_equal(getattr(res, field.name),
@@ -487,12 +604,13 @@ def test_lagged_covariance_does_not_depend_on_cpu_count(monkeypatch):
 
 
 def test_lagged_covariance_copies_no_record():
-    # the chunks are centred as they are filled: no record-size copy
+    # the variances are centred a chunk at a time: no record-size copy
     n = 2**20
     a, b = white(n, seed=48), white(n, seed=49)
+    csd = welch_csd(a, b)
     tracemalloc.start()
     try:
-        cross_correlation(a, b, max_lag=40 / a.sample_rate)
+        cross_correlation(a, b, csd, max_lag=40 / a.sample_rate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 import subprocess
@@ -311,24 +312,34 @@ class TestRunCommand:
                              (analysis, "one_sided_psd"),
                              (synthesis, "_draw_blocks"),
                              (interferometer, "_mix_blocks"),
-                             (analysis, "_block_sums"),
-                             (analysis, "_chunk_lags")):
+                             (analysis, "_block_sums")):
             def recording(*args, _fn=getattr(module, name), _name=name,
                           **kwargs):
                 threads[_name].add(threading.get_ident())
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         monkeypatch.setattr(_threads, "workers", lambda samples: 2)
-        # 160,000 samples: 3 blocks of draws, 3 Welch blocks and 10 lag
-        # chunks
+        # 160,000 samples: 3 blocks of draws and 3 Welch blocks
         assert run_cli("run", "--duration", 0.01, "--outdir",
                        tmp_path / "out") == 0
         caller = threading.get_ident()
-        assert len(threads) == 10
-        for name in ("_draw_blocks", "_mix_blocks", "_block_sums",
-                     "_chunk_lags"):
+        assert len(threads) == 9
+        for name in ("_draw_blocks", "_mix_blocks", "_block_sums"):
             assert threads.pop(name) - {caller}, name
         assert all(idents == {caller} for idents in threads.values()), threads
+
+    def test_traced_names_exist(self, monkeypatch):
+        # every (module, attribute) that perfbench's tracer wraps is there, so
+        # deleting or renaming one fails this suite, not only the benchmark
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                        / "perfbench"))
+        tracing = pytest.importorskip("tracing")
+        pairs = [pair for patches in tracing.PATCHES.values()
+                 for pair in patches]
+        assert pairs
+        for module, name in pairs:
+            assert hasattr(importlib.import_module(f"holonoise.{module}"),
+                           name), (module, name)
 
     def test_zero_variance_band_rejected(self, tmp_path, capsys):
         # a silent detector A has zero PSD, so every band bin has sigma = 0
@@ -401,6 +412,9 @@ def test_cli_import_leaves_scipy_out():
     # 800,000 samples: the Welch blocks and the shot-noise draws use threads
     (["run", "--shot-asd", "1e77", "--duration", "0.05", "--outdir",
       "{tmp}/out"], "overflows"),
+    # 1600 lags, beyond a quarter of the 4096-sample segments
+    (["run", "--max-lag", "1e-4", "--duration", "1e-3", "--outdir",
+      "{tmp}/out"], "segment_length"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, named):
     # exit 1 is reserved for a failing verify

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -270,11 +271,18 @@ class TestDualDetector:
     def test_lag_correlation_vanishes_beyond_round_trip(self):
         a, b = simulate_dual(dual_cfg(rho=1.0), duration=2**21 / FS,
                              sample_rate=FS, seed=19)
-        corr = cross_correlation(a, b, max_lag=4 * SPEC.coherence_time)
+        corr = cross_correlation(a, b, welch_csd(a, b),
+                                 max_lag=4 * SPEC.coherence_time)
         mid = corr.lags.size // 2
         outside = np.abs(corr.lags) > SPEC.coherence_time + 1.0 / FS
+        # a family-wise bound: under the null all m lags lie within z sigma
+        # with probability (1 - p)^m, p = 2 (1 - Phi(z)), for independent
+        # lags and more for positively correlated ones; Sidak's z makes
+        # that 1 - alpha
+        alpha, m = 0.01, int(np.sum(outside))
+        z = NormalDist().inv_cdf(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / m)) / 2)
         assert np.all(np.abs(corr.covariance[outside])
-                      < 3.0 * corr.sigma_band[outside])
+                      < z * corr.sigma_band[outside])
         # the peak remains the geometric covariance despite the shot floor
         assert abs(corr.covariance[mid] - SPEC.total_variance) \
             < 3.0 * corr.sigma_band[mid]
@@ -283,6 +291,7 @@ class TestDualDetector:
         a, b = simulate_dual(dual_cfg(rho=1.0, shot=0.0),
                              duration=2**21 / FS, sample_rate=FS, seed=18,
                              method="boxcar")
-        corr = cross_correlation(a, b, max_lag=2 * SPEC.coherence_time)
+        corr = cross_correlation(a, b, welch_csd(a, b),
+                                 max_lag=2 * SPEC.coherence_time)
         model = np.asarray(analytic_autocorrelation(SPEC, corr.lags))
         assert np.all(np.abs(corr.covariance - model) < 3.0 * corr.sigma_band)

@@ -72,6 +72,32 @@ class TestTables:
         assert np.isnan(cols["env"][0])
         assert_allclose(cols["env"][1:], env[1:])
 
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_format_matches_cell_by_cell_rule(self, rows):
+        # the one-call body writes what the per-cell rule wrote: "%.12e",
+        # and an empty cell for NaN
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, -2.5e300,
+                   1e-310, 0.1]
+        values = np.resize(special, rows)
+        csd = np.empty(rows, dtype=complex)
+        csd.real, csd.imag = values, values[::-1]
+        columns = {"f": np.arange(rows, dtype=float), "csd": csd,
+                   "single": np.resize(np.float32([0.1, -3.5, np.nan]), rows),
+                   "x": -values}
+        meta = {"seed": 3}
+
+        cells = {}
+        for name, arr in columns.items():
+            if np.iscomplexobj(arr):
+                cells[f"{name}_re"], cells[f"{name}_im"] = arr.real, arr.imag
+            else:
+                cells[name] = arr
+        lines = [",".join(cells)] + [
+            ",".join("" if np.isnan(c[i]) else f"{c[i]:.12e}"
+                     for c in cells.values()) for i in range(rows)]
+        expected = hio._preamble(meta) + "\n".join(lines) + "\n"
+        assert hio.format_table_csv(columns, meta) == expected
+
     def test_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):
             hio.write_table_csv(tmp_path / "x.csv",
