@@ -4,6 +4,10 @@ numpy releases the interpreter lock in `Generator` draws, in `rfft` and in
 large ufuncs, so threads overlap that work.  Tasks must write only to
 buffers of their own and call no name a tracer may wrap: they run on
 worker threads, except the first, which runs on the calling thread.
+
+One runner, `on_blocks`, runs the block kernels, kernel(blocks, scratch):
+one contiguous run of blocks per usable CPU, each run with work arrays of
+its own in an anonymous mapping (`mapped`), where all work memory is.
 """
 
 from __future__ import annotations
@@ -49,13 +53,22 @@ def mapped(shapes: dict) -> dict:
     """
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize
              for shape, dtype in shapes.values()]
-    memory = mmap.mmap(-1, sum(sizes))
+    memory = mmap.mmap(-1, max(sum(sizes), 1))  # mmap refuses length 0
     arrays, offset = {}, 0
     for (name, (shape, dtype)), size in zip(shapes.items(), sizes):
         arrays[name] = np.frombuffer(memory, dtype, math.prod(shape),
                                      offset).reshape(shape)
         offset += size
     return arrays
+
+
+def on_blocks(kernel, n_blocks: int, samples: int, scratch: dict) -> None:
+    """Call kernel(blocks, arrays) on contiguous runs of range(n_blocks),
+    one run per CPU usable on `samples` samples, the first on this thread;
+    each run gets arrays of its own from `mapped(scratch)`.  The kernel
+    writes its results into caller-owned buffers, block by block."""
+    run_all([functools.partial(kernel, run, mapped(scratch))
+             for run in runs(n_blocks, workers(samples))], samples)
 
 
 class _Worker:
@@ -126,22 +139,17 @@ _offer = threading.local()
 
 
 @contextlib.contextmanager
-def offering(kernel, n_items: int, samples: int):
-    """Offer kernel(items) over range(n_items) to the first `beside` call
-    made on this thread within the block.
-
-    `beside` runs it on the CPUs other than its own; if no call takes it,
-    it runs when the block ends, on all usable CPUs.  `kernel` is called
-    on contiguous runs of items and must be a task for `run_all`.
-    """
-    _offer.work = (kernel, n_items)
+def offering(kernel, n_blocks: int, samples: int, scratch: dict):
+    """Offer `on_blocks(kernel, n_blocks, samples, scratch)` to the first
+    `beside` call made on this thread within the block, which runs it on
+    the CPUs other than its own; untaken, it runs when the block ends."""
+    _offer.work = (kernel, n_blocks, scratch)
     try:
         yield
     finally:
         work, _offer.work = _offer.work, None
     if work is not None:
-        run_all([functools.partial(kernel, run)
-                 for run in runs(n_items, workers(samples))], samples)
+        on_blocks(kernel, n_blocks, samples, scratch)
 
 
 def beside(step, samples: int):
@@ -150,9 +158,10 @@ def beside(step, samples: int):
     work, _offer.work = getattr(_offer, "work", None), None
     if work is None:
         return step()
-    kernel, n_items = work
-    return run_all([step] + [functools.partial(kernel, run) for run in
-                             runs(n_items, workers(samples) - 1)], samples)[0]
+    kernel, n_blocks, scratch = work
+    return run_all([step] + [functools.partial(kernel, run, mapped(scratch))
+                             for run in runs(n_blocks, workers(samples) - 1)],
+                   samples)[0]
 
 
 def _run_on_workers(tasks: list) -> list:

@@ -117,12 +117,12 @@ def effective_segments(n_seg: int, p: WelchParams) -> float:
     """
     window = _window(p)
     step = p.segment_length - p.noverlap
-    denom = float(window @ window)
+    denom = float(np.sum(window**2))
     inflation = 1.0
     d = 1
     while d * step < p.segment_length and d < n_seg:
         shift = d * step
-        r = float(window[: p.segment_length - shift] @ window[shift:]) / denom
+        r = np.sum(window[:p.segment_length - shift] * window[shift:]) / denom
         inflation += 2.0 * (1.0 - d / n_seg) * r * r
         d += 1
     return n_seg / inflation
@@ -133,7 +133,7 @@ def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
     density: every bin but DC (and Nyquist, for even lengths) folds in its
     negative-frequency twin."""
     window = _window(p)
-    scale = np.full(p.segment_length // 2 + 1, 2.0 / (fs * (window @ window)))
+    scale = np.full(p.segment_length // 2 + 1, 2.0 / (fs * np.sum(window**2)))
     scale[0] /= 2.0
     if p.segment_length % 2 == 0:
         scale[-1] /= 2.0
@@ -154,12 +154,10 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
     Returns (f, Pxx, Pyy, Pxy, K, lows): one-sided densities averaged over
     the K windowed segments, with Pxy = mean(conj(X) Y), and bins 0 and 1
     of each segment's X and Y (2 x K x 2).  Pyy, Pxy and lows are None when
-    y is None.  The sums of |X|^2, |Y|^2 and conj(X) Y are taken over
-    blocks of `_WELCH_BLOCK` segments, so the working memory is a few
-    blocks and one sum per block (about N bytes, an eighth of the record,
-    at half overlap).  Contiguous runs of blocks go to the usable CPUs, the first to
-    the calling thread; the block sums are then added in block order, so
-    the result does not depend on the CPU count.
+    y is None.  `_block_sums` sums blocks of `_WELCH_BLOCK` segments on
+    the usable CPUs, so the working memory is a few blocks per CPU and one
+    sum per block (about N bytes, an eighth of the record, at half overlap),
+    added in block order: the result does not depend on the CPU count.
     """
     n_seg = _segment_count(x.size, p)
     window = _window(p)
@@ -169,82 +167,59 @@ def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
     segments = [sliding_window_view(x, p.segment_length)[::step]]
     if y is not None:
         segments.append(sliding_window_view(y, p.segment_length)[::step])
-    n_blocks = -(-n_seg // _WELCH_BLOCK)
-    runs = _threads.runs(n_blocks, _threads.workers(x.size))
+    n_blocks, rows = -(-n_seg // _WELCH_BLOCK), min(n_seg, _WELCH_BLOCK)
     lows = None if y is None else np.empty((2, n_seg, 2), dtype=complex)
-    tasks = [functools.partial(_block_sums, segments, window, runs[0], lows)]
-    tasks += [functools.partial(_block_sums, segments, window, run, lows,
-                                _scratch(len(segments), len(run),
-                                         min(n_seg, _WELCH_BLOCK),
-                                         p.segment_length))
-              for run in runs[1:]]
-    sums = [np.zeros(scale.size) for _ in segments]
-    if y is not None:
-        sums.append(np.zeros(scale.size, dtype=complex))
-    for run_sums in _threads.run_all(tasks, x.size):
-        for block in run_sums:
-            for total, term in zip(sums, block):
-                total += term
-    densities = [total / n_seg * scale for total in sums] + [None, None]
-    return (np.fft.rfftfreq(p.segment_length, 1.0 / fs), *densities[:3],
-            n_seg, lows)
+    # row i of "sum<c>" holds block i's sum: |X|^2, |Y|^2, then conj(X) Y
+    dtypes = [float] if y is None else [float, float, complex]
+    sums = _threads.mapped({f"sum{c}": ((n_blocks, scale.size), dtype)
+                            for c, dtype in enumerate(dtypes)})
+    shape = (rows, scale.size)
+    scratch = {"windowed": ((rows, p.segment_length), float),
+               "power": (shape, float), "power_imag": (shape, float),
+               **{f"spectrum{c}": (shape, complex)
+                  for c in range(len(segments))}}
+    kernel = functools.partial(_block_sums, segments, window, lows, sums)
+    _threads.on_blocks(kernel, n_blocks, x.size, scratch)
+    densities = []
+    for block_sums in sums.values():
+        total = np.zeros(scale.size, block_sums.dtype)
+        for block_sum in block_sums:
+            total += block_sum
+        densities.append(total / n_seg * scale)
+    return (np.fft.rfftfreq(p.segment_length, 1.0 / fs),
+            *(densities + [None, None])[:3], n_seg, lows)
 
 
-def _scratch(n_records: int, n_blocks: int, rows: int,
-             segment_length: int) -> dict:
-    """Work arrays and block sums for `_block_sums` on a worker thread.
+def _block_sums(segments: list, window: np.ndarray, lows: Optional[np.ndarray],
+                sums: dict, blocks: np.ndarray, scratch: dict) -> None:
+    """Sums over the segments of each block in `blocks`, in place.
 
-    Blocks of `rows` segments; row i of "sum<c>" holds block i's sum.
+    Row i of sums["sum<c>"] gets block i's sum of |X|^2 for record c and,
+    for two records, row i of sums["sum2"] its sum of conj(X) Y; bins 0
+    and 1 of each segment's X and Y go to its rows of `lows`.  The work
+    arrays are `scratch`'s, so no array data is allocated and a worker
+    thread can run it.
     """
-    bins = segment_length // 2 + 1
-    shapes = {"windowed": ((rows, segment_length), float),
-              "power": ((rows, bins), float),
-              "power_imag": ((rows, bins), float)}
-    for c in range(n_records):
-        shapes[f"spectrum{c}"] = ((rows, bins), complex)
-        shapes[f"sum{c}"] = ((n_blocks, bins), float)
-    if n_records == 2:
-        shapes["sum2"] = ((n_blocks, bins), complex)
-    return _threads.mapped(shapes)
-
-
-def _block_sums(segments: list, window: np.ndarray, blocks: np.ndarray,
-                lows: Optional[np.ndarray], scratch: Optional[dict] = None
-                ) -> list:
-    """Sums over the segments of each block in `blocks`.
-
-    Returns, per block, the sum of |X|^2 for each record and, for two
-    records, the sum of conj(X) Y; bins 0 and 1 of each segment's X and Y
-    go to its rows of `lows`.  Without `scratch` the work arrays are
-    allocated per block.  With arrays from `_scratch` the sums are rows of
-    them and no array data is allocated, so that a worker thread can run it.
-    """
-    def out(name, index):
-        return None if scratch is None else scratch[name][index]
-
-    sums = []
-    for k, i in enumerate(blocks):
+    for i in blocks:
         rows = slice(i * _WELCH_BLOCK, (i + 1) * _WELCH_BLOCK)
         m = slice(segments[0][rows].shape[0])
-        terms, spectra = [], []
+        spectra = []
         for c, seg in enumerate(segments):
-            windowed = np.multiply(seg[rows], window, out=out("windowed", m))
+            windowed = np.multiply(seg[rows], window,
+                                   out=scratch["windowed"][m])
             spectrum = np.fft.rfft(windowed, axis=-1,
-                                   out=out(f"spectrum{c}", m))
-            power = np.square(spectrum.real, out=out("power", m))
-            power = np.add(power, np.square(spectrum.imag,
-                                            out=out("power_imag", m)),
-                           out=power)
-            terms.append(np.sum(power, axis=0, out=out(f"sum{c}", k)))
+                                   out=scratch[f"spectrum{c}"][m])
+            power = np.square(spectrum.real, out=scratch["power"][m])
+            np.add(power, np.square(spectrum.imag,
+                                    out=scratch["power_imag"][m]), out=power)
+            np.sum(power, axis=0, out=sums[f"sum{c}"][i])
             spectra.append(spectrum)
         if len(spectra) == 2:
             for c, spectrum in enumerate(spectra):
                 lows[c, rows] = spectrum[:, :2]
             sx, sy = spectra
             product = np.multiply(np.conj(sx, out=sx), sy, out=sx)
-            terms.append(np.sum(product, axis=0, out=out("sum2", k)))
-        sums.append(terms)
-    return sums
+            np.sum(product, axis=0, out=sums["sum2"][i])
 
 
 def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
@@ -360,23 +335,24 @@ class CorrelationResult:
     variance_b: float
 
 
-#: Samples per chunk of `_mean_variance`: 512 kB of differences.
+#: Samples per chunk of `_mean_variances`: 512 kB of differences.
 _VARIANCE_CHUNK = 1 << 16
 
 
-def _mean_variance(x: np.ndarray, scratch: Optional[dict] = None):
-    """Mean and sample variance (1/N), centred a chunk at a time, in
-    `scratch["chunk"]` (from `_threads.mapped`) if given, so that a worker
-    thread allocates nothing.  numpy sums the squares: BLAS's sum order
-    depends on its thread count."""
-    buffer = np.empty(_VARIANCE_CHUNK) if scratch is None else scratch["chunk"]
-    mean = x.mean()
-    total = 0.0
-    for start in range(0, x.size, _VARIANCE_CHUNK):
-        chunk = x[start:start + _VARIANCE_CHUNK]
-        d = np.subtract(chunk, mean, out=buffer[:chunk.size])
-        total += float(np.sum(np.square(d, out=d)))
-    return mean, total / x.size
+def _mean_variances(records: list, items: np.ndarray, scratch: dict) -> None:
+    """Replace records[i], for each i in `items`, by its mean and sample
+    variance (1/N), centred a chunk at a time in `scratch["chunk"]`, so
+    that a worker thread allocates nothing.  numpy sums the squares:
+    BLAS's sum order depends on its thread count."""
+    for i in items:
+        x = records[i]
+        mean = x.mean()
+        total = 0.0
+        for start in range(0, x.size, _VARIANCE_CHUNK):
+            chunk = x[start:start + _VARIANCE_CHUNK]
+            d = np.subtract(chunk, mean, out=scratch["chunk"][:chunk.size])
+            total += float(np.sum(np.square(d, out=d)))
+        records[i] = mean, total / x.size
 
 
 def _lagged_sums(v: np.ndarray, size: int) -> np.ndarray:
@@ -414,10 +390,10 @@ def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
             f"max_lag {max_lag} s must span 1 to segment_length/4 = "
             f"{size / 4:g} samples; lower max_lag or raise segment_length")
     window, scale = _window(p), _density_scale(p, fs)
-    (mean_a, var_a), (mean_b, var_b) = _threads.run_all([
-        functools.partial(_mean_variance, a.values),
-        functools.partial(_mean_variance, b.values, _threads.mapped(
-            {"chunk": ((_VARIANCE_CHUNK,), float)}))], a.n)
+    stats = [a.values, b.values]
+    _threads.on_blocks(functools.partial(_mean_variances, stats), 2, a.n,
+                       {"chunk": ((_VARIANCE_CHUNK,), float)})
+    (mean_a, var_a), (mean_b, var_b) = stats
 
     # segment means of conj(X) Y, |X|^2 and |Y|^2, bins 0 and 1 mean-free
     leak = np.fft.rfft(window)[:2]
@@ -435,7 +411,7 @@ def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
     scale_ab = np.sqrt(var_a * var_b)
     normalized = cov / scale_ab if scale_ab > 0 else np.zeros_like(cov)
     bartlett = float(fs * np.sum(power_a * power_b * scale)
-                     / (size * (window @ window)))
+                     / (size * np.sum(window**2)))
     # sum over segment pairs (s, s + d) of the products of their weights on
     # the pairs (t, t + j) and on the wrapped pairs (t, t + j - L)
     overlap = np.zeros(j_max + 1)

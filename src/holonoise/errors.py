@@ -30,6 +30,8 @@ def check_fits_in_memory(name: str, value, samples: int,
     Call it before anything record-sized is allocated; `value` is the value
     of `name` that the message quotes.
     """
+    # an int beyond the float range needs more memory than 1e300 samples
+    samples = min(samples, 1e300)
     need, have = float(samples) * bytes_per_sample, _physical_memory()
     if have and need > have:
         raise ConfigurationError(

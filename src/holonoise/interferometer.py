@@ -124,7 +124,7 @@ def _detector_record(out: np.ndarray, terms: list, shot,
     """One detector's record, built in `out` by `_mix_blocks` on the usable
     CPUs; `out` is a new buffer or the record of the first term, which is
     then overwritten."""
-    synthesis._on_blocks(
+    _threads.on_blocks(
         functools.partial(_mix_blocks, out, terms, shot),
         -(-out.size // synthesis._BLOCK), out.size,
         {"term": ((synthesis._BLOCK,), float)})
@@ -202,8 +202,8 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     # are made, on the CPUs that a spectral inverse FFT leaves idle
     new_b = np.empty(n) if not sens_b or rho == 1.0 else None
     with (contextlib.nullcontext() if new_b is None else _threads.offering(
-            functools.partial(_mix_blocks, new_b, [], shot_b, scratch=None),
-            -(-n // synthesis._BLOCK), n)):
+            functools.partial(_mix_blocks, new_b, [], shot_b),
+            -(-n // synthesis._BLOCK), n, {})):
         shared = (synthesize(cfg_shared).values
                   if sens_a or (sens_b and rho > 0.0) else None)
         independent = (synthesize(cfg_indep).values

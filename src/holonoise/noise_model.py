@@ -35,8 +35,9 @@ class HolographicSpectrum:
 
     def __post_init__(self):
         check_positive_finite("arm_length", self.L)
-        # the plateau grows as L^2 and the knee as 1/L; both must be floats
-        if not (self.L < math.sqrt(sys.float_info.max) and self.f_c < math.inf):
+        # the plateau grows as L^2, the knee and the zeros as 1/L: all floats
+        if not (self.L < math.sqrt(sys.float_info.max)
+                and CONSTANTS.c / (2.0 * self.L) < math.inf):
             raise ConfigurationError(
                 f"arm_length {self.L} m puts the spectrum beyond the float range"
             )
@@ -75,14 +76,17 @@ def analytic_psd(spec: HolographicSpectrum, f):
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise ValueError("frequency must be nonnegative")
-    x = f / spec.f_c
+    with np.errstate(over="ignore"):
+        x = f / spec.f_c
+        square = x**2
     out = np.empty_like(x)
     small = x < 1e-3
     xs = x[small]
     # series for (1 - cos x)/(x^2/2) to avoid cancellation near f = 0
     out[small] = spec.plateau * (1.0 - xs**2 / 12.0 + xs**4 / 360.0)
-    xl = x[~small]
-    out[~small] = spec.plateau * 2.0 * (1.0 - np.cos(xl)) / xl**2
+    # where x^2 overflows, (1 - cos x)/x^2 is 0: take x = 0 there
+    xl = np.where(square < np.inf, x, 0.0)[~small]
+    out[~small] = spec.plateau * 2.0 * (1.0 - np.cos(xl)) / square[~small]
     return out if out.ndim else float(out)
 
 
@@ -128,5 +132,6 @@ def envelope_high_f(spec: HolographicSpectrum, f):
     f = np.asarray(f, dtype=float)
     if np.any(f <= spec.f_c):
         raise ValueError("envelope is defined only above the knee frequency")
-    out = spec.plateau * 4.0 / (f / spec.f_c) ** 2
+    with np.errstate(over="ignore"):
+        out = spec.plateau * 4.0 / (f / spec.f_c) ** 2
     return out if out.ndim else float(out)

@@ -167,16 +167,6 @@ def _fill_normal(out: np.ndarray, seed: int, channel: int,
         rng.standard_normal(out=out[start:start + _BLOCK])
 
 
-def _on_blocks(kernel, n_blocks: int, samples: int, scratch: dict) -> None:
-    """Call kernel(blocks, arrays) on contiguous runs of range(n_blocks),
-    one run per usable CPU; each run gets arrays of its own from
-    `_threads.mapped(scratch)`."""
-    _threads.run_all([functools.partial(kernel, run, _threads.mapped(scratch))
-                      for run in _threads.runs(n_blocks,
-                                               _threads.workers(samples))],
-                     samples)
-
-
 def _draw_blocks(out: np.ndarray, seed: int, blocks: np.ndarray) -> None:
     """Blocks `blocks` of `out` from the channel-0 stream of `seed`."""
     for b in blocks:
@@ -311,8 +301,9 @@ def _boxcar(seed: int, n: int, width: int, scale: float) -> np.ndarray:
     """`scale` times the n moving sums of `width` samples of the channel-0
     stream of `seed`: sample i sums stream samples i to i + width - 1."""
     values = np.empty(n)
-    _on_blocks(functools.partial(_boxcar_blocks, values, seed, width, scale),
-               -(-n // _BLOCK), n, {"driver": ((_BLOCK + width - 1,), float)})
+    _threads.on_blocks(
+        functools.partial(_boxcar_blocks, values, seed, width, scale),
+        -(-n // _BLOCK), n, {"driver": ((_BLOCK + width - 1,), float)})
     return values
 
 

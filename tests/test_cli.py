@@ -1,9 +1,11 @@
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from collections import defaultdict
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -24,6 +26,11 @@ from holonoise.synthesis import METHODS
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+#: The files that `run` writes.
+RUN_FILES = ("psd_a.csv", "psd_b.csv", "csd.csv", "coherence.csv",
+             "correlation.csv", "summary.json")
 
 
 class TestSpectrumCommand:
@@ -56,9 +63,24 @@ class TestSpectrumCommand:
         out = tmp_path / "spec.json"
         assert run_cli("spectrum", "--f-max", 5e6, "--format", "json",
                        "-o", out) == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=_strict_constant)
         assert doc["zeros_hz"][0] == pytest.approx(3747405.725)
         assert len(doc["f_hz"]) == 1000
+        # the envelope is defined above the knee only, as in the CSV
+        envelope = doc["envelope_two_sided_m2_hz"]
+        below = [f <= doc["f_c_hz"] for f in doc["f_hz"]]
+        assert [value is None for value in envelope] == below
+
+    def test_overflowing_frequencies_give_zero_quietly(self, tmp_path):
+        # (f / f_c)^2 overflows at 5e299 Hz: the density and envelope are 0
+        out = tmp_path / "spec.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("spectrum", "--f-max", 1e300, "--n-points", 3,
+                           "-o", out) == 0
+        columns, _ = hio.read_table_csv(out)
+        assert columns["psd_two_sided_m2_hz"].tolist()[1:] == [0.0, 0.0]
+        assert columns["envelope_two_sided_m2_hz"].tolist()[1:] == [0.0, 0.0]
 
     def test_zero_list_bounded_by_table(self, tmp_path):
         # 2.7e8 zeros lie below 1e15 Hz; only as many as table rows are listed
@@ -294,11 +316,26 @@ class TestRunCommand:
                                 lambda samples, workers=workers: workers)
             outdirs.append(tmp_path / f"workers{workers}")
             assert run_cli("run", *argv, "--outdir", outdirs[-1]) == 0
-        for name in ("psd_a.csv", "psd_b.csv", "csd.csv", "coherence.csv",
-                     "correlation.csv", "summary.json"):
+        for name in RUN_FILES:
             first = (outdirs[0] / name).read_bytes()
             for outdir in outdirs[1:]:
                 assert (outdir / name).read_bytes() == first, (outdir, name)
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # segments of 65,536 samples: long enough for OpenBLAS to split a
+        # dot product of two windows over its threads, in another order
+        src = str(Path(holonoise.__file__).resolve().parents[1])
+        outdirs = [tmp_path / "blas1", tmp_path / "blas2"]
+        for threads, outdir in zip(("1", "2"), outdirs):
+            subprocess.run(
+                [sys.executable, "-m", "holonoise.cli", "run", "--duration",
+                 "0.01", "--segment-length", "65536", "--outdir", str(outdir)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                         PYTHONPATH=src),
+                check=True, capture_output=True)
+        for name in RUN_FILES:
+            assert ((outdirs[0] / name).read_bytes()
+                    == (outdirs[1] / name).read_bytes()), name
 
     def test_traced_names_stay_on_calling_thread(self, tmp_path, monkeypatch):
         # perfbench's tracer keeps one span stack: the names it wraps must
@@ -415,6 +452,10 @@ def test_cli_import_leaves_scipy_out():
     # 1600 lags, beyond a quarter of the 4096-sample segments
     (["run", "--max-lag", "1e-4", "--duration", "1e-3", "--outdir",
       "{tmp}/out"], "segment_length"),
+    # tables of 10**15 rows, far beyond physical memory
+    (["spectrum", "--f-max", "5e6", "--n-points", str(10**15)], "--n-points"),
+    (["spectrum", "--f-max", "5e6", "--n-points", str(10**15), "--format",
+      "json"], "--n-points"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, named):
     # exit 1 is reserved for a failing verify
@@ -473,7 +514,7 @@ _ANY_FIELDS = st.dictionaries(
 
 
 def _strict_constant(name):
-    raise ValueError(f"summary.json holds {name}")
+    raise ValueError(f"the JSON holds {name}")
 
 
 @settings(max_examples=100, deadline=None,
@@ -494,3 +535,51 @@ def test_run_is_total(tmp_path, capsys, tiny, overrides):
     if code == 0:
         json.loads((outdir / "summary.json").read_text(),
                    parse_constant=_strict_constant)
+
+
+_ANY_FLOATS = st.floats() | st.floats(0.0, 1e9) | st.floats(1e9, 1e308)
+_SPECTRUM_COLUMNS = ("f_hz", "psd_two_sided_m2_hz", "psd_one_sided_m2_hz",
+                     "envelope_two_sided_m2_hz")
+
+
+def _spectrum_columns(path, fmt) -> dict:
+    """The columns of a `spectrum` output, parsed strictly: JSON without
+    NaN or Infinity tokens, CSV with a strict JSON preamble; an undefined
+    cell (JSON null, empty CSV cell) reads NaN."""
+    text = path.read_text()
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_strict_constant)
+        return {name: np.array([np.nan if v is None else v for v in doc[name]],
+                               dtype=float) for name in _SPECTRUM_COLUMNS}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            json.loads(line.partition("=")[2], parse_constant=_strict_constant)
+    return hio.read_table_csv(path)[0]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ANY_FLOATS, st.just(0.0) | _ANY_FLOATS,
+       st.integers(2, 10**4) | st.integers(max_value=10**4), _ANY_FLOATS,
+       st.sampled_from(("csv", "json")))
+def test_spectrum_is_total(tmp_path, capsys, f_max, f_min, n_points,
+                           arm_length, fmt):
+    # every request either writes a strictly parseable table of finite
+    # values, where only an envelope cell may be empty (CSV) or null
+    # (JSON), or is refused with exit 2; no warning is raised on the way
+    out = tmp_path / f"spectrum.{fmt}"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", f"--f-max={f_max!r}", f"--f-min={f_min!r}",
+                     f"--n-points={n_points}", f"--arm-length={arm_length!r}",
+                     "--format", fmt, "-o", str(out)])
+    capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        columns = _spectrum_columns(out, fmt)
+        assert sorted(columns) == sorted(_SPECTRUM_COLUMNS)
+        assert all(values.size == n_points for values in columns.values())
+        envelope = columns.pop("envelope_two_sided_m2_hz")
+        assert all(np.all(np.isfinite(values)) for values in columns.values())
+        assert np.all(np.isfinite(envelope) | np.isnan(envelope))

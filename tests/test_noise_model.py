@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,8 +34,8 @@ class TestSpectrumObject:
     def test_rejects_bad_arm_length(self):
         with pytest.raises(ValueError):
             HolographicSpectrum(0.0)
-        # L^2 or 1/L would overflow
-        for L in (1.35e154, 5e-324):
+        # L^2, 1/L or the first zero c/2L would overflow
+        for L in (1.35e154, 5e-324, 8e-301):
             with pytest.raises(ValueError, match="arm_length"):
                 HolographicSpectrum(L)
 
@@ -62,6 +64,20 @@ class TestAnalyticPsd:
     def test_rejects_negative_frequency(self, spec40):
         with pytest.raises(ValueError):
             analytic_psd(spec40, -1.0)
+
+    def test_zero_beyond_float_range_without_warning(self, spec40):
+        # (f / f_c)^2 overflows above about 8e159 Hz at 40 m: the density
+        # and its envelope are 0 there; below, they are the closed forms
+        f = np.array([1e7, 1e159, 1e160, 1e300, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd = analytic_psd(spec40, f)
+            env = envelope_high_f(spec40, f)
+        x = f[:2] / spec40.f_c
+        assert psd[:2].tolist() == (
+            spec40.plateau * 2.0 * (1.0 - np.cos(x)) / x**2).tolist()
+        assert psd[:2].tolist() != [0.0, 0.0]
+        assert psd[2:].tolist() == env[2:].tolist() == [0.0] * 3
 
     def test_one_sided_doubling(self, spec40):
         f = np.array([0.0, 1e5, 1e6])

@@ -112,17 +112,46 @@ def test_mapped_arrays_do_not_overlap():
     assert arrays["b"].dtype == complex and np.all(arrays["b"] == 2.0 + 1.0j)
 
 
+def test_on_blocks_runs_each_block_once(three_workers):
+    caller = threading.get_ident()
+    calls = []
+
+    def kernel(blocks, scratch):
+        calls.append((list(blocks), threading.get_ident(), scratch))
+
+    _threads.on_blocks(kernel, 7, LARGE,
+                       {"a": ((4,), float), "b": ((2, 3), complex)})
+    calls.sort(key=lambda call: call[0][0])
+    # contiguous runs, one per worker, that cover every block exactly once
+    assert [blocks for blocks, _, _ in calls] == [[0, 1, 2], [3, 4], [5, 6]]
+    assert calls[0][1] == caller
+    assert all(ident != caller for _, ident, _ in calls[1:])
+    arrays = [array for _, _, scratch in calls for array in scratch.values()]
+    assert [(array.shape, array.dtype) for array in arrays] == [
+        ((4,), np.dtype(float)), ((2, 3), np.dtype(complex))] * 3
+    assert not any(np.shares_memory(first, second)
+                   for k, first in enumerate(arrays)
+                   for second in arrays[k + 1:])
+
+
+def test_on_blocks_small_records_run_here_in_one_run(three_workers):
+    calls = []
+    _threads.on_blocks(lambda blocks, scratch: calls.append(
+        (list(blocks), threading.get_ident())), 4, LARGE - 1, {})
+    assert calls == [([0, 1, 2, 3], threading.get_ident())]
+
+
 def offered_items(calls):
-    """An offerable kernel that records (thread, items) per call."""
-    def kernel(items):
-        calls.append((threading.get_ident(), list(items)))
+    """An offerable block kernel that records (thread, blocks) per call."""
+    def kernel(blocks, scratch):
+        calls.append((threading.get_ident(), list(blocks)))
     return kernel
 
 
 def test_offered_work_runs_beside_the_step(three_workers):
     caller = threading.get_ident()
     calls = []
-    with _threads.offering(offered_items(calls), 5, LARGE):
+    with _threads.offering(offered_items(calls), 5, LARGE, {}):
         assert _threads.beside(threading.get_ident, LARGE) == caller
         # the offer is taken once
         assert _threads.beside(lambda: "again", LARGE) == "again"
@@ -132,7 +161,7 @@ def test_offered_work_runs_beside_the_step(three_workers):
 
 def test_offered_work_not_taken_runs_at_the_end(three_workers):
     calls = []
-    with _threads.offering(offered_items(calls), 5, LARGE):
+    with _threads.offering(offered_items(calls), 5, LARGE, {}):
         assert calls == []
     runs = dict((items[0], ident) for ident, items in calls)
     assert sorted(items for _, items in calls) == [[0, 1], [2, 3], [4]]
@@ -142,7 +171,7 @@ def test_offered_work_not_taken_runs_at_the_end(three_workers):
 def test_offered_work_dropped_on_error(three_workers):
     calls = []
     with pytest.raises(ValueError):
-        with _threads.offering(offered_items(calls), 5, LARGE):
+        with _threads.offering(offered_items(calls), 5, LARGE, {}):
             raise ValueError("stop")
     assert calls == []
     assert _threads.beside(lambda: "alone", LARGE) == "alone"
