@@ -5,7 +5,7 @@ closed-form spectral model, time-series synthesis, simulation of correlated
 detector pairs, and the cross-spectral detection pipeline.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .algebra import (
     CONSTANTS,
@@ -54,7 +54,6 @@ from .pipeline import RunConfig, RunResult, run_pipeline
 from .synthesis import (
     SynthesisConfig,
     TimeSeries,
-    channel_rng,
     channel_seed,
     synthesize,
     synthesize_boxcar,

@@ -1,13 +1,16 @@
 """Run independent pieces of one record's work on the usable CPUs.
 
 numpy releases the interpreter lock in `Generator` draws, in `rfft` and in
-large ufuncs, so threads overlap that work.  Tasks must write only to
-buffers of their own and call no name a tracer may wrap: they run on
-worker threads, except the first, which runs on the calling thread.
+large ufuncs, so threads overlap that work.  Work handed to a thread must
+write only to buffers of its own and call no name a tracer may wrap.
 
-One runner, `on_blocks`, runs the block kernels, kernel(blocks, scratch):
-one contiguous run of blocks per usable CPU, each run with work arrays of
-its own in an anonymous mapping (`mapped`), where all work memory is.
+One entry point, `on_blocks`, runs all threaded work: a block kernel,
+kernel(blocks, scratch), on one contiguous run of blocks per usable CPU,
+each run with work arrays of its own in an anonymous mapping (`mapped`),
+where all work memory is.  The first run goes to the calling thread or,
+given a `step`, the calling thread returns step() while the runs use the
+other CPUs.  `offering` and `beside` pass a caller's blocks down to a
+callee's one-thread step.
 """
 
 from __future__ import annotations
@@ -37,12 +40,6 @@ def workers(samples: int) -> int:
     return os.cpu_count() or 1
 
 
-def runs(n_items: int, threads: int) -> list[np.ndarray]:
-    """range(n_items) cut into contiguous runs, one per thread (at least
-    one run, and none empty), to be handed to `run_all` in order."""
-    return np.array_split(np.arange(n_items), max(1, min(n_items, threads)))
-
-
 def mapped(shapes: dict) -> dict:
     """Arrays of the given {name: (shape, dtype)}, in one anonymous mapping.
 
@@ -51,6 +48,8 @@ def mapped(shapes: dict) -> dict:
     what it took from malloc would stay resident in its own heap between
     runs.
     """
+    if not shapes:
+        return {}
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize
              for shape, dtype in shapes.values()]
     memory = mmap.mmap(-1, max(sum(sizes), 1))  # mmap refuses length 0
@@ -60,15 +59,6 @@ def mapped(shapes: dict) -> dict:
                                      offset).reshape(shape)
         offset += size
     return arrays
-
-
-def on_blocks(kernel, n_blocks: int, samples: int, scratch: dict) -> None:
-    """Call kernel(blocks, arrays) on contiguous runs of range(n_blocks),
-    one run per CPU usable on `samples` samples, the first on this thread;
-    each run gets arrays of its own from `mapped(scratch)`.  The kernel
-    writes its results into caller-owned buffers, block by block."""
-    run_all([functools.partial(kernel, run, mapped(scratch))
-             for run in runs(n_blocks, workers(samples))], samples)
 
 
 class _Worker:
@@ -114,23 +104,35 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_workers.clear)
 
 
-def run_all(tasks: list, samples: int) -> list:
-    """Call each task on a record of `samples` samples; return the results
-    in submission order.
+def on_blocks(kernel, n_blocks: int, samples: int, scratch: dict,
+              step=None):
+    """Call kernel(blocks, arrays) on contiguous runs of range(n_blocks),
+    one run per CPU usable on `samples` samples, each run with arrays of its
+    own from `mapped(scratch)`; the kernel writes its results into
+    caller-owned buffers, block by block.  Return step(), or None.
 
-    The first task runs on the calling thread and each other one on a
-    worker thread, under the caller's numpy error state.  Below
-    `MIN_SAMPLES`, on one CPU, with one task, or while another call holds
-    the workers, every task runs here in order.  If tasks raise, the first
-    exception in submission order is raised once every task has ended.
+    The first run goes to this thread, or, given `step`, this thread runs
+    step() and the runs take the other CPUs; each other task runs on a
+    worker thread under the caller's numpy error state.  Below
+    `MIN_SAMPLES`, on one CPU, or while another call holds the workers,
+    every task runs here in order, step first.  If tasks raise, the first
+    exception in that order is raised once every task has ended.
     """
-    if (workers(samples) < 2 or len(tasks) < 2
+    threads = workers(samples)
+    runs = np.array_split(np.arange(n_blocks), max(
+        1, min(n_blocks, threads - (step is not None))))
+    tasks = [functools.partial(kernel, run, mapped(scratch)) for run in runs]
+    if step is not None:
+        tasks.insert(0, step)
+    if (threads < 2 or len(tasks) < 2
             or not _workers_lock.acquire(blocking=False)):
-        return [task() for task in tasks]
-    try:
-        return _run_on_workers(tasks)
-    finally:
-        _workers_lock.release()
+        results = [task() for task in tasks]
+    else:
+        try:
+            results = _run_on_workers(tasks)
+        finally:
+            _workers_lock.release()
+    return None if step is None else results[0]
 
 
 #: Work offered by a caller to the CPUs that a one-thread step leaves idle
@@ -143,25 +145,20 @@ def offering(kernel, n_blocks: int, samples: int, scratch: dict):
     """Offer `on_blocks(kernel, n_blocks, samples, scratch)` to the first
     `beside` call made on this thread within the block, which runs it on
     the CPUs other than its own; untaken, it runs when the block ends."""
-    _offer.work = (kernel, n_blocks, scratch)
+    _offer.work = (kernel, n_blocks, samples, scratch)
     try:
         yield
     finally:
         work, _offer.work = _offer.work, None
     if work is not None:
-        on_blocks(kernel, n_blocks, samples, scratch)
+        on_blocks(*work)
 
 
-def beside(step, samples: int):
+def beside(step):
     """Return step(), run on this thread, while the work offered to this
     thread (`offering`) runs on the other usable CPUs."""
     work, _offer.work = getattr(_offer, "work", None), None
-    if work is None:
-        return step()
-    kernel, n_blocks, scratch = work
-    return run_all([step] + [functools.partial(kernel, run, mapped(scratch))
-                             for run in runs(n_blocks, workers(samples) - 1)],
-                   samples)[0]
+    return step() if work is None else on_blocks(*work, step)
 
 
 def _run_on_workers(tasks: list) -> list:

@@ -10,6 +10,7 @@ with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -59,10 +60,12 @@ def read_timeseries_bin(path) -> tuple[TimeSeries, dict]:
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
         meta.setdefault("seed", seed)
         meta.setdefault("units", units.rstrip(b"\0").decode("ascii"))
-        values = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if values.size != n:
-            raise ValueError(f"{path}: expected {n} samples, found {values.size}")
-    return TimeSeries(sample_rate=fs, values=values.copy()), meta
+        # the header's count is checked before anything is read
+        found = (os.fstat(fh.fileno()).st_size - fh.tell()) // 8
+        if found < n:
+            raise ValueError(f"{path}: expected {n} samples, found {found}")
+        values = np.fromfile(fh, dtype="<f8", count=n)
+    return TimeSeries(sample_rate=fs, values=values), meta
 
 
 def write_timeseries_csv(path, ts: TimeSeries, seed: int = 0,

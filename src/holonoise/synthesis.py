@@ -23,6 +23,7 @@ does not depend on how its blocks are shared among the CPUs.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,8 @@ class SynthesisConfig:
                 f"sample_rate {self.sample_rate:g} Hz does not resolve the "
                 f"spectrum: need at least 4 x c/2L = {4 * first_zero:g} Hz"
             )
-        duration = self.n_samples / self.sample_rate
+        # a count beyond the float range is left to the size guard
+        duration = min(self.n_samples, sys.float_info.max) / self.sample_rate
         if duration < MIN_COHERENCE_TIMES * spec.coherence_time:
             raise ConfigurationError(
                 f"record of {duration:g} s is shorter than "
@@ -121,15 +123,6 @@ def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
         )
     return np.random.SeedSequence(entropy=int(seed),
                                   spawn_key=tuple(int(k) for k in key))
-
-
-def channel_rng(seed: int, channel: int) -> np.random.Generator:
-    """Independent, reproducible substream keyed by (seed, channel).
-
-    Records do not draw from it: they draw from its children, one per block
-    of `_BLOCK` samples (see `_fill_normal`).
-    """
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, channel)))
 
 
 def channel_seed(seed: int, channel: int) -> int:
@@ -167,8 +160,10 @@ def _fill_normal(out: np.ndarray, seed: int, channel: int,
         rng.standard_normal(out=out[start:start + _BLOCK])
 
 
-def _draw_blocks(out: np.ndarray, seed: int, blocks: np.ndarray) -> None:
-    """Blocks `blocks` of `out` from the channel-0 stream of `seed`."""
+def _draw_blocks(out: np.ndarray, seed: int, blocks: np.ndarray,
+                 scratch: dict) -> None:
+    """Blocks `blocks` of `out` from the channel-0 stream of `seed`; no
+    work arrays (`scratch` is empty)."""
     for b in blocks:
         _fill_normal(out[b * _BLOCK:(b + 1) * _BLOCK], seed, 0, b)
 
@@ -186,6 +181,8 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
     if cfg.method != "spectral":
         raise ConfigurationError(f"spectral synthesis got method={cfg.method!r}")
     n, fs = cfg.n_samples, cfg.sample_rate
+    # the bins' power is the spectrum times n * fs, which must be a float
+    check_positive_finite("n_samples x sample_rate", n * fs)
     x_f = np.empty(n // 2 + 1, dtype=complex)
     draws = x_f.view(float)
 
@@ -198,11 +195,9 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
         return psd
 
     # this thread evaluates the spectrum while the others draw
-    n_blocks = -(-draws.size // _BLOCK)
-    runs = _threads.runs(n_blocks, _threads.workers(n) - 1)
-    tasks = [target] + [functools.partial(_draw_blocks, draws, cfg.seed, run)
-                        for run in runs]
-    amplitude = _threads.run_all(tasks, n)[0]
+    amplitude = _threads.on_blocks(
+        functools.partial(_draw_blocks, draws, cfg.seed),
+        -(-draws.size // _BLOCK), n, {}, step=target)
     pairs = draws.reshape(-1, 2)
     # interior bins carry half the power in each quadrature
     amplitude *= n * fs / 2.0
@@ -215,7 +210,7 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
         pairs[-1, 1] = 0.0
     del amplitude, pairs, draws
     # the transform runs on one CPU; work offered by the caller uses the rest
-    values = _threads.beside(functools.partial(np.fft.irfft, x_f, n=n), n)
+    values = _threads.beside(functools.partial(np.fft.irfft, x_f, n=n))
     del x_f
     return TimeSeries(sample_rate=fs, values=values)
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 from numpy.testing import assert_allclose
 
 import holonoise
@@ -226,6 +227,7 @@ class TestRunCommand:
         (["run", "--duration", "1e5"], "duration"),
         (["run", "--duration", "1e300", "--sample-rate", "1e10"], "duration"),
         (["synth", "--n-samples", "1000000000000"], "n_samples"),
+        (["synth", "--n-samples", "1" + "0" * 400], "n_samples"),
     ])
     def test_too_large_for_memory_is_config_error(self, tmp_path, capsys,
                                                   argv, field):
@@ -583,3 +585,35 @@ def test_spectrum_is_total(tmp_path, capsys, f_max, f_min, n_points,
         envelope = columns.pop("envelope_two_sided_m2_hz")
         assert all(np.all(np.isfinite(values)) for values in columns.values())
         assert np.all(np.isfinite(envelope) | np.isnan(envelope))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(max_value=2 * 10**4) | st.integers(min_value=10**12)
+       | st.integers(12, 1000).map(lambda digits: 10**digits),
+       st.just(RunConfig.sample_rate) | _ANY_FLOATS,
+       st.just(RunConfig.arm_length) | _ANY_FLOATS,
+       st.integers(max_value=2**70),
+       st.sampled_from(METHODS), st.sampled_from(("bin", "csv")))
+@example(10**400, 1.6e7, 40.0, 0, "spectral", "bin")
+@example(20000, 1e304, 1e-295, 0, "spectral", "bin")  # n x fs overflows
+def test_synth_is_total(tmp_path, capsys, n_samples, sample_rate, arm_length,
+                        seed, method, fmt):
+    # every request either writes a record of n_samples finite samples that
+    # reads back, or is refused with exit 2; a record the size guard lets
+    # through is at most 2e4 samples, larger ones it refuses unallocated
+    out = tmp_path / f"record.{fmt}"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["synth", f"--n-samples={n_samples}",
+                     f"--sample-rate={sample_rate!r}",
+                     f"--arm-length={arm_length!r}", f"--seed={seed}",
+                     "--method", method, "--format", fmt, "-o", str(out)])
+    capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        read = hio.read_timeseries_bin if fmt == "bin" else hio.read_timeseries_csv
+        ts, _ = read(out)
+        assert ts.n == n_samples
+        assert np.all(np.isfinite(ts.values))

@@ -41,7 +41,14 @@ class TestBinaryFormat:
         hio.write_timeseries_bin(path, ts)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 16])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"expected {ts.n} samples"):
+            hio.read_timeseries_bin(path)
+        # a count no machine could hold is refused before anything is read
+        path.write_bytes(hio._HEADER.pack(hio.MAGIC, hio.FORMAT_VERSION, 1.0,
+                                          2**62, 0, b"m".ljust(8, b"\0"), 2)
+                         + b"{}" + bytes(14))
+        with pytest.raises(ValueError,
+                           match=f"expected {2**62} samples, found 1$"):
             hio.read_timeseries_bin(path)
 
 

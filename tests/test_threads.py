@@ -16,27 +16,43 @@ def three_workers(monkeypatch):
                         lambda samples: 1 if samples < LARGE else 3)
 
 
-def test_results_in_submission_order(three_workers):
+def recorded(calls):
+    """A block kernel that records (blocks, thread) per call."""
+    def kernel(blocks, scratch):
+        calls.append((list(blocks), threading.get_ident()))
+    return kernel
+
+
+def test_step_runs_here_beside_the_runs(three_workers):
     caller = threading.get_ident()
-    tasks = [lambda k=k: (k, threading.get_ident()) for k in range(5)]
-    results = _threads.run_all(tasks, LARGE)
-    assert [k for k, _ in results] == list(range(5))
-    assert results[0][1] == caller
-    assert all(ident != caller for _, ident in results[1:])
+    calls = []
+    assert _threads.on_blocks(recorded(calls), 5, LARGE, {},
+                              step=threading.get_ident) == caller
+    # the runs cover the blocks in order, on the two other threads
+    calls.sort()
+    assert [blocks for blocks, _ in calls] == [[0, 1, 2], [3, 4]]
+    assert all(ident != caller for _, ident in calls)
 
 
 def test_small_records_run_on_the_calling_thread(three_workers):
     caller = threading.get_ident()
-    results = _threads.run_all([threading.get_ident] * 3, LARGE - 1)
-    assert results == [caller] * 3
+    calls = []
+    assert _threads.on_blocks(recorded(calls), 3, LARGE - 1, {},
+                              step=threading.get_ident) == caller
+    assert calls == [([0, 1, 2], caller)]
 
 
 def test_tasks_inherit_caller_errstate(three_workers):
     # np.errstate is per thread; a pool thread must still raise on overflow
     big = np.full(4, 1e200)
+
+    def kernel(blocks, scratch):
+        if blocks[0] != 0:
+            big * big
+
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _threads.run_all([lambda: None, lambda: big * big], LARGE)
+            _threads.on_blocks(kernel, 2, LARGE, {})
 
 
 def test_first_error_raised_after_every_task_ends(three_workers):
@@ -46,30 +62,43 @@ def test_first_error_raised_after_every_task_ends(three_workers):
     def fail(message):
         raise ValueError(message)
 
-    def slow():
-        release.wait(timeout=10.0)
-        ended.set()
-
-    def first():
-        release.set()
-        fail("first")
+    def slow_second(blocks, scratch):
+        if blocks[0] == 0:
+            release.set()
+            fail("first")
+        if blocks[0] == 1:
+            release.wait(timeout=10.0)
+            ended.set()
+        else:
+            fail("third")
 
     with pytest.raises(ValueError, match="first"):
-        _threads.run_all([first, slow, lambda: fail("third")], LARGE)
+        _threads.on_blocks(slow_second, 3, LARGE, {})
     assert ended.is_set()
+
+    def failing_second(blocks, scratch):
+        if blocks[0] == 1:
+            fail("second")
+        if blocks[0] == 2:
+            fail("third")
+
     with pytest.raises(ValueError, match="second"):
-        _threads.run_all([lambda: None, lambda: fail("second"),
-                          lambda: fail("third")], LARGE)
+        _threads.on_blocks(failing_second, 3, LARGE, {})
 
 
 def test_nested_call_runs_inline(three_workers):
-    # a task that calls run_all finds the workers busy and runs its own
-    # tasks on its thread, instead of waiting for itself
-    def inner():
-        return _threads.run_all([threading.get_ident] * 2, LARGE)
+    # a run that calls on_blocks finds the workers busy and runs its own
+    # blocks on its thread, instead of waiting for itself
+    calls = []
 
-    _, idents = _threads.run_all([lambda: None, inner], LARGE)
-    assert idents[0] == idents[1] != threading.get_ident()
+    def outer(blocks, scratch):
+        if blocks[0] == 1:
+            _threads.on_blocks(recorded(calls), 2, LARGE, {})
+
+    _threads.on_blocks(outer, 2, LARGE, {})
+    (first, ident), (second, other) = sorted(calls)
+    assert (first, second) == ([0], [1])
+    assert ident == other != threading.get_ident()
 
 
 def test_concurrent_callers_get_their_own_results(three_workers):
@@ -80,9 +109,16 @@ def test_concurrent_callers_get_their_own_results(three_workers):
         results = {}
 
         def caller(c):
-            results[c] = [_threads.run_all([lambda k=k: (c, k)
-                                            for k in range(3)], LARGE)
-                          for _ in range(50)]
+            results[c] = []
+            for _ in range(50):
+                out = [None] * 3
+
+                def kernel(blocks, scratch):
+                    for b in blocks:
+                        out[b] = (c, b)
+
+                _threads.on_blocks(kernel, 3, LARGE, {})
+                results[c].append(out)
 
         callers = [threading.Thread(target=caller, args=(c,))
                    for c in range(4)]
@@ -98,10 +134,18 @@ def test_concurrent_callers_get_their_own_results(three_workers):
                for c, runs in results.items() for run in runs)
 
 
-def test_runs_cover_the_items_in_order():
-    assert [list(run) for run in _threads.runs(5, 2)] == [[0, 1, 2], [3, 4]]
-    assert [list(run) for run in _threads.runs(2, 3)] == [[0], [1]]
-    assert [list(run) for run in _threads.runs(4, 0)] == [[0, 1, 2, 3]]
+def test_runs_cover_the_items_in_order(monkeypatch):
+    def layout(cpus, n_blocks, step=None):
+        monkeypatch.setattr(_threads, "workers", lambda samples: cpus)
+        calls = []
+        assert _threads.on_blocks(recorded(calls), n_blocks, LARGE, {},
+                                  step) == (None if step is None else step())
+        return sorted(blocks for blocks, _ in calls)
+
+    assert layout(2, 5) == [[0, 1, 2], [3, 4]]
+    assert layout(3, 2) == [[0], [1]]
+    # a step that takes the one CPU leaves all blocks to one run
+    assert layout(1, 4, step=lambda: "step") == [[0, 1, 2, 3]]
 
 
 def test_mapped_arrays_do_not_overlap():
@@ -141,37 +185,30 @@ def test_on_blocks_small_records_run_here_in_one_run(three_workers):
     assert calls == [([0, 1, 2, 3], threading.get_ident())]
 
 
-def offered_items(calls):
-    """An offerable block kernel that records (thread, blocks) per call."""
-    def kernel(blocks, scratch):
-        calls.append((threading.get_ident(), list(blocks)))
-    return kernel
-
-
 def test_offered_work_runs_beside_the_step(three_workers):
     caller = threading.get_ident()
     calls = []
-    with _threads.offering(offered_items(calls), 5, LARGE, {}):
-        assert _threads.beside(threading.get_ident, LARGE) == caller
+    with _threads.offering(recorded(calls), 5, LARGE, {}):
+        assert _threads.beside(threading.get_ident) == caller
         # the offer is taken once
-        assert _threads.beside(lambda: "again", LARGE) == "again"
-    assert sorted(items for _, items in calls) == [[0, 1, 2], [3, 4]]
-    assert all(ident != caller for ident, _ in calls)
+        assert _threads.beside(lambda: "again") == "again"
+    assert sorted(items for items, _ in calls) == [[0, 1, 2], [3, 4]]
+    assert all(ident != caller for _, ident in calls)
 
 
 def test_offered_work_not_taken_runs_at_the_end(three_workers):
     calls = []
-    with _threads.offering(offered_items(calls), 5, LARGE, {}):
+    with _threads.offering(recorded(calls), 5, LARGE, {}):
         assert calls == []
-    runs = dict((items[0], ident) for ident, items in calls)
-    assert sorted(items for _, items in calls) == [[0, 1], [2, 3], [4]]
+    runs = dict((items[0], ident) for items, ident in calls)
+    assert sorted(items for items, _ in calls) == [[0, 1], [2, 3], [4]]
     assert runs[0] == threading.get_ident() != runs[2]
 
 
 def test_offered_work_dropped_on_error(three_workers):
     calls = []
     with pytest.raises(ValueError):
-        with _threads.offering(offered_items(calls), 5, LARGE, {}):
+        with _threads.offering(recorded(calls), 5, LARGE, {}):
             raise ValueError("stop")
     assert calls == []
-    assert _threads.beside(lambda: "alone", LARGE) == "alone"
+    assert _threads.beside(lambda: "alone") == "alone"
