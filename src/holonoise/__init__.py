@@ -5,7 +5,7 @@ closed-form spectral model, time-series synthesis, simulation of correlated
 detector pairs, and the cross-spectral detection pipeline.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"
 
 from .algebra import (
     CONSTANTS,
@@ -41,6 +41,7 @@ from .interferometer import (
     default_shot_asd,
     simulate_detector,
     simulate_dual,
+    stream_dual,
 )
 from .noise_model import (
     HolographicSpectrum,

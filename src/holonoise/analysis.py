@@ -1,6 +1,7 @@
 """Spectral estimation and the cross-correlation detection pipeline.
 
 Welch-averaged PSD/CSD/coherence estimates (one-sided, density scaling),
+of whole records or, with the same bytes, of records fed a chunk at a time;
 the lagged cross-correlation from the same pass with an analytic confidence
 band, and a template-fit detection statistic: the least-squares amplitude
 of the predicted spectrum against the real part of a measured
@@ -64,11 +65,13 @@ class SpectrumEstimate:
 
     `values` is real for PSDs and coherence, complex for CSDs.  `sigma` is the
     per-bin 1-sigma scale of the estimate (of the real part, for CSDs, under
-    the independent-channels null); None where not defined.  `psds` and
-    `low_bins` are set only for CSDs: the PSD estimates of the two records
-    from the same pass, each what `welch_psd` returns for that record, and
-    bins 0 and 1 of every segment's transform of each record (2 x K x 2),
-    where a record mean leaks.
+    the independent-channels null); None where not defined.  `n_samples`
+    is the record length of a Welch estimate.  `psds`, `low_bins`, `means`
+    and `variances` are set only for CSDs: the PSD estimates of the two
+    records from the same pass, each what `welch_psd` returns for that
+    record, bins 0 and 1 of every segment's transform of each record
+    (2 x K x 2), where a record mean leaks, and the two records' means and
+    sample variances (1/N).
     """
 
     frequencies: np.ndarray
@@ -78,8 +81,11 @@ class SpectrumEstimate:
     params: WelchParams
     kind: str = "psd"
     sigma: Optional[np.ndarray] = None
+    n_samples: Optional[int] = None
     psds: Optional[tuple[SpectrumEstimate, SpectrumEstimate]] = None
     low_bins: Optional[np.ndarray] = None
+    means: Optional[tuple[float, float]] = None
+    variances: Optional[tuple[float, float]] = None
 
     @property
     def df(self) -> float:
@@ -147,79 +153,277 @@ def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
 _WELCH_BLOCK = 32
 
 
-def _segment_spectra(x: np.ndarray, y: Optional[np.ndarray], fs: float,
-                     p: WelchParams):
-    """Welch densities of x and y and their cross-spectrum in one pass.
+class _WelchPass:
+    """The Welch pass over one or two synchronous records, fed a chunk of
+    each at a time (`add`) and summed up by `finish`.
 
-    Returns (f, Pxx, Pyy, Pxy, K, lows): one-sided densities averaged over
-    the K windowed segments, with Pxy = mean(conj(X) Y), and bins 0 and 1
-    of each segment's X and Y (2 x K x 2).  Pyy, Pxy and lows are None when
-    y is None.  `_block_sums` sums blocks of `_WELCH_BLOCK` segments on
-    the usable CPUs, so the working memory is a few blocks per CPU and one
-    sum per block (about N bytes, an eighth of the record, at half overlap),
-    added in block order: the result does not depend on the CPU count.
+    Blocks of `_WELCH_BLOCK` segments are summed by `_block_sums` on the
+    usable CPUs as soon as a chunk completes them, and the block sums are
+    added to the totals in block order, from zero, so the result depends
+    neither on the CPU count nor on where the chunks end.  The samples from
+    the start of the first unfinished block on are carried to the next
+    chunk (under one block's span); the blocks that start in them are
+    summed from the carried samples followed by the chunk's first ones, the
+    others from the chunk itself.  With two records, bins 0 and 1 of every
+    segment's transforms are kept, and each block also takes the mean and
+    centred sum of squares of the samples from its start to the next
+    block's (the last block: to the record's end), which are merged in
+    block order into each record's mean and variance (Chan et al.).  Every
+    work array is in an anonymous mapping (`_threads.mapped`).
     """
-    n_seg = _segment_count(x.size, p)
-    window = _window(p)
-    step = p.segment_length - p.noverlap
-    scale = _density_scale(p, fs)
 
-    segments = [sliding_window_view(x, p.segment_length)[::step]]
-    if y is not None:
-        segments.append(sliding_window_view(y, p.segment_length)[::step])
-    n_blocks, rows = -(-n_seg // _WELCH_BLOCK), min(n_seg, _WELCH_BLOCK)
-    lows = None if y is None else np.empty((2, n_seg, 2), dtype=complex)
-    # row i of "sum<c>" holds block i's sum: |X|^2, |Y|^2, then conj(X) Y
-    dtypes = [float] if y is None else [float, float, complex]
-    sums = _threads.mapped({f"sum{c}": ((n_blocks, scale.size), dtype)
-                            for c, dtype in enumerate(dtypes)})
-    shape = (rows, scale.size)
-    scratch = {"windowed": ((rows, p.segment_length), float),
-               "power": (shape, float), "power_imag": (shape, float),
-               **{f"spectrum{c}": (shape, complex)
-                  for c in range(len(segments))}}
-    kernel = functools.partial(_block_sums, segments, window, lows, sums)
-    _threads.on_blocks(kernel, n_blocks, x.size, scratch)
-    densities = []
-    for block_sums in sums.values():
-        total = np.zeros(scale.size, block_sums.dtype)
-        for block_sum in block_sums:
-            total += block_sum
-        densities.append(total / n_seg * scale)
-    return (np.fft.rfftfreq(p.segment_length, 1.0 / fs),
-            *(densities + [None, None])[:3], n_seg, lows)
+    def __init__(self, sample_rate: float, p: WelchParams, records: int):
+        if p.segment_length > np.iinfo(np.intp).max:
+            raise ValueError(f"every record is shorter than one segment "
+                             f"({p.segment_length})")
+        self.sample_rate, self.p = sample_rate, p
+        self.step = p.segment_length - p.noverlap
+        self.span = (_WELCH_BLOCK - 1) * self.step + p.segment_length
+        self.records, self.paired = records, records == 2
+        # the window, the density scale and the totals (|X|^2 of each
+        # record, then conj(X) Y) are made with the first segments, so that
+        # a record shorter than one is refused whatever the segment length
+        self.totals = None
+        # "carry" and "seam", mapped when first needed (`_buffer`)
+        self.buffers = {}
+        # the work arrays of `_block_sums`; untouched rows are never paged in
+        shape = (_WELCH_BLOCK, p.segment_length // 2 + 1)
+        self.workspace = _threads.Workspace({
+            "windowed": ((_WELCH_BLOCK, p.segment_length), float),
+            "power": (shape, float), "power_imag": (shape, float),
+            **{f"spectrum{c}": (shape, complex) for c in range(records)},
+            **({"centred": ((self.span,), float)} if self.paired else {})})
+        self.seen = 0   # samples added
+        self.block = 0  # the first block not summed
+        self.held = 0   # samples carried, from the start of `block` on
+        self.lows = []
+        # (samples, mean, centred sum of squares) of each record
+        self.moments = [(0, 0.0, 0.0)] * records
+
+    def _block_start(self) -> int:
+        return self.block * _WELCH_BLOCK * self.step
+
+    def add(self, chunk: tuple) -> None:
+        """Take the next chunk of each record: a tuple of TimeSeries."""
+        for ts in chunk:
+            _check_pair(chunk[0], ts)
+        if chunk[0].sample_rate != self.sample_rate:
+            raise ValueError(f"sample rates differ: {self.sample_rate} vs "
+                             f"{chunk[0].sample_rate}")
+        data = [ts.values for ts in chunk]
+        start, self.seen = self.seen, self.seen + data[0].size
+        source, base, blocks = data, start, []
+        if self.held:
+            # the carry, then enough samples to end every block starting in it
+            take = min(data[0].size, self.span - 1)
+            seam = self._buffer("seam", self.held + take)
+            seam[:, :self.held] = self._buffer("carry", self.held)
+            for row, values in zip(seam, data):
+                row[self.held:] = values[:take]
+            blocks = self._complete(list(seam), start - self.held, start)
+            if self._block_start() < start:
+                # that block ends after the chunk, which is all in the seam
+                source, base = list(seam), start - self.held
+        blocks += self._complete(source, base)
+        self._sum(blocks)
+        # keep the samples from the first block not summed on
+        offset = self._block_start() - base
+        self.held = source[0].size - offset
+        for row, x in zip(self._buffer("carry", self.held), source):
+            row[:] = x[offset:]
+
+    def _buffer(self, name: str, size: int) -> np.ndarray:
+        """The first `size` samples of each record in buffer `name`, which
+        is mapped anew, and emptied, when it is too small.  A carry is
+        shorter than one block's span and a seam than two, so the buffers
+        stay small however long the records."""
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.shape[1] < size:
+            room = max(size, 2 * (0 if buffer is None else buffer.shape[1]))
+            limit = self.span * (2 if name == "seam" else 1)
+            buffer = self.buffers[name] = _threads.mapped({name: (
+                (self.records, min(room, limit)), float)})[name]
+        return buffer[:, :size]
+
+    def _complete(self, data: list, base: int, before=None) -> list:
+        """`_blocks` of the blocks from `block` on that `data`, the samples
+        from `base` on, holds whole and that start before `before`."""
+        per_block = _WELCH_BLOCK * self.step
+        end = base + data[0].size
+        stop = (end - self.span) // per_block + 1 if end >= self.span else 0
+        if before is not None:
+            stop = min(stop, -(-before // per_block))
+        return self._blocks(data, base, max(stop - self.block, 0))
+
+    def _blocks(self, data: list, base: int, n_blocks: int,
+                rows: int = _WELCH_BLOCK) -> list:
+        """Blocks `block` to `block` + n_blocks of `data`, the samples from
+        `base` on, the last of them `rows` segments long: for each block,
+        (a view of its segments, its samples up to the next block's start,
+        or to the end of `data` for a short last block) of each record;
+        `block` moves past them."""
+        if not n_blocks:
+            return []
+        offset = self._block_start() - base
+        count = (n_blocks - 1) * _WELCH_BLOCK + rows
+        segments = [sliding_window_view(x[offset:], self.p.segment_length)
+                    [::self.step][:count] for x in data]
+        hop = _WELCH_BLOCK * self.step
+        blocks = []
+        for j in range(n_blocks):
+            stop = None if rows < _WELCH_BLOCK and j == n_blocks - 1 else (
+                offset + (j + 1) * hop)
+            blocks.append([(seg[j * _WELCH_BLOCK:(j + 1) * _WELCH_BLOCK],
+                            x[offset + j * hop:stop])
+                           for seg, x in zip(segments, data)])
+        self.block += n_blocks
+        return blocks
+
+    def _sum(self, blocks: list) -> None:
+        """Sum `blocks` (`_blocks`) into the totals and the moments, in
+        order, and keep their segments' bins 0 and 1."""
+        if not blocks:
+            return
+        if self.totals is None:
+            self.window = _window(self.p)
+            self.scale = _density_scale(self.p, self.sample_rate)
+            self.totals = [np.zeros(self.scale.size, dtype) for dtype in
+                           [float] * self.records + [complex] * self.paired]
+        count = sum(block[0][0].shape[0] for block in blocks)
+        # row i of "sum<c>" holds block i's sum, moments[c, i] the (mean,
+        # centred sum of squares) of its samples of record c
+        arrays = _threads.mapped({
+            **{f"sum{c}": ((len(blocks), self.scale.size), total.dtype)
+               for c, total in enumerate(self.totals)},
+            "moments": ((len(self.moments), len(blocks), 2), float)})
+        lows = (np.empty((2, count, 2), dtype=complex) if self.paired
+                else None)
+        _threads.on_blocks(
+            functools.partial(_block_sums, blocks, self.window, lows, arrays,
+                              self.paired),
+            len(blocks), count * self.step, self.workspace)
+        for c, total in enumerate(self.totals):
+            for block_sum in arrays[f"sum{c}"]:
+                total += block_sum
+        if self.paired:
+            self.lows.append(lows)
+            for c, moments in enumerate(arrays["moments"]):
+                for (_, samples), (mean, m2) in zip(
+                        (block[c] for block in blocks), moments):
+                    self._merge(c, samples.size, mean, m2)
+
+    def _merge(self, c: int, size: int, mean: float, m2: float) -> None:
+        """Merge `size` samples of mean `mean` and centred sum of squares
+        `m2` into the moments of record c (Chan et al.)."""
+        n, total_mean, total_m2 = self.moments[c]
+        delta = mean - total_mean
+        self.moments[c] = (n + size, total_mean + delta * (size / (n + size)),
+                           total_m2 + m2 + delta * delta * (n * size
+                                                            / (n + size)))
+
+    def finish(self) -> None:
+        """Sum the last block up: `densities` are then the one-sided
+        densities of the records and, for two, their cross-spectrum
+        mean(conj(X) Y), averaged over the `n_segments` segments of the
+        `seen` samples; for two records `low_bins` holds bins 0 and 1 of
+        each segment's X and Y (2 x K x 2) and `stats` the (mean, sample
+        variance (1/N)) of each record."""
+        self.n_segments = _segment_count(self.seen, self.p)
+        # the last block, short of `_WELCH_BLOCK` segments, is in the carry
+        carry = list(self._buffer("carry", self.held))
+        rest = self.n_segments - self.block * _WELCH_BLOCK
+        if rest:
+            self._sum(self._blocks(carry, self._block_start(), 1, rest))
+        elif self.paired and self.held:
+            # samples after the last block's segments
+            work = self.workspace.run(0)["centred"]
+            for c, x in enumerate(carry):
+                self._merge(c, x.size, *_moments(x, work))
+        self.frequencies = np.fft.rfftfreq(self.p.segment_length,
+                                           1.0 / self.sample_rate)
+        self.densities = [total / self.n_segments * self.scale
+                          for total in self.totals]
+        if self.paired:
+            self.low_bins = np.concatenate(self.lows, axis=1)
+            self.stats = [(mean, m2 / n) for n, mean, m2 in self.moments]
 
 
-def _block_sums(segments: list, window: np.ndarray, lows: Optional[np.ndarray],
-                sums: dict, blocks: np.ndarray, scratch: dict) -> None:
-    """Sums over the segments of each block in `blocks`, in place.
+def _in_step(a, b):
+    """The (chunk of a, chunk of b) pairs of two iterables of equal length.
+    A pair is dropped here before the next is read (zip would hold it), so
+    that a chunk's memory is free before the next chunk is made."""
+    a, b = iter(a), iter(b)
+    while True:
+        x, y = next(a, None), next(b, None)
+        if x is None or y is None:
+            if x is not y:
+                raise ValueError("the records have different chunk counts")
+            return
+        yield x, y
+        del x, y
 
-    Row i of sums["sum<c>"] gets block i's sum of |X|^2 for record c and,
-    for two records, row i of sums["sum2"] its sum of conj(X) Y; bins 0
-    and 1 of each segment's X and Y go to its rows of `lows`.  The work
-    arrays are `scratch`'s, so no array data is allocated and a worker
-    thread can run it.
+
+def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
+    """Welch densities of one or two records and their cross-spectrum in
+    one pass: the finished `_WelchPass` of the chunks, tuples of one or two
+    TimeSeries, the successive chunks of the records."""
+    welch = None
+    for chunk in chunks:
+        if welch is None:
+            welch = _WelchPass(chunk[0].sample_rate, p, len(chunk))
+        welch.add(chunk)
+        del chunk  # before the next one is made
+    if welch is None:
+        raise ValueError("no records to estimate")
+    welch.finish()
+    return welch
+
+
+def _block_sums(blocks: list, window: np.ndarray, lows: Optional[np.ndarray],
+                arrays: dict, paired: bool, items: np.ndarray,
+                scratch: dict) -> None:
+    """Sums over the segments of each block i in `items`, in place.
+
+    blocks[i] holds the block's (segments, samples) of each record.  Row i
+    of arrays["sum<c>"] gets its sum of |X|^2 for record c and, for two
+    records, row i of arrays["sum2"] its sum of conj(X) Y, arrays["moments"]
+    [c, i] the `_moments` of its samples of record c, and the rows of
+    `lows` of its segments (`_WELCH_BLOCK` a block) their bins 0 and 1 of
+    X and Y.  The work arrays are `scratch`'s, so no array data is
+    allocated and a worker thread can run it.
     """
-    for i in blocks:
-        rows = slice(i * _WELCH_BLOCK, (i + 1) * _WELCH_BLOCK)
-        m = slice(segments[0][rows].shape[0])
+    for i in items:
         spectra = []
-        for c, seg in enumerate(segments):
-            windowed = np.multiply(seg[rows], window,
+        for c, (segments, samples) in enumerate(blocks[i]):
+            m = slice(segments.shape[0])
+            windowed = np.multiply(segments, window,
                                    out=scratch["windowed"][m])
             spectrum = np.fft.rfft(windowed, axis=-1,
                                    out=scratch[f"spectrum{c}"][m])
             power = np.square(spectrum.real, out=scratch["power"][m])
             np.add(power, np.square(spectrum.imag,
                                     out=scratch["power_imag"][m]), out=power)
-            np.sum(power, axis=0, out=sums[f"sum{c}"][i])
+            np.sum(power, axis=0, out=arrays[f"sum{c}"][i])
             spectra.append(spectrum)
-        if len(spectra) == 2:
+            if paired:
+                arrays["moments"][c, i] = _moments(samples,
+                                                   scratch["centred"])
+        if paired:
+            rows = slice(i * _WELCH_BLOCK, i * _WELCH_BLOCK + m.stop)
             for c, spectrum in enumerate(spectra):
                 lows[c, rows] = spectrum[:, :2]
             sx, sy = spectra
             product = np.multiply(np.conj(sx, out=sx), sy, out=sx)
-            np.sum(product, axis=0, out=sums["sum2"][i])
+            np.sum(product, axis=0, out=arrays["sum2"][i])
+
+
+def _moments(x: np.ndarray, work: np.ndarray) -> tuple[float, float]:
+    """The mean of x and its centred sum of squares, centred in `work`.
+    numpy sums the squares: BLAS's sum order depends on its thread
+    count."""
+    mean = x.mean()
+    d = np.subtract(x, mean, out=work[:x.size])
+    return mean, np.sum(np.square(d, out=d))
 
 
 def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
@@ -231,12 +435,13 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
         raise ValueError(f"record lengths differ: {a.n} vs {b.n}")
 
 
-def _psd_estimate(f: np.ndarray, pxx: np.ndarray, n_seg: int, fs: float,
-                  p: WelchParams) -> SpectrumEstimate:
+def _psd_estimate(welch: _WelchPass, pxx: np.ndarray) -> SpectrumEstimate:
+    n_seg, p = welch.n_segments, welch.p
     return SpectrumEstimate(
-        frequencies=f, values=pxx, n_segments=n_seg, sample_rate=fs,
-        params=p, kind="psd",
+        frequencies=welch.frequencies, values=pxx, n_segments=n_seg,
+        sample_rate=welch.sample_rate, params=p, kind="psd",
         sigma=pxx / np.sqrt(effective_segments(n_seg, p)),
+        n_samples=welch.seen,
     )
 
 
@@ -256,33 +461,36 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
         With `sigma` = values / sqrt(effective segments), the chi-squared
         scale of an averaged periodogram corrected for segment overlap.
     """
-    f, pxx, _, _, n_seg, _ = _segment_spectra(ts.values, None,
-                                              ts.sample_rate, p)
-    return _psd_estimate(f, pxx, n_seg, ts.sample_rate, p)
+    welch = _segment_spectra([(ts,)], p)
+    return _psd_estimate(welch, welch.densities[0])
 
 
-def welch_csd(a: TimeSeries, b: TimeSeries,
-              p: WelchParams = WelchParams()) -> SpectrumEstimate:
+def welch_csd(a, b, p: WelchParams = WelchParams()) -> SpectrumEstimate:
     """Averaged one-sided cross-spectral density of two synchronous records.
 
-    One pass over both records gives the CSD and the PSDs of `a` and `b`,
-    kept in `psds`; each equals `welch_psd` of its record bit for bit.  The
+    `a` and `b` are TimeSeries, or two iterables of the successive
+    TimeSeries chunks of the records, read in step (as from
+    `stream_dual`); chunks give the bytes of their joined records.  One
+    pass over both records gives the CSD and the PSDs of `a` and `b`, kept
+    in `psds`; each equals `welch_psd` of its record bit for bit.  The
     attached `sigma` is sqrt(psd_a * psd_b / (2 K)) with K the effective
     (overlap-corrected) segment count: the standard deviation of the real
     part of each bin when the channels are independent.  It feeds the
     detection statistic's weights.
     """
-    _check_pair(a, b)
-    fs = a.sample_rate
-    f, paa, pbb, pab, n_seg, lows = _segment_spectra(a.values, b.values,
-                                                     fs, p)
+    chunks = [(a, b)] if isinstance(a, TimeSeries) else _in_step(a, b)
+    welch = _segment_spectra(chunks, p)
+    paa, pbb, pab = welch.densities
+    n_seg = welch.n_segments
+    (mean_a, var_a), (mean_b, var_b) = welch.stats
     return SpectrumEstimate(
-        frequencies=f, values=pab, n_segments=n_seg, sample_rate=fs,
-        params=p, kind="csd",
+        frequencies=welch.frequencies, values=pab, n_segments=n_seg,
+        sample_rate=welch.sample_rate, params=p, kind="csd",
         sigma=np.sqrt(paa * pbb / (2.0 * effective_segments(n_seg, p))),
-        psds=(_psd_estimate(f, paa, n_seg, fs, p),
-              _psd_estimate(f, pbb, n_seg, fs, p)),
-        low_bins=lows,
+        n_samples=welch.seen,
+        psds=(_psd_estimate(welch, paa), _psd_estimate(welch, pbb)),
+        low_bins=welch.low_bins, means=(mean_a, mean_b),
+        variances=(var_a, var_b),
     )
 
 
@@ -335,26 +543,6 @@ class CorrelationResult:
     variance_b: float
 
 
-#: Samples per chunk of `_mean_variances`: 512 kB of differences.
-_VARIANCE_CHUNK = 1 << 16
-
-
-def _mean_variances(records: list, items: np.ndarray, scratch: dict) -> None:
-    """Replace records[i], for each i in `items`, by its mean and sample
-    variance (1/N), centred a chunk at a time in `scratch["chunk"]`, so
-    that a worker thread allocates nothing.  numpy sums the squares:
-    BLAS's sum order depends on its thread count."""
-    for i in items:
-        x = records[i]
-        mean = x.mean()
-        total = 0.0
-        for start in range(0, x.size, _VARIANCE_CHUNK):
-            chunk = x[start:start + _VARIANCE_CHUNK]
-            d = np.subtract(chunk, mean, out=scratch["chunk"][:chunk.size])
-            total += float(np.sum(np.square(d, out=d)))
-        records[i] = mean, total / x.size
-
-
 def _lagged_sums(v: np.ndarray, size: int) -> np.ndarray:
     """sum_n v_n v_{n+k} for k in [0, size], for v no longer than size."""
     spectrum = np.fft.rfft(v, 2 * size)
@@ -362,14 +550,15 @@ def _lagged_sums(v: np.ndarray, size: int) -> np.ndarray:
                         2 * size)[:size + 1]
 
 
-def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
+def cross_correlation(csd: SpectrumEstimate,
                       max_lag: float) -> CorrelationResult:
     """Lagged cross-covariance of two records out to +-max_lag seconds.
 
-    `csd` is `welch_csd(a, b, p)`; the records are read only for their means
-    and variances.  At lag j, the inverse FFT of the segments' summed
-    conj(X) Y, with bins 0 and 1 (where the means leak) taken mean-free from
-    `csd.low_bins`, sums their circular products w_n w_{n+j} a_n b_{n+j};
+    `csd` is the records' `welch_csd(a, b, p)`, which holds all that is
+    needed, their means and variances too.  At lag j, the inverse FFT of the
+    segments' summed conj(X) Y, with bins 0 and 1 (where the means leak)
+    taken mean-free from `csd.low_bins`, sums their circular products
+    w_n w_{n+j} a_n b_{n+j};
     divided by K sum_n w_n w_{n+|j|} it is the covariance.  The wrapped
     products pair samples most of a segment apart and add only zero-mean
     noise.  Positive lags mean features in `a` lead those in `b`; max_lag
@@ -378,11 +567,9 @@ def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
     g_t)^2 for the summed segment weights g_t of the products, wrapped ones
     included: about 1.056 / N for hann at half overlap.
     """
-    _check_pair(a, b)
     p, fs, k = csd.params, csd.sample_rate, csd.n_segments
-    if (csd.low_bins is None or fs != a.sample_rate
-            or k != _segment_count(a.n, p)):
-        raise ValueError("csd must be the welch_csd of the two records")
+    if csd.low_bins is None:
+        raise ValueError("csd must be a welch_csd estimate")
     size, step = p.segment_length, p.segment_length - p.noverlap
     j_max = int(round(max_lag * fs)) if 0.0 < max_lag * fs < math.inf else 0
     if not 1 <= j_max <= size / 4:
@@ -390,10 +577,7 @@ def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
             f"max_lag {max_lag} s must span 1 to segment_length/4 = "
             f"{size / 4:g} samples; lower max_lag or raise segment_length")
     window, scale = _window(p), _density_scale(p, fs)
-    stats = [a.values, b.values]
-    _threads.on_blocks(functools.partial(_mean_variances, stats), 2, a.n,
-                       {"chunk": ((_VARIANCE_CHUNK,), float)})
-    (mean_a, var_a), (mean_b, var_b) = stats
+    (mean_a, mean_b), (var_a, var_b) = csd.means, csd.variances
 
     # segment means of conj(X) Y, |X|^2 and |Y|^2, bins 0 and 1 mean-free
     leak = np.fft.rfft(window)[:2]
@@ -420,7 +604,8 @@ def cross_correlation(a: TimeSeries, b: TimeSeries, csd: SpectrumEstimate,
         overlap += (k if d == 0 else 2 * (k - d)) * (
             sums[:j_max + 1] + sums[:size - j_max - 1:-1])
     sigma_band = np.sqrt(bartlett * overlap) / (k * weight)
-    n_eff = a.n * var_a * var_b / bartlett if bartlett > 0 else float(a.n)
+    n = csd.n_samples
+    n_eff = n * var_a * var_b / bartlett if bartlett > 0 else float(n)
     return CorrelationResult(
         lags=lags / fs, covariance=cov, normalized=normalized,
         sigma_band=sigma_band[np.abs(lags)], n_samples_effective=n_eff,

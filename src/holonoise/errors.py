@@ -23,7 +23,7 @@ def _physical_memory() -> int:
 
 
 def check_fits_in_memory(name: str, value, samples: int,
-                         bytes_per_sample: int) -> None:
+                         bytes_per_sample: float) -> None:
     """Raise ConfigurationError naming `name` when `samples` samples at
     `bytes_per_sample` bytes each would not fit in physical memory.
 

@@ -7,14 +7,17 @@ pair the geometric components share a common stream; a single correlation
 coefficient rho_geom in [0, 1] interpolates between fully entangled (1) and
 decoupled (0) geometric states.  All component streams draw from distinct
 substreams of one master seed, so toggling any component leaves the others
-bit-identical.
+bit-identical.  A pair is made a chunk at a time (`stream_dual`), so that a
+run's memory does not grow with its duration; `simulate_dual` is the
+one-chunk case.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +80,14 @@ class DualDetectorConfig:
             )
 
 
+#: Synthesis blocks per chunk of a streamed run (`stream_dual`): a chunk
+#: of one record is 8 MB.  Chosen by measurement: on a 2-vCPU Xeon VM a
+#: boxcar run of 5,995,849 samples took 428, 412 and 414 ms with chunks of
+#: 8, 16 and 32 blocks (417 ms whole; medians of 8 processes, each the best
+#: of 3 runs), and peaked at 57.5, 66.0 and 82.9 MB in a fresh process.
+_CHUNK_BLOCKS = 16
+
+
 def _shot(det: DetectorConfig, sample_rate: float, seed: int,
           channel: int):
     """The shot noise of `det` for `_mix_blocks`: white noise of one-sided
@@ -86,59 +97,58 @@ def _shot(det: DetectorConfig, sample_rate: float, seed: int,
     return (asd * np.sqrt(sample_rate / 2.0), seed, channel) if asd else None
 
 
-def _mix_blocks(out: np.ndarray, terms: list, shot, blocks: np.ndarray,
+def _mix_blocks(records: list, first: int, blocks: np.ndarray,
                 scratch) -> None:
-    """Blocks `blocks` of one detector's record, in place in `out`.
+    """Blocks `blocks` of detector records from block `first` on, in place.
 
-    The record is the sum of weight * record over the (weight, record)
-    pairs of `terms`, then the shot noise: `shot` is (scale, seed, channel),
-    the channel's standard normals times `scale`, or None.  The first term's
-    record may be `out` itself, which is then scaled in place.  The work
-    array is `scratch["term"]` (unused without terms), so nothing is
-    allocated and a worker thread can run it.
+    Each of `records` is (out, terms, shot), built in turn in each block:
+    the record in `out` is the sum of weight * record over the (weight,
+    record) pairs of `terms`, then the shot noise: `shot` is (scale, seed,
+    channel), the channel's standard normals times `scale`, or None.  The
+    first term's record may be `out` itself, which is then scaled in place;
+    a record may read a term that a later one overwrites.  Block k of `out`
+    is record block first + k.  The work array is `scratch["term"]`, so
+    nothing is allocated and a worker thread can run it.
     """
     block = synthesis._BLOCK
-    for b in blocks:
-        part = slice(b * block, (b + 1) * block)
-        o = out[part]
-        for k, (weight, record) in enumerate(terms):
-            if k > 0:
-                o += np.multiply(record[part], weight,
-                                 out=scratch["term"][:o.size])
-            elif record is not out or weight != 1.0:
-                np.multiply(record[part], weight, out=o)
-        if shot is None:
-            if not terms:
-                o.fill(0.0)
-            continue
-        scale, seed, channel = shot
-        noise = scratch["term"][:o.size] if terms else o
-        synthesis._fill_normal(noise, seed, channel, b)
-        noise *= scale
-        if terms:
-            o += noise
+    for k in blocks:
+        part = slice(k * block, (k + 1) * block)
+        for out, terms, shot in records:
+            o = out[part]
+            for i, (weight, record) in enumerate(terms):
+                if i > 0:
+                    o += np.multiply(record[part], weight,
+                                     out=scratch["term"][:o.size])
+                elif record is not out or weight != 1.0:
+                    np.multiply(record[part], weight, out=o)
+            if shot is None:
+                if not terms:
+                    o.fill(0.0)
+                continue
+            scale, seed, channel = shot
+            noise = scratch["term"][:o.size] if terms else o
+            synthesis._fill_normal(noise, seed, channel, first + k)
+            noise *= scale
+            if terms:
+                o += noise
 
 
-def _detector_record(out: np.ndarray, terms: list, shot,
-                     sample_rate: float) -> TimeSeries:
-    """One detector's record, built in `out` by `_mix_blocks` on the usable
-    CPUs; `out` is a new buffer or the record of the first term, which is
-    then overwritten."""
-    _threads.on_blocks(
-        functools.partial(_mix_blocks, out, terms, shot),
-        -(-out.size // synthesis._BLOCK), out.size,
-        {"term": ((synthesis._BLOCK,), float)})
-    return TimeSeries(sample_rate=sample_rate, values=out)
+def _with_noise(record: tuple, noise) -> tuple:
+    """`record`, an (out, terms, shot) of `_mix_blocks`, with its shot noise
+    already drawn into `noise` (or None): the noise is its last term or,
+    for a record without a buffer (out None), the buffer it is built in.
+    Either way the sums are those of the shot noise drawn in place."""
+    out, terms, _ = record
+    if noise is None:
+        return record
+    if out is None:
+        return noise, [(1.0, noise)] + terms, None
+    return out, terms + [(1.0, noise)], None
 
 
-def _detector_a(det: DetectorConfig, shared, n: int, sample_rate: float,
-                seed: int) -> TimeSeries:
-    """Detector A: the shared geometric record if `det` is sensitive, built
-    in that record's buffer, plus the shot noise of `det`."""
-    terms = [(1.0, shared)] if det.geometric_sensitivity else []
-    return _detector_record(shared if terms else np.empty(n), terms,
-                            _shot(det, sample_rate, seed, CH_SHOT_A),
-                            sample_rate)
+def _buffer(size: int) -> np.ndarray:
+    """A record buffer in an anonymous mapping of its own."""
+    return _threads.mapped({"values": ((size,), float)})["values"]
 
 
 def _n_samples(duration: float, sample_rate: float) -> int:
@@ -158,6 +168,102 @@ def _synth_cfg(seed: int, channel: int, L: float, n: int, sample_rate: float,
                            seed=channel_seed(seed, channel), method=method)
 
 
+def _spans(n: int, chunk: int, too_short) -> list[tuple[int, int]]:
+    """(start, stop) of the chunks of an n-sample record: `chunk` samples
+    each, but a chunk grows by `chunk` samples while it, or the rest of the
+    record after it, is too short to be synthesized (`too_short`)."""
+    spans, start = [], 0
+    while start < n:
+        stop = min(start + chunk, n)
+        while stop < n and (too_short(stop - start) or too_short(n - stop)):
+            stop = min(stop + chunk, n)
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
+            sample_rate: float, seed: int, method: str, chunk: int):
+    """The records of detector A and, given `det_b`, of B, a chunk of
+    `chunk` samples (whole blocks) at a time (`_spans`): yields a
+    (TimeSeries, TimeSeries or None) pair per chunk.
+
+    Detector A carries the shared geometric stream g; B carries
+    sqrt(1 - rho^2) * g' + rho * g, with g' independent; each adds its shot
+    noise.  A boxcar stream is synthesized a chunk at a time; a spectral
+    one is one transform, made whole first and read a chunk at a time, and
+    the first chunk's shot noise is drawn while the transform runs.  B is
+    built first, in the chunk of g' or, without g', in a buffer of its own;
+    A then in the chunk of g, which B reads, or, without g, in a buffer of
+    its own.  The buffers of a chunk are its own, so a chunk stays valid
+    after the next is made.
+    """
+    # sampling preconditions hold for both arms even when a sensitivity
+    # flag later drops the component
+    cfg_g = _synth_cfg(seed, CH_GEOM_SHARED, det_a.L, n, sample_rate, method)
+    cfg_h = (None if det_b is None else
+             _synth_cfg(seed, CH_GEOM_INDEP, det_b.L, n, sample_rate, method))
+    sens_a = det_a.geometric_sensitivity
+    sens_b = det_b is not None and det_b.geometric_sensitivity
+    cfgs = [cfg_g if sens_a or (sens_b and rho > 0.0) else None,
+            cfg_h if sens_b and rho < 1.0 else None]
+    shot_a = _shot(det_a, sample_rate, seed, CH_SHOT_A)
+    shot_b = None if det_b is None else _shot(det_b, sample_rate, seed,
+                                              CH_SHOT_B)
+    workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
+    spans = _spans(n, chunk, functools.partial(
+        synthesis._too_short, sample_rate=sample_rate, spec=cfg_g.spectrum()))
+    # the first chunk's shot noise reads no geometric record: with the
+    # spectral method it is drawn, into buffers of its own (`_with_noise`),
+    # on the CPUs that the one-CPU inverse transform leaves idle
+    shots = ([] if det_b is None else [shot_b]) + [shot_a]
+    drawn, offer = None, contextlib.nullcontext()
+    if method == "spectral":
+        size = spans[0][1]
+        drawn = [None if shot is None else _buffer(size) for shot in shots]
+        offer = _threads.offering(
+            functools.partial(_mix_blocks, [
+                (noise, [], shot) for noise, shot in zip(drawn, shots)
+                if shot is not None], 0),
+            -(-size // synthesis._BLOCK), size, workspace)
+    with offer:
+        whole = [None if cfg is None or method != "spectral"
+                 else synthesize(cfg).values for cfg in cfgs]
+    for start, stop in spans:
+        first = start // synthesis._BLOCK
+        if method == "spectral":
+            g, h = (None if x is None else x[start:stop] for x in whole)
+        else:
+            g, h = (None if cfg is None else synthesize(
+                replace(cfg, n_samples=stop - start), first).values
+                    for cfg in cfgs)
+        # B first: A is then built in the chunk of g, which B reads; a
+        # record without a chunk of its own (out None) gets a new buffer
+        records = []
+        if det_b is not None:
+            records.append(
+                (None, [(1.0, g)] if sens_b else [], shot_b) if h is None
+                else (h, [(np.sqrt(1.0 - rho**2), h)]
+                      + ([(rho, g)] if rho > 0.0 else []), shot_b))
+        records.append((g, [(1.0, g)], shot_a) if sens_a
+                       else (None, [], shot_a))
+        if drawn is not None:
+            records = [_with_noise(record, noise)
+                       for record, noise in zip(records, drawn)]
+            drawn = None
+        records = [(_buffer(stop - start) if out is None else out, terms, shot)
+                   for out, terms, shot in records]
+        _threads.on_blocks(functools.partial(_mix_blocks, records, first),
+                           -(-(stop - start) // synthesis._BLOCK),
+                           stop - start, workspace)
+        a = TimeSeries(sample_rate=sample_rate, values=records[-1][0])
+        b = (None if det_b is None
+             else TimeSeries(sample_rate=sample_rate, values=records[0][0]))
+        yield a, b
+        # the chunk is the reader's now: drop it before making the next
+        del a, b, g, h, records
+
+
 def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
                       seed: int, method: str = "spectral") -> TimeSeries:
     """Single-detector output: geometric noise (if sensitive) plus shot noise.
@@ -166,11 +272,38 @@ def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
     mixes them in the same way and gives the same bytes, with no detector B.
     """
     n = _n_samples(duration, sample_rate)
-    # sampling preconditions hold even when the component is dropped
-    cfg_shared = _synth_cfg(seed, CH_GEOM_SHARED, cfg.L, n, sample_rate, method)
-    shared = (synthesize(cfg_shared).values if cfg.geometric_sensitivity
-              else None)
-    return _detector_a(cfg, shared, n, sample_rate, seed)
+    [(a, _)] = _chunks(cfg, None, 0.0, n, sample_rate, seed, method, n)
+    return a
+
+
+def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
+                seed: int, method: str = "spectral"):
+    """The outputs of `simulate_dual`, a chunk at a time: two iterables of
+    TimeSeries, the successive chunks of detector A and of detector B, to
+    be read in step (as `zip` reads them).
+
+    A chunk is `_CHUNK_BLOCKS` blocks of samples, so a run holds a chunk of
+    each detector and, for the spectral method, the geometric records;
+    joined, the chunks are the records of `simulate_dual` byte for byte.
+    """
+    n = _n_samples(duration, sample_rate)
+    pairs = _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate, seed,
+                    method, _CHUNK_BLOCKS * synthesis._BLOCK)
+    # each side holds a chunk only until it is read
+    queues = collections.deque(), collections.deque()
+
+    def make() -> bool:
+        pair = next(pairs, None)
+        if pair is not None:
+            for queue, chunk in zip(queues, pair):
+                queue.append(chunk)
+        return pair is not None
+
+    def side(queue):
+        while queue or make():
+            yield queue.popleft()
+
+    return side(queues[0]), side(queues[1])
 
 
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
@@ -182,41 +315,11 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     sqrt(1 - rho^2) * g' + rho * g, with g' independent, so both see the
     full geometric spectrum while their cross-spectrum is rho times it.
     Shot noises are independent.  The four underlying streams derive from
-    distinct substreams of `seed`.  A is built in the shared record's
-    buffer and, at rho < 1, B in the independent one's, so a pair of
-    sensitive detectors holds two records.
+    distinct substreams of `seed`.  The records are the one chunk of
+    `stream_dual`'s loop: A is built in the shared record's buffer and, at
+    rho < 1, B in the independent one's.
     """
     n = _n_samples(duration, sample_rate)
-    # sampling preconditions are enforced for both arms even when a
-    # sensitivity flag later drops the component
-    cfg_shared = _synth_cfg(seed, CH_GEOM_SHARED, cfg.det_a.L, n, sample_rate,
-                            method)
-    cfg_indep = _synth_cfg(seed, CH_GEOM_INDEP, cfg.det_b.L, n, sample_rate,
-                           method)
-
-    rho = cfg.rho_geom
-    sens_a = cfg.det_a.geometric_sensitivity
-    sens_b = cfg.det_b.geometric_sensitivity
-    shot_b = _shot(cfg.det_b, sample_rate, seed, CH_SHOT_B)
-    # a new record for B takes its shot noise while the geometric records
-    # are made, on the CPUs that a spectral inverse FFT leaves idle
-    new_b = np.empty(n) if not sens_b or rho == 1.0 else None
-    with (contextlib.nullcontext() if new_b is None else _threads.offering(
-            functools.partial(_mix_blocks, new_b, [], shot_b),
-            -(-n // synthesis._BLOCK), n, {})):
-        shared = (synthesize(cfg_shared).values
-                  if sens_a or (sens_b and rho > 0.0) else None)
-        independent = (synthesize(cfg_indep).values
-                       if sens_b and rho < 1.0 else None)
-
-    # B first: A is then built in the buffer of the shared record B reads
-    if new_b is not None:
-        out_b, terms_b, shot_b = new_b, [(1.0, new_b)], None
-        if sens_b:
-            terms_b.append((1.0, shared))
-    else:
-        out_b, terms_b = independent, [(np.sqrt(1.0 - rho**2), independent)]
-        if rho > 0.0:
-            terms_b.append((rho, shared))
-    b = _detector_record(out_b, terms_b, shot_b, sample_rate)
-    return _detector_a(cfg.det_a, shared, n, sample_rate, seed), b
+    [(a, b)] = _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate,
+                       seed, method, n)
+    return a, b

@@ -35,9 +35,12 @@ class HolographicSpectrum:
 
     def __post_init__(self):
         check_positive_finite("arm_length", self.L)
-        # the plateau grows as L^2, the knee and the zeros as 1/L: all floats
+        # the plateau grows as L^2, the knee and the zeros as 1/L: all
+        # floats, and the plateau a normal one, so that no spectrum the
+        # synthesis scales underflows to a record of zeros
         if not (self.L < math.sqrt(sys.float_info.max)
-                and CONSTANTS.c / (2.0 * self.L) < math.inf):
+                and CONSTANTS.c / (2.0 * self.L) < math.inf
+                and self.plateau >= sys.float_info.min):
             raise ConfigurationError(
                 f"arm_length {self.L} m puts the spectrum beyond the float range"
             )

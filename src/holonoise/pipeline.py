@@ -106,10 +106,16 @@ class RunConfig:
 
 
 #: Peak resident bytes per record sample of `run_pipeline`, measured as the
-#: slope of a fresh process's peak RSS between 0.2 and 0.4 s runs at 16 MHz:
-#: two records, plus, for the spectral method, the inverse FFT's buffers
-#: (most at rho < 1, where one record already exists during the second).
-_RUN_BYTES_PER_SAMPLE = {"spectral": 49, "boxcar": 17}
+#: slope of a fresh process's peak RSS between 0.2 and 0.4 s runs at 16 MHz.
+#: The spectral method holds its geometric records and the inverse FFT's
+#: buffers: 49 bytes at rho < 1, where one record already exists during the
+#: second transform, 32 at rho = 1.  The boxcar method holds a chunk of
+#: each record at a time, whatever the duration.
+_RUN_BYTES_PER_SAMPLE = {"spectral": 49, "boxcar": 0}
+
+#: Bytes kept to the end of a run per Welch segment: bins 0 and 1 of both
+#: records' transforms (`SpectrumEstimate.low_bins`).
+_LOW_BIN_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -168,19 +174,23 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
 
     # an unknown method passes here and is refused by the synthesis config
     duration, sample_rate = float(cfg.duration), float(cfg.sample_rate)
-    check_fits_in_memory(
-        "duration", duration, interferometer._n_samples(duration, sample_rate),
-        _RUN_BYTES_PER_SAMPLE.get(cfg.method, 0))
+    n = interferometer._n_samples(duration, sample_rate)
+    # a record shorter than one segment, refused by the Welch pass, keeps no
+    # low bins
+    low_bins = (_LOW_BIN_BYTES / (welch.segment_length - welch.noverlap)
+                if n >= welch.segment_length else 0.0)
+    check_fits_in_memory("duration", duration, n,
+                         _RUN_BYTES_PER_SAMPLE.get(cfg.method, 0) + low_bins)
 
     # the spectra square the records and their products square them again,
     # so a huge shot noise or arm length can overflow; that refuses the run
     try:
         with np.errstate(over="raise"):
-            a, b = interferometer.simulate_dual(
+            a, b = interferometer.stream_dual(
                 det, duration=duration, sample_rate=sample_rate, seed=cfg.seed,
                 method=cfg.method)
             csd = analysis.welch_csd(a, b, welch)
-            correlation = analysis.cross_correlation(a, b, csd, cfg.max_lag)
+            correlation = analysis.cross_correlation(csd, cfg.max_lag)
             return RunResult(
                 config=cfg,
                 spectrum=spec,

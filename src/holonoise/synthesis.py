@@ -55,7 +55,14 @@ class TimeSeries:
         check_positive_finite("sample_rate", self.sample_rate)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(self.values)):
+        # one pass and no record-size mask: a finite sum has finite terms;
+        # when the sum is not, the extremes tell an overflow of finite
+        # terms from a NaN, which min propagates, or an infinity
+        v = self.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(v)
+        if not (np.isfinite(total)
+                or np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("values must be finite")
 
     @property
@@ -101,9 +108,9 @@ class SynthesisConfig:
                 f"sample_rate {self.sample_rate:g} Hz does not resolve the "
                 f"spectrum: need at least 4 x c/2L = {4 * first_zero:g} Hz"
             )
-        # a count beyond the float range is left to the size guard
-        duration = min(self.n_samples, sys.float_info.max) / self.sample_rate
-        if duration < MIN_COHERENCE_TIMES * spec.coherence_time:
+        if _too_short(self.n_samples, self.sample_rate, spec):
+            duration = (min(self.n_samples, sys.float_info.max)
+                        / self.sample_rate)
             raise ConfigurationError(
                 f"record of {duration:g} s is shorter than "
                 f"{MIN_COHERENCE_TIMES:g} coherence times "
@@ -112,6 +119,15 @@ class SynthesisConfig:
 
     def spectrum(self) -> HolographicSpectrum:
         return HolographicSpectrum(self.L)
+
+
+def _too_short(n_samples: int, sample_rate: float,
+              spec: HolographicSpectrum) -> bool:
+    """Whether n_samples at sample_rate span fewer than `MIN_COHERENCE_TIMES`
+    coherence times of `spec`, too few for a record."""
+    # a count beyond the float range is left to the size guard
+    duration = min(n_samples, sys.float_info.max) / sample_rate
+    return duration < MIN_COHERENCE_TIMES * spec.coherence_time
 
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
@@ -258,23 +274,26 @@ def _moving_sum(driver: np.ndarray, width: int, out: np.ndarray) -> None:
 
 
 def _boxcar_blocks(values: np.ndarray, seed: int, width: int, scale: float,
-                   blocks: np.ndarray, scratch: dict) -> None:
-    """Blocks `blocks` of the boxcar record `values`, scaled by `scale`.
+                   first: int, blocks: np.ndarray, scratch: dict) -> None:
+    """Blocks `blocks` of `values`, the boxcar record from block `first`
+    on, scaled by `scale`.
 
-    Output block b is the moving sum of driver samples b * _BLOCK on, the
-    channel-0 stream of `seed`: its own driver block and the first
-    width - 1 samples after it, redrawn here from the blocks that follow.
-    The driver is drawn into `scratch["driver"]`, so nothing is allocated.
+    Block k of `values` is record block b = first + k: the moving sum of
+    driver samples b * _BLOCK on, the channel-0 stream of `seed`, its own
+    driver block and the first width - 1 samples after it, redrawn here
+    from the blocks that follow.  The driver is drawn into
+    `scratch["driver"]`, so nothing is allocated.
     """
-    for b in blocks:
-        out = values[b * _BLOCK:(b + 1) * _BLOCK]
+    for k in blocks:
+        out = values[k * _BLOCK:(k + 1) * _BLOCK]
         driver = scratch["driver"][:out.size + width - 1]
-        _fill_normal(driver, seed, 0, b)
+        _fill_normal(driver, seed, 0, first + k)
         _moving_sum(driver, width, out)
         out *= scale
 
 
-def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
+def synthesize_boxcar(cfg: SynthesisConfig, first_block: int = 0
+                      ) -> TimeSeries:
     """White Gaussian noise summed over a sliding light-round-trip window.
 
     The white driver has two-sided PSD 2 c^2 t_P / pi; its linear moving
@@ -283,21 +302,26 @@ def synthesize_boxcar(cfg: SynthesisConfig) -> TimeSeries:
     of the noise model.  Sample i sums driver samples i to i + width - 1:
     the driver, the channel-0 stream of `cfg.seed`, is width - 1 samples
     longer than the record.  The blocks are summed on the usable CPUs.
+    Given `first_block`, the record is samples first_block * _BLOCK on of
+    the longer record of `cfg.seed`: a record can be made a piece at a time.
     """
     if cfg.method != "boxcar":
         raise ConfigurationError(f"boxcar synthesis got method={cfg.method!r}")
     fs = cfg.sample_rate
     values = _boxcar(cfg.seed, cfg.n_samples, boxcar_width(cfg),
-                     np.sqrt(white_noise_psd() * fs) / fs)
+                     np.sqrt(white_noise_psd() * fs) / fs, first_block)
     return TimeSeries(sample_rate=fs, values=values)
 
 
-def _boxcar(seed: int, n: int, width: int, scale: float) -> np.ndarray:
-    """`scale` times the n moving sums of `width` samples of the channel-0
-    stream of `seed`: sample i sums stream samples i to i + width - 1."""
-    values = np.empty(n)
+def _boxcar(seed: int, n: int, width: int, scale: float,
+            first: int = 0) -> np.ndarray:
+    """`scale` times n moving sums of `width` samples of the channel-0
+    stream of `seed`, from block `first` on: sample i sums stream samples
+    first * _BLOCK + i to first * _BLOCK + i + width - 1.  The record is
+    in an anonymous mapping (`_threads.mapped`)."""
+    values = _threads.mapped({"values": ((n,), float)})["values"]
     _threads.on_blocks(
-        functools.partial(_boxcar_blocks, values, seed, width, scale),
+        functools.partial(_boxcar_blocks, values, seed, width, scale, first),
         -(-n // _BLOCK), n, {"driver": ((_BLOCK + width - 1,), float)})
     return values
 
@@ -308,11 +332,15 @@ def _boxcar(seed: int, n: int, width: int, scale: float) -> np.ndarray:
 _BYTES_PER_SAMPLE = {"spectral": 32, "boxcar": 9}
 
 
-def synthesize(cfg: SynthesisConfig) -> TimeSeries:
+def synthesize(cfg: SynthesisConfig, first_block: int = 0) -> TimeSeries:
     """Dispatch on cfg.method; a record too large for physical memory raises
-    ConfigurationError before anything is allocated."""
+    ConfigurationError before anything is allocated.  A boxcar record may
+    start at block `first_block` of its streams (`synthesize_boxcar`); a
+    spectral one is one transform and starts at block 0."""
     check_fits_in_memory("n_samples", cfg.n_samples, cfg.n_samples,
                          _BYTES_PER_SAMPLE[cfg.method])
     if cfg.method == "spectral":
+        if first_block:
+            raise ValueError("a spectral record starts at block 0")
         return synthesize_spectral(cfg)
-    return synthesize_boxcar(cfg)
+    return synthesize_boxcar(cfg, first_block)

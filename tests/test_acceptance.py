@@ -220,7 +220,7 @@ def test_criterion_5_detection_pipeline(tmp_path):
 
     # lagged correlation dies beyond the light round trip (266.9 ns)
     a, b, csd3 = _dual(rho=1.0, duration=2**21 / REF_FS, seed=55)
-    corr = hn.cross_correlation(a, b, csd3, max_lag=4 * T_COH)
+    corr = hn.cross_correlation(csd3, max_lag=4 * T_COH)
     assert_allclose(T_COH, 266.85e-9, rtol=1e-3)
     outside = np.abs(corr.lags) > T_COH + 1.0 / REF_FS
     assert np.all(np.abs(corr.covariance[outside])

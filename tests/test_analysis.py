@@ -176,7 +176,7 @@ LAG_WELCH = WelchParams(segment_length=256)
 
 
 def correlate(a, b, max_lag, p=LAG_WELCH):
-    return cross_correlation(a, b, welch_csd(a, b, p), max_lag)
+    return cross_correlation(welch_csd(a, b, p), max_lag)
 
 
 class TestCrossCorrelation:
@@ -257,22 +257,20 @@ class TestCrossCorrelation:
         for max_lag in (0.6 * ts.duration, 1e-9, 0.0, -1.0, np.inf, np.nan,
                         65 / ts.sample_rate):
             with pytest.raises(ConfigurationError, match="max_lag"):
-                cross_correlation(ts, ts, csd, max_lag=max_lag)
+                cross_correlation(csd, max_lag=max_lag)
         # a quarter segment is the longest lag
         with pytest.raises(ConfigurationError, match="segment_length"):
-            cross_correlation(ts, ts, csd, max_lag=65 / ts.sample_rate)
-        res = cross_correlation(ts, ts, csd, max_lag=64 / ts.sample_rate)
+            cross_correlation(csd, max_lag=65 / ts.sample_rate)
+        res = cross_correlation(csd, max_lag=64 / ts.sample_rate)
         assert res.lags.size == 129
 
     def test_mismatched_inputs(self):
         a, b = white(1024), white(2048)
         with pytest.raises(ValueError):
-            cross_correlation(a, b, welch_csd(a, a, LAG_WELCH), max_lag=0.01)
-        # the CSD must be that of these records
+            correlate(a, b, max_lag=0.01)
+        # the estimate must be a CSD: a PSD holds no bins 0 and 1
         with pytest.raises(ValueError, match="welch_csd"):
-            cross_correlation(a, a, welch_csd(b, b, LAG_WELCH), max_lag=0.01)
-        with pytest.raises(ValueError, match="welch_csd"):
-            cross_correlation(a, a, welch_csd(a, a, LAG_WELCH).psds[0],
+            cross_correlation(welch_csd(a, a, LAG_WELCH).psds[0],
                               max_lag=0.01)
 
 
@@ -499,7 +497,7 @@ def test_lagged_covariance_matches_fftconvolve_oracle(n, j_max, offset):
     a = TimeSeries(1.0, a + offset * np.std(a))
     b = TimeSeries(1.0, b - offset * np.std(b))
     p = WelchParams(segment_length=max(64, 4 * j_max))
-    res = cross_correlation(a, b, welch_csd(a, b, p), max_lag=float(j_max))
+    res = cross_correlation(welch_csd(a, b, p), max_lag=float(j_max))
 
     # each segment's circular products are its linear ones folded at the
     # segment length
@@ -559,7 +557,7 @@ def test_null_lag_z_scores_have_unit_variance(p):
         a, b = (TimeSeries(1.0, np.convolve(white(2**14, seed=s).values,
                                             taps, "same"))
                 for s in (5000 + seed, 9000 + seed))
-        res = cross_correlation(a, b, welch_csd(a, b, p), float(j_max))
+        res = cross_correlation(welch_csd(a, b, p), float(j_max))
         z.append(res.covariance / res.sigma_band)
     z = np.asarray(z)
     assert abs(np.var(z) - 1.0) < 0.1
@@ -584,7 +582,7 @@ def test_correlated_mean_matches_expected_covariance(p):
         a = TimeSeries(1.0, filtered[delay:])
         b = TimeSeries(1.0, 0.5 * filtered[:n]
                        + white(n, seed=8000 + seed).values)
-        runs.append(cross_correlation(a, b, welch_csd(a, b, p),
+        runs.append(cross_correlation(welch_csd(a, b, p),
                                       float(j_max)).covariance)
     runs = np.asarray(runs)
 
@@ -608,7 +606,7 @@ def test_lagged_covariance_does_not_depend_on_cpu_count(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(_threads, "workers",
                             lambda samples, workers=workers: workers)
-        results.append(cross_correlation(a, b, welch_csd(a, b),
+        results.append(cross_correlation(welch_csd(a, b),
                                          max_lag=40 / a.sample_rate))
     for res in results[1:]:
         for field in dataclasses.fields(res):
@@ -617,13 +615,13 @@ def test_lagged_covariance_does_not_depend_on_cpu_count(monkeypatch):
 
 
 def test_lagged_covariance_copies_no_record():
-    # the variances are centred a chunk at a time: no record-size copy
+    # the means and variances come with the CSD: no record-size copy
     n = 2**20
     a, b = white(n, seed=48), white(n, seed=49)
     csd = welch_csd(a, b)
     tracemalloc.start()
     try:
-        cross_correlation(a, b, csd, max_lag=40 / a.sample_rate)
+        cross_correlation(csd, max_lag=40 / a.sample_rate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -350,6 +350,7 @@ class TestRunCommand:
                              (analysis, "detection_significance"),
                              (analysis, "one_sided_psd"),
                              (synthesis, "_draw_blocks"),
+                             (synthesis, "_boxcar_blocks"),
                              (interferometer, "_mix_blocks"),
                              (analysis, "_block_sums")):
             def recording(*args, _fn=getattr(module, name), _name=name,
@@ -358,12 +359,18 @@ class TestRunCommand:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         monkeypatch.setattr(_threads, "workers", lambda samples: 2)
-        # 160,000 samples: 3 blocks of draws and 3 Welch blocks
+        # 160,000 samples: 3 blocks of draws and 3 Welch blocks; the boxcar
+        # run's 299,792 samples are 3 chunks of 2 blocks
+        monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 2)
         assert run_cli("run", "--duration", 0.01, "--outdir",
                        tmp_path / "out") == 0
+        assert run_cli("run", "--duration", 0.01, "--method", "boxcar",
+                       "--sample-rate", 29979245.8, "--outdir",
+                       tmp_path / "boxcar") == 0
         caller = threading.get_ident()
-        assert len(threads) == 9
-        for name in ("_draw_blocks", "_mix_blocks", "_block_sums"):
+        assert len(threads) == 10
+        for name in ("_draw_blocks", "_boxcar_blocks", "_mix_blocks",
+                     "_block_sums"):
             assert threads.pop(name) - {caller}, name
         assert all(idents == {caller} for idents in threads.values()), threads
 

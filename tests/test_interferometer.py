@@ -271,7 +271,7 @@ class TestDualDetector:
     def test_lag_correlation_vanishes_beyond_round_trip(self):
         a, b = simulate_dual(dual_cfg(rho=1.0), duration=2**21 / FS,
                              sample_rate=FS, seed=19)
-        corr = cross_correlation(a, b, welch_csd(a, b),
+        corr = cross_correlation(welch_csd(a, b),
                                  max_lag=4 * SPEC.coherence_time)
         mid = corr.lags.size // 2
         outside = np.abs(corr.lags) > SPEC.coherence_time + 1.0 / FS
@@ -291,7 +291,7 @@ class TestDualDetector:
         a, b = simulate_dual(dual_cfg(rho=1.0, shot=0.0),
                              duration=2**21 / FS, sample_rate=FS, seed=18,
                              method="boxcar")
-        corr = cross_correlation(a, b, welch_csd(a, b),
+        corr = cross_correlation(welch_csd(a, b),
                                  max_lag=2 * SPEC.coherence_time)
         model = np.asarray(analytic_autocorrelation(SPEC, corr.lags))
         assert np.all(np.abs(corr.covariance - model) < 3.0 * corr.sigma_band)

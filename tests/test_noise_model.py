@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -34,10 +35,12 @@ class TestSpectrumObject:
     def test_rejects_bad_arm_length(self):
         with pytest.raises(ValueError):
             HolographicSpectrum(0.0)
-        # L^2, 1/L or the first zero c/2L would overflow
-        for L in (1.35e154, 5e-324, 8e-301):
+        # L^2, 1/L or the first zero c/2L would overflow, or the plateau
+        # 8 t_P L^2 / pi fall below the smallest normal float
+        for L in (1.35e154, 5e-324, 8e-301, 1e-150, 4e-133):
             with pytest.raises(ValueError, match="arm_length"):
                 HolographicSpectrum(L)
+        assert HolographicSpectrum(5e-133).plateau >= sys.float_info.min
 
 
 class TestAnalyticPsd:

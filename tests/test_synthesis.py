@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -52,6 +54,24 @@ class TestTimeSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             TimeSeries(sample_rate=1.0, values=np.array([1.0, np.nan]))
+
+    def test_finiteness_check_allocates_no_record(self):
+        # finite values whose sum overflows are accepted, under any numpy
+        # error state, and no mask of the record is made
+        x = np.full(2**20, 1e308)
+        tracemalloc.start()
+        try:
+            with np.errstate(all="raise"):
+                TimeSeries(sample_rate=1.0, values=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 64
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                TimeSeries(sample_rate=1.0, values=y)
 
 
 class TestConfigValidation:
