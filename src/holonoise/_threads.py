@@ -6,8 +6,8 @@ write only to buffers of its own and call no name a tracer may wrap.
 
 One entry point, `on_blocks`, runs all threaded work: a block kernel,
 kernel(blocks, scratch), on one contiguous run of blocks per usable CPU,
-each run with work arrays of its own in an anonymous mapping (`mapped`),
-where all work memory is; a `Workspace` keeps them for a loop of calls.
+each run with work arrays of its own from a `Workspace`, which maps them
+(`mapped`), where all work memory is, and keeps them for a loop of calls.
 The first run goes to the calling thread or, given a `step`, the calling
 thread returns step() while the runs use the other CPUs.  `offering` and
 `beside` pass a caller's blocks down to a callee's one-thread step.
@@ -135,12 +135,12 @@ class Workspace:
         return self._runs[i]
 
 
-def on_blocks(kernel, n_blocks: int, samples: int, scratch, step=None):
+def on_blocks(kernel, n_blocks: int, samples: int, workspace: Workspace,
+              step=None):
     """Call kernel(blocks, arrays) on contiguous runs of range(n_blocks),
     one run per CPU usable on `samples` samples, each run with arrays of its
-    own: those of `scratch`, a `Workspace` or the {name: (shape, dtype)} of
-    one; the kernel writes its results into caller-owned buffers, block by
-    block.  Return step(), or None.
+    own, those of `workspace`; the kernel writes its results into
+    caller-owned buffers, block by block.  Return step(), or None.
 
     The first run goes to this thread, or, given `step`, this thread runs
     step() and the runs take the other CPUs; each other task runs on a
@@ -152,9 +152,7 @@ def on_blocks(kernel, n_blocks: int, samples: int, scratch, step=None):
     threads = workers(samples)
     runs = np.array_split(np.arange(n_blocks), max(
         1, min(n_blocks, threads - (step is not None))))
-    if not isinstance(scratch, Workspace):
-        scratch = Workspace(scratch)
-    tasks = [functools.partial(kernel, run, scratch.run(i))
+    tasks = [functools.partial(kernel, run, workspace.run(i))
              for i, run in enumerate(runs)]
     if step is not None:
         tasks.insert(0, step)
@@ -175,11 +173,11 @@ _offer = threading.local()
 
 
 @contextlib.contextmanager
-def offering(kernel, n_blocks: int, samples: int, scratch: dict):
-    """Offer `on_blocks(kernel, n_blocks, samples, scratch)` to the first
+def offering(kernel, n_blocks: int, samples: int, workspace: Workspace):
+    """Offer `on_blocks(kernel, n_blocks, samples, workspace)` to the first
     `beside` call made on this thread within the block, which runs it on
     the CPUs other than its own; untaken, it runs when the block ends."""
-    _offer.work = (kernel, n_blocks, samples, scratch)
+    _offer.work = (kernel, n_blocks, samples, workspace)
     try:
         yield
     finally:

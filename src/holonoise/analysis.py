@@ -348,21 +348,6 @@ class _WelchPass:
             self.stats = [(mean, m2 / n) for n, mean, m2 in self.moments]
 
 
-def _in_step(a, b):
-    """The (chunk of a, chunk of b) pairs of two iterables of equal length.
-    A pair is dropped here before the next is read (zip would hold it), so
-    that a chunk's memory is free before the next chunk is made."""
-    a, b = iter(a), iter(b)
-    while True:
-        x, y = next(a, None), next(b, None)
-        if x is None or y is None:
-            if x is not y:
-                raise ValueError("the records have different chunk counts")
-            return
-        yield x, y
-        del x, y
-
-
 def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
     """Welch densities of one or two records and their cross-spectrum in
     one pass: the finished `_WelchPass` of the chunks, tuples of one or two
@@ -465,21 +450,20 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
     return _psd_estimate(welch, welch.densities[0])
 
 
-def welch_csd(a, b, p: WelchParams = WelchParams()) -> SpectrumEstimate:
+def welch_csd(a, b=None, p: WelchParams = WelchParams()) -> SpectrumEstimate:
     """Averaged one-sided cross-spectral density of two synchronous records.
 
-    `a` and `b` are TimeSeries, or two iterables of the successive
-    TimeSeries chunks of the records, read in step (as from
-    `stream_dual`); chunks give the bytes of their joined records.  One
-    pass over both records gives the CSD and the PSDs of `a` and `b`, kept
-    in `psds`; each equals `welch_psd` of its record bit for bit.  The
-    attached `sigma` is sqrt(psd_a * psd_b / (2 K)) with K the effective
-    (overlap-corrected) segment count: the standard deviation of the real
-    part of each bin when the channels are independent.  It feeds the
-    detection statistic's weights.
+    `a` and `b` are TimeSeries or, with `b` None, `a` is an iterable of
+    (chunk of a, chunk of b) TimeSeries pairs, the successive chunks of the
+    records (as `stream_dual` yields them); chunks give the bytes of their
+    joined records.  One pass over both records gives the CSD and the PSDs
+    of `a` and `b`, kept in `psds`; each equals `welch_psd` of its record
+    bit for bit.  The attached `sigma` is sqrt(psd_a * psd_b / (2 K)) with
+    K the effective (overlap-corrected) segment count: the standard
+    deviation of the real part of each bin when the channels are
+    independent.  It feeds the detection statistic's weights.
     """
-    chunks = [(a, b)] if isinstance(a, TimeSeries) else _in_step(a, b)
-    welch = _segment_spectra(chunks, p)
+    welch = _segment_spectra(a if b is None else [(a, b)], p)
     paa, pbb, pab = welch.densities
     n_seg = welch.n_segments
     (mean_a, var_a), (mean_b, var_b) = welch.stats

@@ -14,7 +14,6 @@ one-chunk case.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 from dataclasses import dataclass, replace
@@ -192,7 +191,7 @@ def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
     sqrt(1 - rho^2) * g' + rho * g, with g' independent; each adds its shot
     noise.  A boxcar stream is synthesized a chunk at a time; a spectral
     one is one transform, made whole first and read a chunk at a time, and
-    the first chunk's shot noise is drawn while the transform runs.  B is
+    some of the first chunk's shot noise is drawn while it runs.  B is
     built first, in the chunk of g' or, without g', in a buffer of its own;
     A then in the chunk of g, which B reads, or, without g, in a buffer of
     its own.  The buffers of a chunk are its own, so a chunk stays valid
@@ -214,18 +213,22 @@ def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
     spans = _spans(n, chunk, functools.partial(
         synthesis._too_short, sample_rate=sample_rate, spec=cfg_g.spectrum()))
     # the first chunk's shot noise reads no geometric record: with the
-    # spectral method it is drawn, into buffers of its own (`_with_noise`),
-    # on the CPUs that the one-CPU inverse transform leaves idle
+    # spectral method it is drawn on the CPUs that the one-CPU inverse
+    # transform leaves idle (`_with_noise`), into the buffer of a record
+    # not built in a geometric chunk or, when that chunk is shorter than
+    # the record, into a buffer of its own; never into a second record
     shots = ([] if det_b is None else [shot_b]) + [shot_a]
-    drawn, offer = None, contextlib.nullcontext()
+    own = ([] if det_b is None else [cfgs[1] is None]) + [not sens_a]
+    size, drawn, offer = spans[0][1], None, contextlib.nullcontext()
     if method == "spectral":
-        size = spans[0][1]
-        drawn = [None if shot is None else _buffer(size) for shot in shots]
-        offer = _threads.offering(
-            functools.partial(_mix_blocks, [
-                (noise, [], shot) for noise, shot in zip(drawn, shots)
-                if shot is not None], 0),
-            -(-size // synthesis._BLOCK), size, workspace)
+        drawn = [_buffer(size) if shot is not None and (mine or size < n)
+                 else None for shot, mine in zip(shots, own)]
+        early = [(noise, [], shot) for noise, shot in zip(drawn, shots)
+                 if noise is not None]
+        if early:
+            offer = _threads.offering(
+                functools.partial(_mix_blocks, early, 0),
+                -(-size // synthesis._BLOCK), size, workspace)
     with offer:
         whole = [None if cfg is None or method != "spectral"
                  else synthesize(cfg).values for cfg in cfgs]
@@ -247,7 +250,7 @@ def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
                       + ([(rho, g)] if rho > 0.0 else []), shot_b))
         records.append((g, [(1.0, g)], shot_a) if sens_a
                        else (None, [], shot_a))
-        if drawn is not None:
+        if drawn:
             records = [_with_noise(record, noise)
                        for record, noise in zip(records, drawn)]
             drawn = None
@@ -278,32 +281,17 @@ def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
 
 def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
                 seed: int, method: str = "spectral"):
-    """The outputs of `simulate_dual`, a chunk at a time: two iterables of
-    TimeSeries, the successive chunks of detector A and of detector B, to
-    be read in step (as `zip` reads them).
+    """The outputs of `simulate_dual`, a chunk at a time: an iterator of
+    (chunk of A, chunk of B) TimeSeries pairs, in record order.
 
     A chunk is `_CHUNK_BLOCKS` blocks of samples, so a run holds a chunk of
     each detector and, for the spectral method, the geometric records;
     joined, the chunks are the records of `simulate_dual` byte for byte.
+    A pair stays valid after the next is made.
     """
     n = _n_samples(duration, sample_rate)
-    pairs = _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate, seed,
-                    method, _CHUNK_BLOCKS * synthesis._BLOCK)
-    # each side holds a chunk only until it is read
-    queues = collections.deque(), collections.deque()
-
-    def make() -> bool:
-        pair = next(pairs, None)
-        if pair is not None:
-            for queue, chunk in zip(queues, pair):
-                queue.append(chunk)
-        return pair is not None
-
-    def side(queue):
-        while queue or make():
-            yield queue.popleft()
-
-    return side(queues[0]), side(queues[1])
+    return _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate, seed,
+                   method, _CHUNK_BLOCKS * synthesis._BLOCK)
 
 
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,

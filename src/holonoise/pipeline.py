@@ -186,10 +186,9 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     # so a huge shot noise or arm length can overflow; that refuses the run
     try:
         with np.errstate(over="raise"):
-            a, b = interferometer.stream_dual(
+            csd = analysis.welch_csd(interferometer.stream_dual(
                 det, duration=duration, sample_rate=sample_rate, seed=cfg.seed,
-                method=cfg.method)
-            csd = analysis.welch_csd(a, b, welch)
+                method=cfg.method), p=welch)
             correlation = analysis.cross_correlation(csd, cfg.max_lag)
             return RunResult(
                 config=cfg,

@@ -213,7 +213,7 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
     # this thread evaluates the spectrum while the others draw
     amplitude = _threads.on_blocks(
         functools.partial(_draw_blocks, draws, cfg.seed),
-        -(-draws.size // _BLOCK), n, {}, step=target)
+        -(-draws.size // _BLOCK), n, _threads.Workspace({}), step=target)
     pairs = draws.reshape(-1, 2)
     # interior bins carry half the power in each quadrature
     amplitude *= n * fs / 2.0
@@ -322,7 +322,8 @@ def _boxcar(seed: int, n: int, width: int, scale: float,
     values = _threads.mapped({"values": ((n,), float)})["values"]
     _threads.on_blocks(
         functools.partial(_boxcar_blocks, values, seed, width, scale, first),
-        -(-n // _BLOCK), n, {"driver": ((_BLOCK + width - 1,), float)})
+        -(-n // _BLOCK), n,
+        _threads.Workspace({"driver": ((_BLOCK + width - 1,), float)}))
     return values
 
 

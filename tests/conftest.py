@@ -1,12 +1,59 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from holonoise import CONSTANTS, HolographicSpectrum
+from holonoise import CONSTANTS, HolographicSpectrum, _threads
 
 
 @pytest.fixture
 def spec40():
     return HolographicSpectrum(40.0)
+
+
+@pytest.fixture
+def held_peak(monkeypatch):
+    """held_peak(make): the most bytes that make() holds at once, those
+    that tracemalloc sees plus the arrays alive in anonymous mappings
+    (`_threads.mapped`), which it does not see."""
+    live, peak = {}, [0]
+
+    def fold():
+        # the mapped bytes were constant since the last change of them
+        if tracemalloc.is_tracing():
+            peak[0] = max(peak[0], tracemalloc.get_traced_memory()[1]
+                          + sum(live.values()))
+            tracemalloc.reset_peak()
+
+    def freed(key):
+        fold()
+        live.pop(key, None)
+
+    def counted(shapes, _mapped=_threads.mapped):
+        arrays = _mapped(shapes)
+        fold()
+        for array in arrays.values():
+            # the views of an array keep its base alive
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            live[id(array)] = array.nbytes
+            weakref.finalize(array, freed, id(array))
+        return arrays
+
+    monkeypatch.setattr(_threads, "mapped", counted)
+
+    def measure(make) -> int:
+        live.clear()
+        peak[0] = 0
+        tracemalloc.start()
+        try:
+            make()
+            fold()
+            return peak[0]
+        finally:
+            tracemalloc.stop()
+    return measure
 
 
 def octave_edges(f_lo: float, f_hi: float) -> np.ndarray:

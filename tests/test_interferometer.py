@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -146,16 +145,6 @@ class TestSingleDetector:
             assert single.sample_rate == a.sample_rate
 
 
-def traced_peak(make):
-    """tracemalloc's peak, in bytes, while make() runs."""
-    tracemalloc.start()
-    try:
-        make()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestRecordLayout:
     @pytest.mark.parametrize("method", ["spectral", "boxcar"])
     @pytest.mark.parametrize("rho, sens_a", [(1.0, True), (0.5, True),
@@ -174,24 +163,39 @@ class TestRecordLayout:
             assert np.array_equal(a.values, pairs[0][0].values)
             assert np.array_equal(b.values, pairs[0][1].values)
 
-    def test_rho_one_boxcar_pair_holds_two_records(self):
+    def test_rho_one_boxcar_pair_holds_two_records(self, held_peak):
         # detector A is built in the shared geometric record's buffer
         n = 2**20
-        peak = traced_peak(lambda: simulate_dual(
+        peak = held_peak(lambda: simulate_dual(
             dual_cfg(rho=1.0), duration=n / FS, sample_rate=FS, seed=2,
             method="boxcar"))
         assert peak < 2.25 * 8 * n
 
     @pytest.mark.parametrize("method", ["spectral", "boxcar"])
-    def test_single_detector_holds_no_second_record(self, method):
+    def test_single_detector_holds_no_second_record(self, held_peak,
+                                                    method):
         n = 2**18
         synth = SynthesisConfig(L=L, sample_rate=FS, n_samples=n,
                                 seed=channel_seed(2, 0), method=method)
-        synthesis_peak = traced_peak(lambda: synthesize(synth))
-        peak = traced_peak(lambda: simulate_detector(
+        synthesis_peak = held_peak(lambda: synthesize(synth))
+        peak = held_peak(lambda: simulate_detector(
             DetectorConfig(L=L, shot_noise_asd=SHOT), duration=n / FS,
             sample_rate=FS, seed=2, method=method))
-        assert peak <= synthesis_peak + 1.25 * 8 * n
+        assert peak <= synthesis_peak + 0.5 * 8 * n
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_spectral_pair_draws_no_noise_record_beside_its_transform(
+            self, held_peak, rho):
+        # while a transform runs, one record exists beside it: B's buffer
+        # at rho = 1, the shared geometric record at rho < 1
+        n = 2**18
+        synth = SynthesisConfig(L=L, sample_rate=FS, n_samples=n,
+                                seed=channel_seed(2, 0), method="spectral")
+        synthesis_peak = held_peak(lambda: synthesize(synth))
+        peak = held_peak(lambda: simulate_dual(
+            dual_cfg(rho=rho), duration=n / FS, sample_rate=FS, seed=2,
+            method="spectral"))
+        assert peak <= synthesis_peak + 1.5 * 8 * n
 
 
 class TestDualDetector:

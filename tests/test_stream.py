@@ -1,8 +1,6 @@
 """A run made, mixed and Welch-summed a chunk at a time (`stream_dual`)."""
 
 import dataclasses
-import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -82,24 +80,23 @@ def test_chunks_give_the_bytes_of_whole_records(
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", chunk_blocks)
-        # read in step, then regrouped by detector
-        parts = list(zip(*zip(*stream_dual(dual(rho), n / FS, FS, seed=3,
-                                           method=method))))
+        pairs = list(stream_dual(dual(rho), n / FS, FS, seed=3,
+                                 method=method))
     # joined, the chunks are the records
-    for part, record in zip(parts, (a, b)):
+    for part, record in zip(zip(*pairs), (a, b)):
         assert np.array_equal(np.concatenate([x.values for x in part]),
                               record.values)
-    assert_same_spectra(welch_csd(*parts, p), whole)
+    assert_same_spectra(welch_csd(pairs, p=p), whole)
     # and the chunks of any other size give the same spectra
     other = chunk + BLOCK
-    assert_same_spectra(welch_csd(chunks_of(a, other), chunks_of(b, other),
-                                  p), whole)
+    assert_same_spectra(welch_csd(zip(chunks_of(a, other),
+                                      chunks_of(b, other)), p=p), whole)
 
     # the merged moments of the chunks are the two-pass ones, also far from
     # zero mean
     for offset in (0.0, 1e3 * np.std(a.values)):
-        csd = welch_csd(chunks_of(a, chunk, offset),
-                        chunks_of(b, chunk, -offset), p)
+        csd = welch_csd(zip(chunks_of(a, chunk, offset),
+                            chunks_of(b, chunk, -offset)), p=p)
         for k, x in enumerate((a.values + offset, b.values - offset)):
             assert csd.means[k] == pytest.approx(x.mean(), rel=1e-12,
                                                  abs=1e-12 * np.std(x))
@@ -110,38 +107,20 @@ def test_chunks_give_the_bytes_of_whole_records(
 def test_chunks_of_unequal_records_are_refused():
     a, b = simulate_dual(dual(1.0), 4 * BLOCK / FS, FS, seed=1)
     with pytest.raises(ValueError):
-        welch_csd(chunks_of(a, BLOCK), chunks_of(b, 2 * BLOCK))
+        welch_csd(zip(chunks_of(a, BLOCK), chunks_of(b, 2 * BLOCK)))
 
 
-def test_run_memory_does_not_grow_with_duration(monkeypatch):
-    # the traced peak plus the work arrays and chunks in anonymous
-    # mappings that are alive together, which tracemalloc does not see:
+def test_run_memory_does_not_grow_with_duration(monkeypatch, held_peak):
     # between durations d and 4 d only the 64 bytes per Welch segment of
     # the low bins may add, and 10 %
-    live, peak = {}, [0]
-
-    def counted(shapes, _mapped=_threads.mapped):
-        arrays = _mapped(shapes)
-        for array in arrays.values():
-            live[id(array)] = array.nbytes
-            weakref.finalize(array, live.pop, id(array))
-        peak[0] = max(peak[0], sum(live.values()))
-        return arrays
-
-    monkeypatch.setattr(_threads, "mapped", counted)
     monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 2)
     cfg = RunConfig(method="boxcar", sample_rate=29979245.8, seed=2)
     peaks, segments = [], []
     for duration in (0.02, 0.08):
-        peak[0] = 0
-        tracemalloc.start()
-        try:
-            result = run_pipeline(dataclasses.replace(cfg,
-                                                      duration=duration))
-            peaks.append(tracemalloc.get_traced_memory()[1] + peak[0])
-        finally:
-            tracemalloc.stop()
-        segments.append(result.csd.n_segments)
+        results = []
+        peaks.append(held_peak(lambda: results.append(run_pipeline(
+            dataclasses.replace(cfg, duration=duration)))))
+        segments.append(results[0].csd.n_segments)
     # 600,000 samples are 4.6 chunks of 131,072
     assert peaks[0] > 4 * 2 * BLOCK * 8
     assert peaks[1] <= 1.1 * peaks[0] + 64 * (segments[1] - segments[0])

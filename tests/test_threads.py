@@ -16,6 +16,11 @@ def three_workers(monkeypatch):
                         lambda samples: 1 if samples < LARGE else 3)
 
 
+def none():
+    """A workspace of no work arrays."""
+    return _threads.Workspace({})
+
+
 def recorded(calls):
     """A block kernel that records (blocks, thread) per call."""
     def kernel(blocks, scratch):
@@ -26,7 +31,7 @@ def recorded(calls):
 def test_step_runs_here_beside_the_runs(three_workers):
     caller = threading.get_ident()
     calls = []
-    assert _threads.on_blocks(recorded(calls), 5, LARGE, {},
+    assert _threads.on_blocks(recorded(calls), 5, LARGE, none(),
                               step=threading.get_ident) == caller
     # the runs cover the blocks in order, on the two other threads
     calls.sort()
@@ -37,7 +42,7 @@ def test_step_runs_here_beside_the_runs(three_workers):
 def test_small_records_run_on_the_calling_thread(three_workers):
     caller = threading.get_ident()
     calls = []
-    assert _threads.on_blocks(recorded(calls), 3, LARGE - 1, {},
+    assert _threads.on_blocks(recorded(calls), 3, LARGE - 1, none(),
                               step=threading.get_ident) == caller
     assert calls == [([0, 1, 2], caller)]
 
@@ -52,7 +57,7 @@ def test_tasks_inherit_caller_errstate(three_workers):
 
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _threads.on_blocks(kernel, 2, LARGE, {})
+            _threads.on_blocks(kernel, 2, LARGE, none())
 
 
 def test_first_error_raised_after_every_task_ends(three_workers):
@@ -73,7 +78,7 @@ def test_first_error_raised_after_every_task_ends(three_workers):
             fail("third")
 
     with pytest.raises(ValueError, match="first"):
-        _threads.on_blocks(slow_second, 3, LARGE, {})
+        _threads.on_blocks(slow_second, 3, LARGE, none())
     assert ended.is_set()
 
     def failing_second(blocks, scratch):
@@ -83,7 +88,7 @@ def test_first_error_raised_after_every_task_ends(three_workers):
             fail("third")
 
     with pytest.raises(ValueError, match="second"):
-        _threads.on_blocks(failing_second, 3, LARGE, {})
+        _threads.on_blocks(failing_second, 3, LARGE, none())
 
 
 def test_nested_call_runs_inline(three_workers):
@@ -93,9 +98,9 @@ def test_nested_call_runs_inline(three_workers):
 
     def outer(blocks, scratch):
         if blocks[0] == 1:
-            _threads.on_blocks(recorded(calls), 2, LARGE, {})
+            _threads.on_blocks(recorded(calls), 2, LARGE, none())
 
-    _threads.on_blocks(outer, 2, LARGE, {})
+    _threads.on_blocks(outer, 2, LARGE, none())
     (first, ident), (second, other) = sorted(calls)
     assert (first, second) == ([0], [1])
     assert ident == other != threading.get_ident()
@@ -117,7 +122,7 @@ def test_concurrent_callers_get_their_own_results(three_workers):
                     for b in blocks:
                         out[b] = (c, b)
 
-                _threads.on_blocks(kernel, 3, LARGE, {})
+                _threads.on_blocks(kernel, 3, LARGE, none())
                 results[c].append(out)
 
         callers = [threading.Thread(target=caller, args=(c,))
@@ -138,7 +143,7 @@ def test_runs_cover_the_items_in_order(monkeypatch):
     def layout(cpus, n_blocks, step=None):
         monkeypatch.setattr(_threads, "workers", lambda samples: cpus)
         calls = []
-        assert _threads.on_blocks(recorded(calls), n_blocks, LARGE, {},
+        assert _threads.on_blocks(recorded(calls), n_blocks, LARGE, none(),
                                   step) == (None if step is None else step())
         return sorted(blocks for blocks, _ in calls)
 
@@ -163,8 +168,8 @@ def test_on_blocks_runs_each_block_once(three_workers):
     def kernel(blocks, scratch):
         calls.append((list(blocks), threading.get_ident(), scratch))
 
-    _threads.on_blocks(kernel, 7, LARGE,
-                       {"a": ((4,), float), "b": ((2, 3), complex)})
+    _threads.on_blocks(kernel, 7, LARGE, _threads.Workspace(
+        {"a": ((4,), float), "b": ((2, 3), complex)}))
     calls.sort(key=lambda call: call[0][0])
     # contiguous runs, one per worker, that cover every block exactly once
     assert [blocks for blocks, _, _ in calls] == [[0, 1, 2], [3, 4], [5, 6]]
@@ -181,14 +186,14 @@ def test_on_blocks_runs_each_block_once(three_workers):
 def test_on_blocks_small_records_run_here_in_one_run(three_workers):
     calls = []
     _threads.on_blocks(lambda blocks, scratch: calls.append(
-        (list(blocks), threading.get_ident())), 4, LARGE - 1, {})
+        (list(blocks), threading.get_ident())), 4, LARGE - 1, none())
     assert calls == [([0, 1, 2, 3], threading.get_ident())]
 
 
 def test_offered_work_runs_beside_the_step(three_workers):
     caller = threading.get_ident()
     calls = []
-    with _threads.offering(recorded(calls), 5, LARGE, {}):
+    with _threads.offering(recorded(calls), 5, LARGE, none()):
         assert _threads.beside(threading.get_ident) == caller
         # the offer is taken once
         assert _threads.beside(lambda: "again") == "again"
@@ -198,7 +203,7 @@ def test_offered_work_runs_beside_the_step(three_workers):
 
 def test_offered_work_not_taken_runs_at_the_end(three_workers):
     calls = []
-    with _threads.offering(recorded(calls), 5, LARGE, {}):
+    with _threads.offering(recorded(calls), 5, LARGE, none()):
         assert calls == []
     runs = dict((items[0], ident) for items, ident in calls)
     assert sorted(items for items, _ in calls) == [[0, 1], [2, 3], [4]]
@@ -208,7 +213,7 @@ def test_offered_work_not_taken_runs_at_the_end(three_workers):
 def test_offered_work_dropped_on_error(three_workers):
     calls = []
     with pytest.raises(ValueError):
-        with _threads.offering(recorded(calls), 5, LARGE, {}):
+        with _threads.offering(recorded(calls), 5, LARGE, none()):
             raise ValueError("stop")
     assert calls == []
     assert _threads.beside(lambda: "alone") == "alone"
