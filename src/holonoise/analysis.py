@@ -152,6 +152,9 @@ def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
 #: slower, for one CSD of 5,995,849 samples.
 _WELCH_BLOCK = 32
 
+#: The chunks a Welch pass takes, by its record count.
+_CHUNKS = {1: "(a,) tuples of one TimeSeries", 2: "(a, b) pairs of TimeSeries"}
+
 
 class _WelchPass:
     """The Welch pass over one or two synchronous records, fed a chunk of
@@ -172,11 +175,12 @@ class _WelchPass:
     work array is in an anonymous mapping (`_threads.mapped`).
     """
 
-    def __init__(self, sample_rate: float, p: WelchParams, records: int):
+    def __init__(self, p: WelchParams, records: int):
         if p.segment_length > np.iinfo(np.intp).max:
             raise ValueError(f"every record is shorter than one segment "
                              f"({p.segment_length})")
-        self.sample_rate, self.p = sample_rate, p
+        # the sample rate is the first chunk's
+        self.sample_rate, self.p = None, p
         self.step = p.segment_length - p.noverlap
         self.span = (_WELCH_BLOCK - 1) * self.step + p.segment_length
         self.records, self.paired = records, records == 2
@@ -204,9 +208,20 @@ class _WelchPass:
         return self.block * _WELCH_BLOCK * self.step
 
     def add(self, chunk: tuple) -> None:
-        """Take the next chunk of each record: a tuple of TimeSeries."""
+        """Take the next chunk of each record: a tuple of `records`
+        TimeSeries."""
+        if not (isinstance(chunk, (tuple, list))
+                and len(chunk) == self.records
+                and all(isinstance(ts, TimeSeries) for ts in chunk)):
+            got = ("(" + ", ".join(type(x).__name__ for x in chunk) + ")"
+                   if isinstance(chunk, (tuple, list))
+                   else type(chunk).__name__)
+            raise ValueError(f"chunks must be {_CHUNKS[self.records]}, "
+                             f"got {got}")
         for ts in chunk:
             _check_pair(chunk[0], ts)
+        if self.sample_rate is None:
+            self.sample_rate = chunk[0].sample_rate
         if chunk[0].sample_rate != self.sample_rate:
             raise ValueError(f"sample rates differ: {self.sample_rate} vs "
                              f"{chunk[0].sample_rate}")
@@ -348,17 +363,21 @@ class _WelchPass:
             self.stats = [(mean, m2 / n) for n, mean, m2 in self.moments]
 
 
-def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
-    """Welch densities of one or two records and their cross-spectrum in
-    one pass: the finished `_WelchPass` of the chunks, tuples of one or two
-    TimeSeries, the successive chunks of the records."""
-    welch = None
+def _segment_spectra(chunks, p: WelchParams, records: int) -> _WelchPass:
+    """Welch densities of `records` (one or two) records and their
+    cross-spectrum in one pass: the finished `_WelchPass` of the chunks,
+    tuples of `records` TimeSeries, the successive chunks of the
+    records."""
+    welch = _WelchPass(p, records)
+    try:
+        chunks = iter(chunks)
+    except TypeError:
+        raise ValueError(f"expected an iterable of {_CHUNKS[records]}, got "
+                         f"{type(chunks).__name__}") from None
     for chunk in chunks:
-        if welch is None:
-            welch = _WelchPass(chunk[0].sample_rate, p, len(chunk))
         welch.add(chunk)
         del chunk  # before the next one is made
-    if welch is None:
+    if not welch.seen:
         raise ValueError("no records to estimate")
     welch.finish()
     return welch
@@ -446,7 +465,7 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
         With `sigma` = values / sqrt(effective segments), the chi-squared
         scale of an averaged periodogram corrected for segment overlap.
     """
-    welch = _segment_spectra([(ts,)], p)
+    welch = _segment_spectra([(ts,)], p, 1)
     return _psd_estimate(welch, welch.densities[0])
 
 
@@ -463,7 +482,7 @@ def welch_csd(a, b=None, p: WelchParams = WelchParams()) -> SpectrumEstimate:
     deviation of the real part of each bin when the channels are
     independent.  It feeds the detection statistic's weights.
     """
-    welch = _segment_spectra(a if b is None else [(a, b)], p)
+    welch = _segment_spectra(a if b is None else [(a, b)], p, 2)
     paa, pbb, pab = welch.densities
     n_seg = welch.n_segments
     (mean_a, var_a), (mean_b, var_b) = welch.stats
@@ -633,12 +652,18 @@ def detection_significance(csd: SpectrumEstimate, model: HolographicSpectrum,
     Parameters
     ----------
     csd : SpectrumEstimate
-        Cross-spectrum with `sigma` populated (as from `welch_csd`).
+        Cross-spectrum with `sigma` populated (as from `welch_csd`); any
+        other estimate is a `ValueError`.
     model : HolographicSpectrum
         Zero-parameter spectral prediction to fit.
     band : (f_lo, f_hi)
         Frequency band of the fit, inclusive.
     """
+    if csd.kind != "csd" or csd.sigma is None:
+        raise ValueError(
+            f"detection_significance fits a cross-spectrum with its null "
+            f"sigma (a welch_csd estimate), got a {csd.kind} estimate"
+            + (" without sigma" if csd.sigma is None else ""))
     f_lo, f_hi = band
     if not f_lo < f_hi:
         raise ValueError(f"empty band: ({f_lo}, {f_hi})")
@@ -650,17 +675,14 @@ def detection_significance(csd: SpectrumEstimate, model: HolographicSpectrum,
     freqs = csd.frequencies[mask]
     x = np.real(np.asarray(csd.values)[mask])
     template = np.asarray(one_sided_psd(model, freqs))
-    if csd.sigma is not None:
-        sigma = np.asarray(csd.sigma)[mask]
-        n_zero = int(np.sum(sigma == 0.0))
-        if n_zero:
-            raise ValueError(
-                f"band ({f_lo}, {f_hi}) Hz contains {n_zero} zero-variance "
-                "bins, which cannot be weighted"
-            )
-        weights = 1.0 / sigma**2
-    else:
-        weights = np.ones_like(x)
+    sigma = np.asarray(csd.sigma)[mask]
+    n_zero = int(np.sum(sigma == 0.0))
+    if n_zero:
+        raise ValueError(
+            f"band ({f_lo}, {f_hi}) Hz contains {n_zero} zero-variance "
+            "bins, which cannot be weighted"
+        )
+    weights = 1.0 / sigma**2
     denom = float(np.sum(weights * template**2))
     if denom == 0.0:
         raise ValueError("template vanishes over the requested band")

@@ -5,11 +5,12 @@ noise-model process, present only when the optical layout responds to
 transverse displacements) and white photon shot noise.  For a co-located
 pair the geometric components share a common stream; a single correlation
 coefficient rho_geom in [0, 1] interpolates between fully entangled (1) and
-decoupled (0) geometric states.  All component streams draw from distinct
-substreams of one master seed, so toggling any component leaves the others
-bit-identical.  A pair is made a chunk at a time (`stream_dual`), so that a
-run's memory does not grow with its duration; `simulate_dual` is the
-one-chunk case.
+decoupled (0) geometric states.  One plan (`_plan`) decides, once per run,
+what each record is made of and where it is built.  All component streams
+draw from distinct substreams of one master seed, so toggling any
+component leaves the others bit-identical.  A pair is made a chunk at a
+time (`stream_dual`), so that a run's memory does not grow with its
+duration; `simulate_dual` is the one-chunk case.
 """
 
 from __future__ import annotations
@@ -132,19 +133,6 @@ def _mix_blocks(records: list, first: int, blocks: np.ndarray,
                 o += noise
 
 
-def _with_noise(record: tuple, noise) -> tuple:
-    """`record`, an (out, terms, shot) of `_mix_blocks`, with its shot noise
-    already drawn into `noise` (or None): the noise is its last term or,
-    for a record without a buffer (out None), the buffer it is built in.
-    Either way the sums are those of the shot noise drawn in place."""
-    out, terms, _ = record
-    if noise is None:
-        return record
-    if out is None:
-        return noise, [(1.0, noise)] + terms, None
-    return out, terms + [(1.0, noise)], None
-
-
 def _buffer(size: int) -> np.ndarray:
     """A record buffer in an anonymous mapping of its own."""
     return _threads.mapped({"values": ((size,), float)})["values"]
@@ -181,81 +169,101 @@ def _spans(n: int, chunk: int, too_short) -> list[tuple[int, int]]:
     return spans
 
 
+def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
+          seed: int) -> list:
+    """The layout of a run's records, decided once for all its chunks: an
+    (own, terms, shot) per record, B's first (given `det_b`), then A's.
+
+    Detector A is the shared geometric stream g plus its shot noise; B is
+    sqrt(1 - rho^2) * g' + rho * g, with g' independent, plus its own, so
+    both see the full geometric spectrum while their cross-spectrum is rho
+    times it.  `terms` are the (weight, channel) pairs of these sums with a
+    nonzero weight, none for a detector without geometric sensitivity, and
+    `shot` the shot noise (`_shot`).  A record is built in the chunk of its
+    detector's stream, g for A and g' for B, when it reads it (`own` is
+    then that channel), else in a buffer of its own (`own` None).  B comes
+    first, so that A may then overwrite the chunk of g, which B reads.
+    """
+    detectors = [(det_a, CH_GEOM_SHARED, CH_SHOT_A, [(1.0, CH_GEOM_SHARED)])]
+    if det_b is not None:
+        detectors.insert(0, (det_b, CH_GEOM_INDEP, CH_SHOT_B, [
+            (np.sqrt(1.0 - rho**2), CH_GEOM_INDEP), (rho, CH_GEOM_SHARED)]))
+    plan = []
+    for det, stream, channel, terms in detectors:
+        terms = [(weight, ch) for weight, ch in terms
+                 if weight > 0.0 and det.geometric_sensitivity]
+        plan.append((stream if terms and terms[0][1] == stream else None,
+                     terms, _shot(det, sample_rate, seed, channel)))
+    return plan
+
+
+def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
+    """A record of `_plan` in a chunk of `size` samples, as `_mix_blocks`
+    takes it, with the chunks of the geometric streams in `streams`.  Shot
+    noise already drawn into `noise` is the first term of a record in a
+    buffer of its own, which is then `noise`, and the last of one built in
+    a geometric chunk; either way the sums are those of the noise drawn in
+    place."""
+    own, terms, shot = planned
+    terms = [(weight, streams[ch]) for weight, ch in terms]
+    out = (streams[own] if own is not None
+           else _buffer(size) if noise is None else noise)
+    if noise is None:
+        return out, terms, shot
+    return out, ([(1.0, noise)] + terms if out is noise
+                 else terms + [(1.0, noise)]), None
+
+
 def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
             sample_rate: float, seed: int, method: str, chunk: int):
-    """The records of detector A and, given `det_b`, of B, a chunk of
-    `chunk` samples (whole blocks) at a time (`_spans`): yields a
-    (TimeSeries, TimeSeries or None) pair per chunk.
+    """The records of `_plan`, a chunk of `chunk` samples (whole blocks) at
+    a time (`_spans`): yields a (TimeSeries of A, TimeSeries of B or None)
+    pair per chunk.
 
-    Detector A carries the shared geometric stream g; B carries
-    sqrt(1 - rho^2) * g' + rho * g, with g' independent; each adds its shot
-    noise.  A boxcar stream is synthesized a chunk at a time; a spectral
-    one is one transform, made whole first and read a chunk at a time, and
-    some of the first chunk's shot noise is drawn while it runs.  B is
-    built first, in the chunk of g' or, without g', in a buffer of its own;
-    A then in the chunk of g, which B reads, or, without g, in a buffer of
-    its own.  The buffers of a chunk are its own, so a chunk stays valid
-    after the next is made.
+    A geometric stream is synthesized only if a record reads it: with the
+    boxcar method a chunk at a time, with the spectral method in one
+    transform, made whole first and read a chunk at a time.  The buffers
+    of a chunk are its own, so a chunk stays valid after the next is made.
     """
     # sampling preconditions hold for both arms even when a sensitivity
     # flag later drops the component
-    cfg_g = _synth_cfg(seed, CH_GEOM_SHARED, det_a.L, n, sample_rate, method)
-    cfg_h = (None if det_b is None else
-             _synth_cfg(seed, CH_GEOM_INDEP, det_b.L, n, sample_rate, method))
-    sens_a = det_a.geometric_sensitivity
-    sens_b = det_b is not None and det_b.geometric_sensitivity
-    cfgs = [cfg_g if sens_a or (sens_b and rho > 0.0) else None,
-            cfg_h if sens_b and rho < 1.0 else None]
-    shot_a = _shot(det_a, sample_rate, seed, CH_SHOT_A)
-    shot_b = None if det_b is None else _shot(det_b, sample_rate, seed,
-                                              CH_SHOT_B)
-    workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
+    cfgs = {ch: _synth_cfg(seed, ch, det.L, n, sample_rate, method)
+            for ch, det in [(CH_GEOM_SHARED, det_a), (CH_GEOM_INDEP, det_b)]
+            if det is not None}
     spans = _spans(n, chunk, functools.partial(
-        synthesis._too_short, sample_rate=sample_rate, spec=cfg_g.spectrum()))
+        synthesis._too_short, sample_rate=sample_rate,
+        spec=cfgs[CH_GEOM_SHARED].spectrum()))
+    plan = _plan(det_a, det_b, rho, sample_rate, seed)
+    read = {ch for _, terms, _ in plan for _, ch in terms}
+    cfgs = {ch: cfg for ch, cfg in cfgs.items() if ch in read}
+    workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
     # the first chunk's shot noise reads no geometric record: with the
-    # spectral method it is drawn on the CPUs that the one-CPU inverse
-    # transform leaves idle (`_with_noise`), into the buffer of a record
-    # not built in a geometric chunk or, when that chunk is shorter than
-    # the record, into a buffer of its own; never into a second record
-    shots = ([] if det_b is None else [shot_b]) + [shot_a]
-    own = ([] if det_b is None else [cfgs[1] is None]) + [not sens_a]
-    size, drawn, offer = spans[0][1], None, contextlib.nullcontext()
-    if method == "spectral":
-        drawn = [_buffer(size) if shot is not None and (mine or size < n)
-                 else None for shot, mine in zip(shots, own)]
-        early = [(noise, [], shot) for noise, shot in zip(drawn, shots)
-                 if noise is not None]
-        if early:
-            offer = _threads.offering(
-                functools.partial(_mix_blocks, early, 0),
-                -(-size // synthesis._BLOCK), size, workspace)
-    with offer:
-        whole = [None if cfg is None or method != "spectral"
-                 else synthesize(cfg).values for cfg in cfgs]
+    # spectral method it is drawn on the CPUs that the one-CPU transforms
+    # leave idle, into the buffer of a record not built in a geometric
+    # chunk or, when that chunk is shorter than the record, into a buffer
+    # of its own; never into a second record
+    size = spans[0][1]
+    drawn = [_buffer(size) if method == "spectral" and shot is not None
+             and (own is None or size < n) else None
+             for own, _, shot in plan]
+    early = [(noise, [], shot) for noise, (_, _, shot) in zip(drawn, plan)
+             if noise is not None]
+    with (_threads.offering(functools.partial(_mix_blocks, early, 0),
+                            -(-size // synthesis._BLOCK), size, workspace)
+          if early else contextlib.nullcontext()):
+        whole = ({ch: synthesize(cfg).values for ch, cfg in cfgs.items()}
+                 if method == "spectral" else {})
+    # from here on only the first chunk's records hold the drawn noise
+    del early
     for start, stop in spans:
         first = start // synthesis._BLOCK
-        if method == "spectral":
-            g, h = (None if x is None else x[start:stop] for x in whole)
-        else:
-            g, h = (None if cfg is None else synthesize(
-                replace(cfg, n_samples=stop - start), first).values
-                    for cfg in cfgs)
-        # B first: A is then built in the chunk of g, which B reads; a
-        # record without a chunk of its own (out None) gets a new buffer
-        records = []
-        if det_b is not None:
-            records.append(
-                (None, [(1.0, g)] if sens_b else [], shot_b) if h is None
-                else (h, [(np.sqrt(1.0 - rho**2), h)]
-                      + ([(rho, g)] if rho > 0.0 else []), shot_b))
-        records.append((g, [(1.0, g)], shot_a) if sens_a
-                       else (None, [], shot_a))
-        if drawn:
-            records = [_with_noise(record, noise)
-                       for record, noise in zip(records, drawn)]
-            drawn = None
-        records = [(_buffer(stop - start) if out is None else out, terms, shot)
-                   for out, terms, shot in records]
+        streams = {ch: whole[ch][start:stop] if method == "spectral"
+                   else synthesize(replace(cfg, n_samples=stop - start),
+                                   first).values
+                   for ch, cfg in cfgs.items()}
+        records = [_record(planned, noise, streams, stop - start)
+                   for planned, noise in zip(plan, drawn)]
+        drawn = [None] * len(plan)
         _threads.on_blocks(functools.partial(_mix_blocks, records, first),
                            -(-(stop - start) // synthesis._BLOCK),
                            stop - start, workspace)
@@ -264,15 +272,15 @@ def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
              else TimeSeries(sample_rate=sample_rate, values=records[0][0]))
         yield a, b
         # the chunk is the reader's now: drop it before making the next
-        del a, b, g, h, records
+        del a, b, streams, records
 
 
 def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
                       seed: int, method: str = "spectral") -> TimeSeries:
     """Single-detector output: geometric noise (if sensitive) plus shot noise.
 
-    This is detector A of `simulate_dual`: it draws the same substreams,
-    mixes them in the same way and gives the same bytes, with no detector B.
+    This is detector A of `simulate_dual` (`_plan`) and gives its bytes,
+    with no detector B.
     """
     n = _n_samples(duration, sample_rate)
     [(a, _)] = _chunks(cfg, None, 0.0, n, sample_rate, seed, method, n)
@@ -285,9 +293,9 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     (chunk of A, chunk of B) TimeSeries pairs, in record order.
 
     A chunk is `_CHUNK_BLOCKS` blocks of samples, so a run holds a chunk of
-    each detector and, for the spectral method, the geometric records;
-    joined, the chunks are the records of `simulate_dual` byte for byte.
-    A pair stays valid after the next is made.
+    each detector and, for the spectral method, the geometric records that
+    `_plan` reads; joined, the chunks are the records of `simulate_dual`
+    byte for byte.  A pair stays valid after the next is made.
     """
     n = _n_samples(duration, sample_rate)
     return _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate, seed,
@@ -297,15 +305,11 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
                   seed: int, method: str = "spectral"
                   ) -> tuple[TimeSeries, TimeSeries]:
-    """Outputs of a co-located pair with entangled geometric components.
+    """Outputs of a co-located pair with entangled geometric components,
+    whose cross-spectrum is rho_geom times the geometric spectrum.
 
-    Detector A carries the shared geometric stream g; detector B carries
-    sqrt(1 - rho^2) * g' + rho * g, with g' independent, so both see the
-    full geometric spectrum while their cross-spectrum is rho times it.
-    Shot noises are independent.  The four underlying streams derive from
-    distinct substreams of `seed`.  The records are the one chunk of
-    `stream_dual`'s loop: A is built in the shared record's buffer and, at
-    rho < 1, B in the independent one's.
+    The records are those `_plan` describes, from four streams on distinct
+    substreams of `seed`: the one chunk of `stream_dual`'s loop.
     """
     n = _n_samples(duration, sample_rate)
     [(a, b)] = _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate,

@@ -137,6 +137,13 @@ class TestWelchCsd:
         with pytest.raises(ValueError):
             welch_csd(white(1024), white(2048))
 
+    def test_malformed_chunks_refused(self):
+        # alone, the argument must be an iterable of (a, b) pairs
+        ts = white(1024)
+        for chunks in (ts, [ts], [(ts,)], [(ts, ts, ts)]):
+            with pytest.raises(ValueError, match=r"\(a, b\) pairs"):
+                welch_csd(chunks)
+
 
 class TestCoherence:
     def test_identical_streams(self):
@@ -294,6 +301,15 @@ class TestDetectionSignificance:
             detection_significance(est, spec40, (3e6, 1e4))
         with pytest.raises(ValueError):
             detection_significance(est, spec40, (5e6, 6e6))
+
+    def test_fits_cross_spectra_with_sigma_only(self, spec40):
+        a, b = white(8192, fs=8e6, seed=1), white(8192, fs=8e6, seed=2)
+        csd = welch_csd(a, b, WelchParams(segment_length=1024))
+        for misuse in (csd.psds[0], coherence(a, b),
+                       dataclasses.replace(csd, sigma=None)):
+            with pytest.raises(ValueError, match="cross-spectrum"):
+                detection_significance(misuse, spec40, (1e4, 3e6))
+        detection_significance(csd, spec40, (1e4, 3e6))
 
     def test_null_snr_roughly_standard_normal(self, spec40):
         from holonoise import DetectorConfig, DualDetectorConfig, simulate_dual

@@ -19,10 +19,11 @@ from holonoise import (
     one_sided_psd,
     simulate_detector,
     simulate_dual,
+    stream_dual,
     welch_csd,
     welch_psd,
 )
-from holonoise import _threads
+from holonoise import _threads, interferometer, synthesis
 from holonoise.errors import ConfigurationError
 from holonoise.synthesis import _BLOCK, channel_seed, synthesize
 
@@ -146,6 +147,47 @@ class TestSingleDetector:
 
 
 class TestRecordLayout:
+    @pytest.mark.parametrize("method", ["spectral", "boxcar"])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("sens_a", [True, False])
+    @pytest.mark.parametrize("sens_b", [True, False])
+    @pytest.mark.parametrize("shot", [0.0, SHOT], ids=["no_shot", "shot"])
+    def test_records_are_the_planned_sums(self, monkeypatch, method, rho,
+                                          sens_a, sens_b, shot):
+        # A = g + n_A and B = (sqrt(1 - rho^2) g' + rho g) + n_B, in that
+        # order of operations, from the component streams of the run's
+        # substreams, over records of more than one chunk
+        seed, n = 4, 5 * _BLOCK // 2
+
+        def geometric(channel):
+            return synthesize(SynthesisConfig(
+                L=L, sample_rate=FS, n_samples=n,
+                seed=channel_seed(seed, channel), method=method)).values
+
+        def shot_noise(channel):
+            normals = np.empty(n)
+            synthesis._fill_normal(normals, seed, channel, 0)
+            return normals * (shot * np.sqrt(FS / 2.0))
+
+        g = geometric(interferometer.CH_GEOM_SHARED)
+        want_a = ((g if sens_a else 0.0)
+                  + shot_noise(interferometer.CH_SHOT_A))
+        want_b = ((np.sqrt(1.0 - rho**2)
+                   * geometric(interferometer.CH_GEOM_INDEP) + rho * g
+                   if sens_b else 0.0)
+                  + shot_noise(interferometer.CH_SHOT_B))
+        cfg = dual_cfg(rho, shot=shot, sens_a=sens_a, sens_b=sens_b)
+        run = dict(duration=n / FS, sample_rate=FS, seed=seed, method=method)
+        monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 1)
+        pairs = list(stream_dual(cfg, **run))
+        assert len(pairs) > 1
+        streamed = [np.concatenate([ts.values for ts in part])
+                    for part in zip(*pairs)]
+        whole = [ts.values for ts in simulate_dual(cfg, **run)]
+        for got in (streamed, whole):
+            assert np.array_equal(got[0], want_a)
+            assert np.array_equal(got[1], want_b)
+
     @pytest.mark.parametrize("method", ["spectral", "boxcar"])
     @pytest.mark.parametrize("rho, sens_a", [(1.0, True), (0.5, True),
                                              (1.0, False)])
