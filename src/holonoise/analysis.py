@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,13 +42,17 @@ class WelchParams:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.segment_length < 16:
+        if not (isinstance(self.segment_length, numbers.Integral)
+                and self.segment_length >= 16):
             raise ConfigurationError(
-                f"segment_length must be >= 16, got {self.segment_length}"
+                f"segment_length must be an integer >= 16, got "
+                f"{self.segment_length!r}"
             )
-        if not 0.0 <= self.overlap_fraction < 1.0:
+        if not (isinstance(self.overlap_fraction, numbers.Real)
+                and 0.0 <= self.overlap_fraction < 1.0):
             raise ConfigurationError(
-                f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}"
+                f"overlap_fraction must be a number in [0, 1), got "
+                f"{self.overlap_fraction!r}"
             )
         if self.window not in WINDOWS:
             raise ConfigurationError(
@@ -152,13 +157,10 @@ def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
 #: slower, for one CSD of 5,995,849 samples.
 _WELCH_BLOCK = 32
 
-#: The chunks a Welch pass takes, by its record count.
-_CHUNKS = {1: "(a,) tuples of one TimeSeries", 2: "(a, b) pairs of TimeSeries"}
-
 
 class _WelchPass:
-    """The Welch pass over one or two synchronous records, fed a chunk of
-    each at a time (`add`) and summed up by `finish`.
+    """The Welch pass over two synchronous records, fed a chunk of each at
+    a time (`add`) and summed up by `finish`.
 
     Blocks of `_WELCH_BLOCK` segments are summed by `_block_sums` on the
     usable CPUs as soon as a chunk completes them, and the block sums are
@@ -167,15 +169,15 @@ class _WelchPass:
     the start of the first unfinished block on are carried to the next
     chunk (under one block's span); the blocks that start in them are
     summed from the carried samples followed by the chunk's first ones, the
-    others from the chunk itself.  With two records, bins 0 and 1 of every
-    segment's transforms are kept, and each block also takes the mean and
-    centred sum of squares of the samples from its start to the next
-    block's (the last block: to the record's end), which are merged in
-    block order into each record's mean and variance (Chan et al.).  Every
-    work array is in an anonymous mapping (`_threads.mapped`).
+    others from the chunk itself.  Bins 0 and 1 of every segment's
+    transforms are kept, and each block also takes the mean and centred sum
+    of squares of the samples from its start to the next block's (the last
+    block: to the record's end), which are merged in block order into each
+    record's mean and variance (Chan et al.).  Every work array is in an
+    anonymous mapping (`_threads.mapped`).
     """
 
-    def __init__(self, p: WelchParams, records: int):
+    def __init__(self, p: WelchParams):
         if p.segment_length > np.iinfo(np.intp).max:
             raise ValueError(f"every record is shorter than one segment "
                              f"({p.segment_length})")
@@ -183,7 +185,6 @@ class _WelchPass:
         self.sample_rate, self.p = None, p
         self.step = p.segment_length - p.noverlap
         self.span = (_WELCH_BLOCK - 1) * self.step + p.segment_length
-        self.records, self.paired = records, records == 2
         # the window, the density scale and the totals (|X|^2 of each
         # record, then conj(X) Y) are made with the first segments, so that
         # a record shorter than one is refused whatever the segment length
@@ -195,31 +196,29 @@ class _WelchPass:
         self.workspace = _threads.Workspace({
             "windowed": ((_WELCH_BLOCK, p.segment_length), float),
             "power": (shape, float), "power_imag": (shape, float),
-            **{f"spectrum{c}": (shape, complex) for c in range(records)},
-            **({"centred": ((self.span,), float)} if self.paired else {})})
+            "spectrum0": (shape, complex), "spectrum1": (shape, complex),
+            "centred": ((self.span,), float)})
         self.seen = 0   # samples added
         self.block = 0  # the first block not summed
         self.held = 0   # samples carried, from the start of `block` on
         self.lows = []
         # (samples, mean, centred sum of squares) of each record
-        self.moments = [(0, 0.0, 0.0)] * records
+        self.moments = [(0, 0.0, 0.0)] * 2
 
     def _block_start(self) -> int:
         return self.block * _WELCH_BLOCK * self.step
 
     def add(self, chunk: tuple) -> None:
-        """Take the next chunk of each record: a tuple of `records`
+        """Take the next chunk of each record: an (a, b) pair of
         TimeSeries."""
-        if not (isinstance(chunk, (tuple, list))
-                and len(chunk) == self.records
+        if not (isinstance(chunk, (tuple, list)) and len(chunk) == 2
                 and all(isinstance(ts, TimeSeries) for ts in chunk)):
             got = ("(" + ", ".join(type(x).__name__ for x in chunk) + ")"
                    if isinstance(chunk, (tuple, list))
                    else type(chunk).__name__)
-            raise ValueError(f"chunks must be {_CHUNKS[self.records]}, "
+            raise ValueError(f"chunks must be (a, b) pairs of TimeSeries, "
                              f"got {got}")
-        for ts in chunk:
-            _check_pair(chunk[0], ts)
+        _check_pair(*chunk)
         if self.sample_rate is None:
             self.sample_rate = chunk[0].sample_rate
         if chunk[0].sample_rate != self.sample_rate:
@@ -257,7 +256,7 @@ class _WelchPass:
             room = max(size, 2 * (0 if buffer is None else buffer.shape[1]))
             limit = self.span * (2 if name == "seam" else 1)
             buffer = self.buffers[name] = _threads.mapped({name: (
-                (self.records, min(room, limit)), float)})[name]
+                (2, min(room, limit)), float)})[name]
         return buffer[:, :size]
 
     def _complete(self, data: list, base: int, before=None) -> list:
@@ -302,8 +301,8 @@ class _WelchPass:
         if self.totals is None:
             self.window = _window(self.p)
             self.scale = _density_scale(self.p, self.sample_rate)
-            self.totals = [np.zeros(self.scale.size, dtype) for dtype in
-                           [float] * self.records + [complex] * self.paired]
+            self.totals = [np.zeros(self.scale.size, dtype)
+                           for dtype in (float, float, complex)]
         count = sum(block[0][0].shape[0] for block in blocks)
         # row i of "sum<c>" holds block i's sum, moments[c, i] the (mean,
         # centred sum of squares) of its samples of record c
@@ -311,21 +310,18 @@ class _WelchPass:
             **{f"sum{c}": ((len(blocks), self.scale.size), total.dtype)
                for c, total in enumerate(self.totals)},
             "moments": ((len(self.moments), len(blocks), 2), float)})
-        lows = (np.empty((2, count, 2), dtype=complex) if self.paired
-                else None)
+        lows = np.empty((2, count, 2), dtype=complex)
         _threads.on_blocks(
-            functools.partial(_block_sums, blocks, self.window, lows, arrays,
-                              self.paired),
+            functools.partial(_block_sums, blocks, self.window, lows, arrays),
             len(blocks), count * self.step, self.workspace)
         for c, total in enumerate(self.totals):
             for block_sum in arrays[f"sum{c}"]:
                 total += block_sum
-        if self.paired:
-            self.lows.append(lows)
-            for c, moments in enumerate(arrays["moments"]):
-                for (_, samples), (mean, m2) in zip(
-                        (block[c] for block in blocks), moments):
-                    self._merge(c, samples.size, mean, m2)
+        self.lows.append(lows)
+        for c, moments in enumerate(arrays["moments"]):
+            for (_, samples), (mean, m2) in zip(
+                    (block[c] for block in blocks), moments):
+                self._merge(c, samples.size, mean, m2)
 
     def _merge(self, c: int, size: int, mean: float, m2: float) -> None:
         """Merge `size` samples of mean `mean` and centred sum of squares
@@ -338,18 +334,17 @@ class _WelchPass:
 
     def finish(self) -> None:
         """Sum the last block up: `densities` are then the one-sided
-        densities of the records and, for two, their cross-spectrum
-        mean(conj(X) Y), averaged over the `n_segments` segments of the
-        `seen` samples; for two records `low_bins` holds bins 0 and 1 of
-        each segment's X and Y (2 x K x 2) and `stats` the (mean, sample
-        variance (1/N)) of each record."""
+        densities of the two records and their cross-spectrum mean(conj(X)
+        Y), averaged over the `n_segments` segments of the `seen` samples;
+        `low_bins` holds bins 0 and 1 of each segment's X and Y (2 x K x 2)
+        and `stats` the (mean, sample variance (1/N)) of each record."""
         self.n_segments = _segment_count(self.seen, self.p)
         # the last block, short of `_WELCH_BLOCK` segments, is in the carry
         carry = list(self._buffer("carry", self.held))
         rest = self.n_segments - self.block * _WELCH_BLOCK
         if rest:
             self._sum(self._blocks(carry, self._block_start(), 1, rest))
-        elif self.paired and self.held:
+        elif self.held:
             # samples after the last block's segments
             work = self.workspace.run(0)["centred"]
             for c, x in enumerate(carry):
@@ -358,22 +353,20 @@ class _WelchPass:
                                            1.0 / self.sample_rate)
         self.densities = [total / self.n_segments * self.scale
                           for total in self.totals]
-        if self.paired:
-            self.low_bins = np.concatenate(self.lows, axis=1)
-            self.stats = [(mean, m2 / n) for n, mean, m2 in self.moments]
+        self.low_bins = np.concatenate(self.lows, axis=1)
+        self.stats = [(mean, m2 / n) for n, mean, m2 in self.moments]
 
 
-def _segment_spectra(chunks, p: WelchParams, records: int) -> _WelchPass:
-    """Welch densities of `records` (one or two) records and their
-    cross-spectrum in one pass: the finished `_WelchPass` of the chunks,
-    tuples of `records` TimeSeries, the successive chunks of the
-    records."""
-    welch = _WelchPass(p, records)
+def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
+    """Welch densities of two records and their cross-spectrum in one pass:
+    the finished `_WelchPass` of the chunks, (a, b) pairs of TimeSeries, the
+    successive chunks of the records."""
+    welch = _WelchPass(p)
     try:
         chunks = iter(chunks)
     except TypeError:
-        raise ValueError(f"expected an iterable of {_CHUNKS[records]}, got "
-                         f"{type(chunks).__name__}") from None
+        raise ValueError(f"expected an iterable of (a, b) pairs of "
+                         f"TimeSeries, got {type(chunks).__name__}") from None
     for chunk in chunks:
         welch.add(chunk)
         del chunk  # before the next one is made
@@ -383,18 +376,17 @@ def _segment_spectra(chunks, p: WelchParams, records: int) -> _WelchPass:
     return welch
 
 
-def _block_sums(blocks: list, window: np.ndarray, lows: Optional[np.ndarray],
-                arrays: dict, paired: bool, items: np.ndarray,
-                scratch: dict) -> None:
+def _block_sums(blocks: list, window: np.ndarray, lows: np.ndarray,
+                arrays: dict, items: np.ndarray, scratch: dict) -> None:
     """Sums over the segments of each block i in `items`, in place.
 
     blocks[i] holds the block's (segments, samples) of each record.  Row i
-    of arrays["sum<c>"] gets its sum of |X|^2 for record c and, for two
-    records, row i of arrays["sum2"] its sum of conj(X) Y, arrays["moments"]
-    [c, i] the `_moments` of its samples of record c, and the rows of
-    `lows` of its segments (`_WELCH_BLOCK` a block) their bins 0 and 1 of
-    X and Y.  The work arrays are `scratch`'s, so no array data is
-    allocated and a worker thread can run it.
+    of arrays["sum<c>"] gets its sum of |X|^2 for record c, row i of
+    arrays["sum2"] its sum of conj(X) Y, arrays["moments"][c, i] the
+    `_moments` of its samples of record c, and the rows of `lows` of its
+    segments (`_WELCH_BLOCK` a block) their bins 0 and 1 of X and Y.  The
+    work arrays are `scratch`'s, so no array data is allocated and a worker
+    thread can run it.
     """
     for i in items:
         spectra = []
@@ -409,16 +401,13 @@ def _block_sums(blocks: list, window: np.ndarray, lows: Optional[np.ndarray],
                                     out=scratch["power_imag"][m]), out=power)
             np.sum(power, axis=0, out=arrays[f"sum{c}"][i])
             spectra.append(spectrum)
-            if paired:
-                arrays["moments"][c, i] = _moments(samples,
-                                                   scratch["centred"])
-        if paired:
-            rows = slice(i * _WELCH_BLOCK, i * _WELCH_BLOCK + m.stop)
-            for c, spectrum in enumerate(spectra):
-                lows[c, rows] = spectrum[:, :2]
-            sx, sy = spectra
-            product = np.multiply(np.conj(sx, out=sx), sy, out=sx)
-            np.sum(product, axis=0, out=arrays["sum2"][i])
+            arrays["moments"][c, i] = _moments(samples, scratch["centred"])
+        rows = slice(i * _WELCH_BLOCK, i * _WELCH_BLOCK + m.stop)
+        for c, spectrum in enumerate(spectra):
+            lows[c, rows] = spectrum[:, :2]
+        sx, sy = spectra
+        product = np.multiply(np.conj(sx, out=sx), sy, out=sx)
+        np.sum(product, axis=0, out=arrays["sum2"][i])
 
 
 def _moments(x: np.ndarray, work: np.ndarray) -> tuple[float, float]:
@@ -463,10 +452,13 @@ def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimat
     -------
     SpectrumEstimate
         With `sigma` = values / sqrt(effective segments), the chi-squared
-        scale of an averaged periodogram corrected for segment overlap.
+        scale of an averaged periodogram corrected for segment overlap:
+        `welch_csd(ts, ts, p).psds[0]`, so the paired pass makes every
+        estimate.
     """
-    welch = _segment_spectra([(ts,)], p, 1)
-    return _psd_estimate(welch, welch.densities[0])
+    if not isinstance(ts, TimeSeries):
+        raise ValueError(f"expected a TimeSeries, got {type(ts).__name__}")
+    return welch_csd(ts, ts, p).psds[0]
 
 
 def welch_csd(a, b=None, p: WelchParams = WelchParams()) -> SpectrumEstimate:
@@ -476,13 +468,13 @@ def welch_csd(a, b=None, p: WelchParams = WelchParams()) -> SpectrumEstimate:
     (chunk of a, chunk of b) TimeSeries pairs, the successive chunks of the
     records (as `stream_dual` yields them); chunks give the bytes of their
     joined records.  One pass over both records gives the CSD and the PSDs
-    of `a` and `b`, kept in `psds`; each equals `welch_psd` of its record
-    bit for bit.  The attached `sigma` is sqrt(psd_a * psd_b / (2 K)) with
-    K the effective (overlap-corrected) segment count: the standard
-    deviation of the real part of each bin when the channels are
-    independent.  It feeds the detection statistic's weights.
+    of `a` and `b`, kept in `psds`; `welch_psd` of a record is the first of
+    them with that record as both.  The attached `sigma` is sqrt(psd_a *
+    psd_b / (2 K)) with K the effective (overlap-corrected) segment count:
+    the standard deviation of the real part of each bin when the channels
+    are independent.  It feeds the detection statistic's weights.
     """
-    welch = _segment_spectra(a if b is None else [(a, b)], p, 2)
+    welch = _segment_spectra(a if b is None else [(a, b)], p)
     paa, pbb, pab = welch.densities
     n_seg = welch.n_segments
     (mean_a, var_a), (mean_b, var_b) = welch.stats

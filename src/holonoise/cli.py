@@ -301,8 +301,8 @@ def cmd_run(args) -> int:
         "amplitude_fit": detect.amplitude_fit,
         "amplitude_se": detect.amplitude_se,
         "snr": detect.snr,
-        "variance_a_m2": result.variance_a,
-        "variance_b_m2": result.variance_b,
+        "variance_a_m2": corr.variance_a,
+        "variance_b_m2": corr.variance_b,
         "model_variance_m2": spec.total_variance,
     }
     hio.write_summary_json(outdir / "summary.json", summary)

@@ -124,9 +124,8 @@ class RunResult:
 
     `config` is the run's config with the geometry defaults filled in.  The
     two PSDs are `csd.psds`, from the same paired pass as the CSD.  The
-    records themselves are not kept; `variance_a` and `variance_b` are their
-    sample variances (1/N) in m^2 (`correlation.variance_a` and
-    `variance_b`).
+    records themselves are not kept; their sample variances (1/N) in m^2
+    are `correlation.variance_a` and `variance_b`.
     """
 
     config: RunConfig
@@ -135,8 +134,6 @@ class RunResult:
     coherence: analysis.SpectrumEstimate
     correlation: analysis.CorrelationResult
     detection: analysis.DetectionResult
-    variance_a: float
-    variance_b: float
 
 
 def run_pipeline(cfg: RunConfig) -> RunResult:
@@ -189,16 +186,13 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             csd = analysis.welch_csd(interferometer.stream_dual(
                 det, duration=duration, sample_rate=sample_rate, seed=cfg.seed,
                 method=cfg.method), p=welch)
-            correlation = analysis.cross_correlation(csd, cfg.max_lag)
             return RunResult(
                 config=cfg,
                 spectrum=spec,
                 csd=csd,
                 coherence=analysis.coherence_from_csd(csd),
-                correlation=correlation,
+                correlation=analysis.cross_correlation(csd, cfg.max_lag),
                 detection=analysis.detection_significance(csd, spec, cfg.band),
-                variance_a=correlation.variance_a,
-                variance_b=correlation.variance_b,
             )
     except FloatingPointError as exc:
         raise ConfigurationError(

@@ -41,6 +41,15 @@ class TestWelchParams:
             WelchParams(overlap_fraction=1.0)
         with pytest.raises(ValueError):
             WelchParams(window="flattop")
+        # refused when built, not by the first estimate
+        for kwargs in (dict(segment_length=256.0),
+                       dict(segment_length=256.5),
+                       dict(segment_length="256"),
+                       dict(overlap_fraction="0.5")):
+            (name,) = kwargs
+            with pytest.raises(ConfigurationError, match=name):
+                WelchParams(**kwargs)
+        assert WelchParams(segment_length=np.int64(256)).noverlap == 128
 
 
 class TestWelchPsd:
@@ -143,6 +152,9 @@ class TestWelchCsd:
         for chunks in (ts, [ts], [(ts,)], [(ts, ts, ts)]):
             with pytest.raises(ValueError, match=r"\(a, b\) pairs"):
                 welch_csd(chunks)
+        for record in ("x", [ts]):
+            with pytest.raises(ValueError):
+                welch_psd(record)
 
 
 class TestCoherence:

@@ -294,7 +294,8 @@ class TestRunCommand:
             "amplitude_fit", "amplitude_se", "snr", "n_bins", "n_segments",
             "variance_a_m2", "variance_b_m2")] == [
             det.amplitude_fit, det.amplitude_se, det.snr, det.n_bins,
-            result.csd.n_segments, result.variance_a, result.variance_b]
+            result.csd.n_segments, result.correlation.variance_a,
+            result.correlation.variance_b]
 
     def test_tuple_band_same_as_list(self):
         # the API takes the band as detection_significance does, a tuple
