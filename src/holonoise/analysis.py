@@ -493,8 +493,13 @@ def coherence_from_csd(csd: SpectrumEstimate) -> SpectrumEstimate:
     """Magnitude-squared coherence of a `welch_csd` estimate and its `psds`.
 
     |CSD|^2 / (PSD_a PSD_b), clipped to [0, 1]; a silent channel has zero
-    power and, by convention, zero coherence.
+    power and, by convention, zero coherence.  Any other estimate is a
+    `ValueError`.
     """
+    if csd.psds is None:
+        raise ValueError(f"coherence_from_csd takes a cross-spectrum with its "
+                         f"psds (a welch_csd estimate), got a {csd.kind} "
+                         "estimate")
     psd_a, psd_b = csd.psds
     power = psd_a.values * psd_b.values
     coh = np.clip(np.divide(np.abs(csd.values) ** 2, power,

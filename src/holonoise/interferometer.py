@@ -22,7 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _threads, synthesis
-from .errors import ConfigurationError, check_positive_finite
+from .errors import (
+    ConfigurationError,
+    check_fits_in_memory,
+    check_positive_finite,
+)
 from .noise_model import HolographicSpectrum
 from .synthesis import SynthesisConfig, TimeSeries, channel_seed, synthesize
 
@@ -88,6 +92,19 @@ class DualDetectorConfig:
 _CHUNK_BLOCKS = 16
 
 
+#: Peak resident bytes per record sample of a pair's records, made whole
+#: (`simulate_dual`) or streamed (`stream_dual`, read by the Welch pass of
+#: `run_pipeline`), measured as the slope of a fresh process's peak RSS
+#: between 0.2 and 0.4 s pairs at 16 MHz; the largest over rho.  The
+#: spectral method holds its geometric records and the inverse FFT's
+#: buffers either way: 49 bytes at rho < 1, where one record already exists
+#: during the second transform; at rho = 1, 40 whole, where B's buffer
+#: exists during the transform, and 32 streamed.  The boxcar method holds
+#: both records whole, and a chunk of each streamed, whatever the duration.
+_BYTES_PER_SAMPLE = {"whole": {"spectral": 49, "boxcar": 16},
+                     "streamed": {"spectral": 49, "boxcar": 0}}
+
+
 def _shot(det: DetectorConfig, sample_rate: float, seed: int,
           channel: int):
     """The shot noise of `det` for `_mix_blocks`: white noise of one-sided
@@ -138,13 +155,18 @@ def _buffer(size: int) -> np.ndarray:
     return _threads.mapped({"values": ((size,), float)})["values"]
 
 
-def _n_samples(duration: float, sample_rate: float) -> int:
+def _n_samples(duration: float, sample_rate: float,
+               bytes_per_sample: float = 0.0) -> int:
+    """Samples in `duration` at `sample_rate`; records of `bytes_per_sample`
+    bytes per sample too large for physical memory are refused, naming
+    `duration`, before anything is allocated."""
     check_positive_finite("duration", duration)
     check_positive_finite("sample_rate", sample_rate)
     check_positive_finite("duration x sample_rate", duration * sample_rate)
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ConfigurationError(f"duration {duration} s yields an empty record")
+    check_fits_in_memory("duration", duration, n, bytes_per_sample)
     return n
 
 
@@ -280,9 +302,11 @@ def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
     """Single-detector output: geometric noise (if sensitive) plus shot noise.
 
     This is detector A of `simulate_dual` (`_plan`) and gives its bytes,
-    with no detector B.
+    with no detector B.  A record too large for physical memory (that of
+    `synthesize`) raises ConfigurationError naming `duration`.
     """
-    n = _n_samples(duration, sample_rate)
+    n = _n_samples(duration, sample_rate,
+                   synthesis._BYTES_PER_SAMPLE.get(method, 0))
     [(a, _)] = _chunks(cfg, None, 0.0, n, sample_rate, seed, method, n)
     return a
 
@@ -295,9 +319,12 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     A chunk is `_CHUNK_BLOCKS` blocks of samples, so a run holds a chunk of
     each detector and, for the spectral method, the geometric records that
     `_plan` reads; joined, the chunks are the records of `simulate_dual`
-    byte for byte.  A pair stays valid after the next is made.
+    byte for byte.  A pair stays valid after the next is made.  A run too
+    large for physical memory (`_BYTES_PER_SAMPLE`) raises
+    ConfigurationError naming `duration` when this is called.
     """
-    n = _n_samples(duration, sample_rate)
+    n = _n_samples(duration, sample_rate,
+                   _BYTES_PER_SAMPLE["streamed"].get(method, 0))
     return _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate, seed,
                    method, _CHUNK_BLOCKS * synthesis._BLOCK)
 
@@ -309,9 +336,12 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     whose cross-spectrum is rho_geom times the geometric spectrum.
 
     The records are those `_plan` describes, from four streams on distinct
-    substreams of `seed`: the one chunk of `stream_dual`'s loop.
+    substreams of `seed`: the one chunk of `stream_dual`'s loop.  A pair
+    too large for physical memory (`_BYTES_PER_SAMPLE`) raises
+    ConfigurationError naming `duration` before anything is allocated.
     """
-    n = _n_samples(duration, sample_rate)
+    n = _n_samples(duration, sample_rate,
+                   _BYTES_PER_SAMPLE["whole"].get(method, 0))
     [(a, b)] = _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate,
                        seed, method, n)
     return a, b

@@ -1,14 +1,14 @@
 """Closed-form displacement noise model for a Michelson arm-length difference.
 
-The predicted two-sided power spectral density is
+The displacement is a Planck-rate random walk integrated over the light
+round-trip time 2L/c, so its autocorrelation is a triangle of half-width
+2L/c, and its predicted two-sided power spectral density is the triangle's
+Fourier transform,
 
-    S(f) = (4 c^2 t_P / pi) * (1 - cos(f / f_c)) / (2 pi f)^2,   f_c = c / (4 pi L),
+    S(f) = plateau * sinc^2(2 L f / c),   plateau = 8 t_P L^2 / pi,
 
-which is exactly the Fourier transform of a triangular autocorrelation of
-half-width 2L/c: the displacement behaves as a Planck-rate random walk
-integrated over the light round-trip time of the apparatus.  The triangle
-closed form is used in production; numeric transforms of either side serve
-as test oracles only.
+with sinc(x) = sin(pi x) / (pi x).  The closed form is used in production;
+numeric transforms of either side serve as test oracles only.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ class HolographicSpectrum:
         check_positive_finite("arm_length", self.L)
         # the plateau grows as L^2, the knee and the zeros as 1/L: all
         # floats, and the plateau a normal one, so that no spectrum the
-        # synthesis scales underflows to a record of zeros
+        # synthesis scales underflows to a record of zeros (which puts L
+        # above 4e-133 m, so c/2L below 4e140 Hz)
         if not (self.L < math.sqrt(sys.float_info.max)
-                and CONSTANTS.c / (2.0 * self.L) < math.inf
                 and self.plateau >= sys.float_info.min):
             raise ConfigurationError(
                 f"arm_length {self.L} m puts the spectrum beyond the float range"
@@ -71,25 +71,20 @@ class HolographicSpectrum:
 
 
 def analytic_psd(spec: HolographicSpectrum, f):
-    """Two-sided displacement PSD in m^2/Hz at frequency f >= 0 (Hz).
+    """Two-sided displacement PSD in m^2/Hz at frequency f >= 0 (Hz):
+    plateau * sinc^2(f 2L/c), the transform of the triangle.
 
-    Accepts scalars or arrays.  The f = 0 singularity of the prefactor is
-    removable; the plateau limit is returned there.
+    Accepts scalars or arrays; the plateau is returned at f = 0.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise ValueError("frequency must be nonnegative")
+    # sinc^2 underflows to 0 long before pi f 2L/c leaves the float range:
+    # capping f 2L/c at 1/tiny keeps sin's argument finite and changes no
+    # value
     with np.errstate(over="ignore"):
-        x = f / spec.f_c
-        square = x**2
-    out = np.empty_like(x)
-    small = x < 1e-3
-    xs = x[small]
-    # series for (1 - cos x)/(x^2/2) to avoid cancellation near f = 0
-    out[small] = spec.plateau * (1.0 - xs**2 / 12.0 + xs**4 / 360.0)
-    # where x^2 overflows, (1 - cos x)/x^2 is 0: take x = 0 there
-    xl = np.where(square < np.inf, x, 0.0)[~small]
-    out[~small] = spec.plateau * 2.0 * (1.0 - np.cos(xl)) / square[~small]
+        x = np.minimum(f * spec.coherence_time, 1.0 / sys.float_info.min)
+    out = spec.plateau * np.sinc(x) ** 2
     return out if out.ndim else float(out)
 
 

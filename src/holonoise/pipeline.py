@@ -105,14 +105,6 @@ class RunConfig:
             raise ConfigurationError("invalid configuration: " + "; ".join(bad))
 
 
-#: Peak resident bytes per record sample of `run_pipeline`, measured as the
-#: slope of a fresh process's peak RSS between 0.2 and 0.4 s runs at 16 MHz.
-#: The spectral method holds its geometric records and the inverse FFT's
-#: buffers: 49 bytes at rho < 1, where one record already exists during the
-#: second transform, 32 at rho = 1.  The boxcar method holds a chunk of
-#: each record at a time, whatever the duration.
-_RUN_BYTES_PER_SAMPLE = {"spectral": 49, "boxcar": 0}
-
 #: Bytes kept to the end of a run per Welch segment: bins 0 and 1 of both
 #: records' transforms (`SpectrumEstimate.low_bins`).
 _LOW_BIN_BYTES = 64
@@ -176,8 +168,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     # low bins
     low_bins = (_LOW_BIN_BYTES / (welch.segment_length - welch.noverlap)
                 if n >= welch.segment_length else 0.0)
-    check_fits_in_memory("duration", duration, n,
-                         _RUN_BYTES_PER_SAMPLE.get(cfg.method, 0) + low_bins)
+    pair = interferometer._BYTES_PER_SAMPLE["streamed"].get(cfg.method, 0)
+    check_fits_in_memory("duration", duration, n, pair + low_bins)
 
     # the spectra square the records and their products square them again,
     # so a huge shot noise or arm length can overflow; that refuses the run

@@ -18,6 +18,7 @@ from holonoise.algebra import (
     rotation_matrix,
     scale_estimates,
     uncertainty_bound,
+    validate_four_velocity,
     validate_lorentz_transform,
 )
 
@@ -170,6 +171,29 @@ class TestCovariance:
         lam = random_boost(rng) @ rotation_matrix(3, 0.7)
         eta = algebra.MINKOWSKI_METRIC
         assert np.max(np.abs(lam.T @ eta @ lam - eta)) < 1e-10
+
+
+class TestBoostsAndShapes:
+    def test_scalar_and_zero_boosts(self):
+        # a scalar beta boosts along x; beta = 0 is the identity
+        assert np.array_equal(boost_matrix(0.5), boost_matrix([0.5, 0.0, 0.0]))
+        assert np.array_equal(boost_matrix(0.0), np.eye(4))
+        assert np.array_equal(boost_matrix(np.zeros(3)), np.eye(4))
+
+    @pytest.mark.parametrize("call, args, message", [
+        (validate_four_velocity, ([1.0, 0.0, 0.0],), "shape"),
+        (validate_lorentz_transform, (np.eye(3),), "4x4"),
+        (commutator_tensor, ([0.0, 0.0, 40.0], REST), "shape"),
+        (rest_frame_commutator, ([0.0, 40.0],), "shape"),
+        (uncertainty_bound, (X_LAB, 1, 2), "shape"),
+        (boost_matrix, ([0.5, 0.0],), "3-vector"),
+        (boost_matrix, (1.0,), r"\|beta\|"),
+        (boost_matrix, ([0.0, -1.5, 0.0],), r"\|beta\|"),
+        (rotation_matrix, (0, 0.5), "axis"),
+    ])
+    def test_malformed_input_refused(self, call, args, message):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
 
 
 class TestUncertaintyBounds:

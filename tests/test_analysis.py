@@ -15,6 +15,7 @@ from holonoise import (
     WelchParams,
     band_averages,
     coherence,
+    coherence_from_csd,
     cross_correlation,
     detection_significance,
     one_sided_psd,
@@ -155,6 +156,11 @@ class TestWelchCsd:
         for record in ("x", [ts]):
             with pytest.raises(ValueError):
                 welch_psd(record)
+        with pytest.raises(ValueError, match="no records"):
+            welch_csd([])
+        other = white(1024, fs=2000.0)
+        with pytest.raises(ValueError, match="sample rates differ"):
+            welch_csd([(ts, ts), (other, other)])
 
 
 class TestCoherence:
@@ -188,6 +194,12 @@ class TestCoherence:
         silent = TimeSeries(sample_rate=a.sample_rate, values=np.zeros(a.n))
         est = coherence(a, silent, WelchParams(segment_length=512))
         assert np.array_equal(est.values, np.zeros_like(est.values))
+
+    def test_takes_cross_spectra_only(self):
+        a, b = white(2**12, seed=12), white(2**12, seed=13)
+        for misuse in (welch_psd(a), coherence(a, b)):
+            with pytest.raises(ValueError, match="welch_csd"):
+                coherence_from_csd(misuse)
 
 
 #: Welch parameters of the correlation tests' short records.

@@ -72,8 +72,16 @@ class TestSpectrumCommand:
         below = [f <= doc["f_c_hz"] for f in doc["f_hz"]]
         assert [value is None for value in envelope] == below
 
+    def test_csv_to_stdout_without_output(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        argv = ("spectrum", "--f-max", 5e6, "--n-points", 5)
+        assert run_cli(*argv, "-o", out) == 0
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_overflowing_frequencies_give_zero_quietly(self, tmp_path):
-        # (f / f_c)^2 overflows at 5e299 Hz: the density and envelope are 0
+        # at 5e299 Hz the density underflows and the envelope's (f / f_c)^2
+        # overflows: both are 0
         out = tmp_path / "spec.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -444,6 +452,8 @@ def test_cli_import_leaves_scipy_out():
     (["spectrum", "--f-max", "1e6", "-o", "{tmp}/missing/x.csv"], "x.csv"),
     (["synth", "--n-samples", "4096", "-o", "{tmp}/missing/x.hnts"], "x.hnts"),
     (["run", "--config", "{tmp}"], "{tmp}"),
+    (["run", "--config", "{tmp}/invalid.json"], "not valid JSON"),
+    (["run", "--config", "{tmp}/array.json"], "must hold a JSON object"),
     (["run", "--band-lo", "1e5"], "--band-hi"),
     (["verify", "--boosts", "0"], "--boosts"),
     (["verify", "--boosts", "-3"], "--boosts"),
@@ -469,6 +479,8 @@ def test_cli_import_leaves_scipy_out():
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, named):
     # exit 1 is reserved for a failing verify
+    (tmp_path / "invalid.json").write_text('{"seed": 1,')
+    (tmp_path / "array.json").write_text('[{"seed": 1}]')
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -50,6 +50,17 @@ class TestBinaryFormat:
         with pytest.raises(ValueError,
                            match=f"expected {2**62} samples, found 1$"):
             hio.read_timeseries_bin(path)
+        path.write_bytes(data[:hio._HEADER.size - 1])
+        with pytest.raises(ValueError, match="truncated header"):
+            hio.read_timeseries_bin(path)
+
+    def test_rejects_unsupported_version(self, tmp_path):
+        path = tmp_path / "future.hnts"
+        path.write_bytes(hio._HEADER.pack(hio.MAGIC, hio.FORMAT_VERSION + 1,
+                                          1.0, 1, 0, b"m".ljust(8, b"\0"), 2)
+                         + b"{}" + bytes(8))
+        with pytest.raises(ValueError, match="unsupported format version"):
+            hio.read_timeseries_bin(path)
 
 
 class TestCsvTimeSeries:
@@ -60,6 +71,12 @@ class TestCsvTimeSeries:
         assert back.sample_rate == ts.sample_rate
         assert np.array_equal(back.values, ts.values)  # %.17e is lossless
         assert meta["seed"] == 9
+
+    def test_rejects_missing_sample_rate(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("# seed = 9\ndisplacement_m\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            hio.read_timeseries_csv(path)
 
 
 class TestTables:
@@ -109,6 +126,12 @@ class TestTables:
         with pytest.raises(ValueError):
             hio.write_table_csv(tmp_path / "x.csv",
                                 {"a": np.ones(3), "b": np.ones(4)})
+
+    def test_rejects_missing_header(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("# seed = 9\n\n")
+        with pytest.raises(ValueError, match="no column header"):
+            hio.read_table_csv(path)
 
 
 class TestSummary:

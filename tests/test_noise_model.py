@@ -69,18 +69,46 @@ class TestAnalyticPsd:
             analytic_psd(spec40, -1.0)
 
     def test_zero_beyond_float_range_without_warning(self, spec40):
-        # (f / f_c)^2 overflows above about 8e159 Hz at 40 m: the density
-        # and its envelope are 0 there; below, they are the closed forms
-        f = np.array([1e7, 1e159, 1e160, 1e300, np.finfo(float).max])
+        # the density, plateau * sinc^2(f 2L/c), underflows above about
+        # 1e148 Hz at 40 m: it and its envelope are 0 there; below, they
+        # are the closed forms
+        f = np.array([1e7, 1e139, 1e160, 1e300, np.finfo(float).max])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             psd = analytic_psd(spec40, f)
             env = envelope_high_f(spec40, f)
-        x = f[:2] / spec40.f_c
         assert psd[:2].tolist() == (
-            spec40.plateau * 2.0 * (1.0 - np.cos(x)) / x**2).tolist()
-        assert psd[:2].tolist() != [0.0, 0.0]
+            spec40.plateau * np.sinc(f[:2] * spec40.coherence_time) ** 2
+        ).tolist()
+        assert 0.0 not in psd[:2].tolist()
         assert psd[2:].tolist() == env[2:].tolist() == [0.0] * 3
+
+    def test_zero_where_f_2L_over_c_overflows(self):
+        # at L = 1e150 m, f 2L/c leaves the float range above 2.7e166 Hz
+        spec = HolographicSpectrum(1e150)
+        f = np.array([1e167, 1e300, np.finfo(float).max, np.inf])
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(f * spec.coherence_time))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd = analytic_psd(spec, f)
+        assert psd.tolist() == [0.0] * 4
+        assert np.isnan(analytic_psd(spec, np.nan))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("L", [0.5, 40.0, 3000.0])
+    def test_closed_form_to_the_last_bits(self, L):
+        # plateau (sin pi x / pi x)^2 in extended precision, from the same
+        # doubles f, 2L/c and plateau, over x = f 2L/c in [1e-7, 0.5]
+        spec = HolographicSpectrum(L)
+        tau = spec.coherence_time
+        f = np.geomspace(1e-7, 0.5, 20001) / tau
+        pi = np.arccos(np.longdouble(-1.0))
+        y = pi * (f.astype(np.longdouble) * np.longdouble(tau))
+        exact = np.longdouble(spec.plateau) * (np.sin(y) / y) ** 2
+        error = (analytic_psd(spec, f) - exact) / exact
+        assert np.max(np.abs(error)) < 1e-14
 
     def test_one_sided_doubling(self, spec40):
         f = np.array([0.0, 1e5, 1e6])

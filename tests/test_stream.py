@@ -136,6 +136,24 @@ def test_boxcar_run_needs_no_memory_per_sample(monkeypatch, tmp_path,
     assert not (tmp_path / "spectral").exists()
 
 
+@pytest.mark.parametrize("call, layout, method, fs, per_sample", [
+    ("simulate_dual", "whole", "spectral", FS, 40),
+    ("simulate_dual", "whole", "boxcar", 29979245.8, 12),
+    ("stream_dual", "streamed", "spectral", FS, 40),
+])
+def test_pair_too_large_for_memory_is_refused(monkeypatch, call, layout,
+                                              method, fs, per_sample):
+    # physical memory between a geometric stream's figure (`synthesize`
+    # checks it) and the pair's: refused when called, naming duration
+    assert (synthesis._BYTES_PER_SAMPLE[method] < per_sample
+            < interferometer._BYTES_PER_SAMPLE[layout][method])
+    n = 2**18
+    monkeypatch.setattr(errors, "_physical_memory", lambda: per_sample * n)
+    with pytest.raises(errors.ConfigurationError, match="duration"):
+        getattr(interferometer, call)(dual(0.5), n / fs, fs, seed=1,
+                                      method=method)
+
+
 def test_boxcar_run_maps_no_record(monkeypatch):
     # its largest mapping is one chunk of one record
     sizes = []
