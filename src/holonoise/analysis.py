@@ -64,6 +64,11 @@ class WelchParams:
         return int(self.overlap_fraction * self.segment_length)
 
 
+#: Bytes that a Welch pass keeps to its end per segment: bins 0 and 1 of
+#: both records' transforms (`SpectrumEstimate.low_bins`).
+LOW_BIN_BYTES = 64
+
+
 @dataclass
 class SpectrumEstimate:
     """One-sided averaged spectrum on a uniform grid from 0 to Nyquist.

@@ -92,19 +92,6 @@ class DualDetectorConfig:
 _CHUNK_BLOCKS = 16
 
 
-#: Peak resident bytes per record sample of a pair's records, made whole
-#: (`simulate_dual`) or streamed (`stream_dual`, read by the Welch pass of
-#: `run_pipeline`), measured as the slope of a fresh process's peak RSS
-#: between 0.2 and 0.4 s pairs at 16 MHz; the largest over rho.  The
-#: spectral method holds its geometric records and the inverse FFT's
-#: buffers either way: 49 bytes at rho < 1, where one record already exists
-#: during the second transform; at rho = 1, 40 whole, where B's buffer
-#: exists during the transform, and 32 streamed.  The boxcar method holds
-#: both records whole, and a chunk of each streamed, whatever the duration.
-_BYTES_PER_SAMPLE = {"whole": {"spectral": 49, "boxcar": 16},
-                     "streamed": {"spectral": 49, "boxcar": 0}}
-
-
 def _shot(det: DetectorConfig, sample_rate: float, seed: int,
           channel: int):
     """The shot noise of `det` for `_mix_blocks`: white noise of one-sided
@@ -155,18 +142,14 @@ def _buffer(size: int) -> np.ndarray:
     return _threads.mapped({"values": ((size,), float)})["values"]
 
 
-def _n_samples(duration: float, sample_rate: float,
-               bytes_per_sample: float = 0.0) -> int:
-    """Samples in `duration` at `sample_rate`; records of `bytes_per_sample`
-    bytes per sample too large for physical memory are refused, naming
-    `duration`, before anything is allocated."""
+def _n_samples(duration: float, sample_rate: float) -> int:
+    """Samples in `duration` at `sample_rate`."""
     check_positive_finite("duration", duration)
     check_positive_finite("sample_rate", sample_rate)
     check_positive_finite("duration x sample_rate", duration * sample_rate)
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ConfigurationError(f"duration {duration} s yields an empty record")
-    check_fits_in_memory("duration", duration, n, bytes_per_sample)
     return n
 
 
@@ -219,6 +202,18 @@ def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
     return plan
 
 
+def _held_bytes(plan: list, method: str, whole: bool) -> int:
+    """Peak bytes per sample that `_chunks` holds for `plan`, `whole` or
+    streamed: 8 per record-length array (the geometric streams the plan
+    reads, if spectral or whole, and in a whole call each record built in
+    a buffer of its own), and `synthesis.TRANSFORM_BYTES` in a transform."""
+    streams = {ch for _, terms, _ in plan for _, ch in terms}
+    spectral = method == "spectral" and bool(streams)
+    arrays = (len(streams) + sum(own is None for own, _, _ in plan) if whole
+              else len(streams) if spectral else 0)
+    return 8 * arrays + (synthesis.TRANSFORM_BYTES if spectral else 0)
+
+
 def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
     """A record of `_plan` in a chunk of `size` samples, as `_mix_blocks`
     takes it, with the chunks of the geometric streams in `streams`.  Shot
@@ -236,9 +231,9 @@ def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
                  else terms + [(1.0, noise)]), None
 
 
-def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
+def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
             sample_rate: float, seed: int, method: str, chunk: int):
-    """The records of `_plan`, a chunk of `chunk` samples (whole blocks) at
+    """The records of `plan`, a chunk of `chunk` samples (whole blocks) at
     a time (`_spans`): yields a (TimeSeries of A, TimeSeries of B or None)
     pair per chunk.
 
@@ -255,7 +250,6 @@ def _chunks(det_a: DetectorConfig, det_b, rho: float, n: int,
     spans = _spans(n, chunk, functools.partial(
         synthesis._too_short, sample_rate=sample_rate,
         spec=cfgs[CH_GEOM_SHARED].spectrum()))
-    plan = _plan(det_a, det_b, rho, sample_rate, seed)
     read = {ch for _, terms, _ in plan for _, ch in terms}
     cfgs = {ch: cfg for ch, cfg in cfgs.items() if ch in read}
     workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
@@ -302,12 +296,13 @@ def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
     """Single-detector output: geometric noise (if sensitive) plus shot noise.
 
     This is detector A of `simulate_dual` (`_plan`) and gives its bytes,
-    with no detector B.  A record too large for physical memory (that of
-    `synthesize`) raises ConfigurationError naming `duration`.
+    with no detector B.  A record too large for physical memory
+    (`_held_bytes`) raises ConfigurationError naming `duration`.
     """
-    n = _n_samples(duration, sample_rate,
-                   synthesis._BYTES_PER_SAMPLE.get(method, 0))
-    [(a, _)] = _chunks(cfg, None, 0.0, n, sample_rate, seed, method, n)
+    n = _n_samples(duration, sample_rate)
+    plan = _plan(cfg, None, 0.0, sample_rate, seed)
+    check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, True))
+    [(a, _)] = _chunks(cfg, None, plan, n, sample_rate, seed, method, n)
     return a
 
 
@@ -320,13 +315,14 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     each detector and, for the spectral method, the geometric records that
     `_plan` reads; joined, the chunks are the records of `simulate_dual`
     byte for byte.  A pair stays valid after the next is made.  A run too
-    large for physical memory (`_BYTES_PER_SAMPLE`) raises
-    ConfigurationError naming `duration` when this is called.
+    large for physical memory (`_held_bytes`) raises ConfigurationError
+    naming `duration` when this is called.
     """
-    n = _n_samples(duration, sample_rate,
-                   _BYTES_PER_SAMPLE["streamed"].get(method, 0))
-    return _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate, seed,
-                   method, _CHUNK_BLOCKS * synthesis._BLOCK)
+    n = _n_samples(duration, sample_rate)
+    plan = _plan(cfg.det_a, cfg.det_b, cfg.rho_geom, sample_rate, seed)
+    check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, False))
+    return _chunks(cfg.det_a, cfg.det_b, plan, n, sample_rate, seed, method,
+                   _CHUNK_BLOCKS * synthesis._BLOCK)
 
 
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
@@ -337,11 +333,12 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
 
     The records are those `_plan` describes, from four streams on distinct
     substreams of `seed`: the one chunk of `stream_dual`'s loop.  A pair
-    too large for physical memory (`_BYTES_PER_SAMPLE`) raises
+    too large for physical memory (`_held_bytes`) raises
     ConfigurationError naming `duration` before anything is allocated.
     """
-    n = _n_samples(duration, sample_rate,
-                   _BYTES_PER_SAMPLE["whole"].get(method, 0))
-    [(a, b)] = _chunks(cfg.det_a, cfg.det_b, cfg.rho_geom, n, sample_rate,
-                       seed, method, n)
+    n = _n_samples(duration, sample_rate)
+    plan = _plan(cfg.det_a, cfg.det_b, cfg.rho_geom, sample_rate, seed)
+    check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, True))
+    [(a, b)] = _chunks(cfg.det_a, cfg.det_b, plan, n, sample_rate, seed,
+                       method, n)
     return a, b

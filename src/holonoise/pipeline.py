@@ -105,11 +105,6 @@ class RunConfig:
             raise ConfigurationError("invalid configuration: " + "; ".join(bad))
 
 
-#: Bytes kept to the end of a run per Welch segment: bins 0 and 1 of both
-#: records' transforms (`SpectrumEstimate.low_bins`).
-_LOW_BIN_BYTES = 64
-
-
 @dataclass(frozen=True)
 class RunResult:
     """What one run measured; `holonoise run` writes it to its six files.
@@ -164,12 +159,14 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     # an unknown method passes here and is refused by the synthesis config
     duration, sample_rate = float(cfg.duration), float(cfg.sample_rate)
     n = interferometer._n_samples(duration, sample_rate)
-    # a record shorter than one segment, refused by the Welch pass, keeps no
-    # low bins
-    low_bins = (_LOW_BIN_BYTES / (welch.segment_length - welch.noverlap)
+    plan = interferometer._plan(det.det_a, det.det_b, det.rho_geom,
+                                sample_rate, cfg.seed)
+    # a record shorter than a segment, which Welch refuses, keeps no low bins
+    low_bins = (analysis.LOW_BIN_BYTES
+                / (welch.segment_length - welch.noverlap)
                 if n >= welch.segment_length else 0.0)
-    pair = interferometer._BYTES_PER_SAMPLE["streamed"].get(cfg.method, 0)
-    check_fits_in_memory("duration", duration, n, pair + low_bins)
+    check_fits_in_memory("duration", duration, n, low_bins
+                         + interferometer._held_bytes(plan, cfg.method, False))
 
     # the spectra square the records and their products square them again,
     # so a huge shot noise or arm length can overflow; that refuses the run

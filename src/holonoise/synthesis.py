@@ -327,19 +327,20 @@ def _boxcar(seed: int, n: int, width: int, scale: float,
     return values
 
 
-#: Peak resident bytes per record sample of `synthesize`, measured as the
-#: slope of a fresh process's peak RSS between 0.2 and 0.4 s records at
-#: 16 and 30 MHz: the spectral inverse FFT's buffers, or the boxcar record.
-_BYTES_PER_SAMPLE = {"spectral": 32, "boxcar": 9}
+#: Bytes per sample that a spectral transform holds beside its output while
+#: it runs, its bins and numpy's `irfft` work buffers: `synthesize` holds 32,
+#: the slope of a fresh process's peak RSS between 2**22 and 2**23 samples.
+TRANSFORM_BYTES = 24
 
 
 def synthesize(cfg: SynthesisConfig, first_block: int = 0) -> TimeSeries:
-    """Dispatch on cfg.method; a record too large for physical memory raises
+    """Dispatch on cfg.method; a record too large for physical memory (8
+    bytes per sample, `TRANSFORM_BYTES` more for a transform) raises
     ConfigurationError before anything is allocated.  A boxcar record may
     start at block `first_block` of its streams (`synthesize_boxcar`); a
     spectral one is one transform and starts at block 0."""
-    check_fits_in_memory("n_samples", cfg.n_samples, cfg.n_samples,
-                         _BYTES_PER_SAMPLE[cfg.method])
+    check_fits_in_memory("n_samples", cfg.n_samples, cfg.n_samples, 8 + (
+        TRANSFORM_BYTES if cfg.method == "spectral" else 0))
     if cfg.method == "spectral":
         if first_block:
             raise ValueError("a spectral record starts at block 0")

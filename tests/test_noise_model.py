@@ -35,8 +35,8 @@ class TestSpectrumObject:
     def test_rejects_bad_arm_length(self):
         with pytest.raises(ValueError):
             HolographicSpectrum(0.0)
-        # L^2, 1/L or the first zero c/2L would overflow, or the plateau
-        # 8 t_P L^2 / pi fall below the smallest normal float
+        # L^2 would overflow, or the plateau 8 t_P L^2 / pi fall below the
+        # smallest normal float
         for L in (1.35e154, 5e-324, 8e-301, 1e-150, 4e-133):
             with pytest.raises(ValueError, match="arm_length"):
                 HolographicSpectrum(L)

@@ -1,5 +1,6 @@
 """A run made, mixed and Welch-summed a chunk at a time (`stream_dual`)."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -17,6 +18,7 @@ from holonoise import (
     coherence_from_csd,
     default_shot_asd,
     run_pipeline,
+    simulate_detector,
     simulate_dual,
     stream_dual,
     welch_csd,
@@ -136,22 +138,81 @@ def test_boxcar_run_needs_no_memory_per_sample(monkeypatch, tmp_path,
     assert not (tmp_path / "spectral").exists()
 
 
-@pytest.mark.parametrize("call, layout, method, fs, per_sample", [
-    ("simulate_dual", "whole", "spectral", FS, 40),
-    ("simulate_dual", "whole", "boxcar", 29979245.8, 12),
-    ("stream_dual", "streamed", "spectral", FS, 40),
+def layout(rho, insensitive):
+    """A pair at `rho` whose detector `insensitive` ("a", "b" or None)
+    does not respond to geometric noise."""
+    det_a, det_b = (
+        DetectorConfig(L=40.0, shot_noise_asd=default_shot_asd(40.0),
+                       geometric_sensitivity=insensitive != name)
+        for name in "ab")
+    return DualDetectorConfig(det_a=det_a, det_b=det_b, rho_geom=rho)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("call, rho, insensitive", [
+    *((call, rho, insensitive) for call in ("simulate_dual", "stream_dual")
+      for rho in (0.0, 0.5, 1.0) for insensitive in (None, "a", "b")),
+    ("simulate_detector", None, None), ("simulate_detector", None, "a")])
+def test_memory_rule_covers_what_a_call_holds(monkeypatch, held_peak, call,
+                                              method, rho, insensitive):
+    # the held bytes' slope between n and 2 n samples, where the work
+    # arrays and the chunks cancel, is at most the rule the call refuses
+    # by; the objects made per block of draws add about 0.02
+    monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 1)
+    cfg = layout(rho or 0.0, insensitive)
+    det_b = None if call == "simulate_detector" else cfg.det_b
+    plan = interferometer._plan(cfg.det_a, det_b, cfg.rho_geom, FS, 5)
+    rule = interferometer._held_bytes(plan, method, call != "stream_dual")
+
+    def make(n):
+        run = dict(duration=n / FS, sample_rate=FS, seed=5, method=method)
+        if call == "simulate_detector":
+            return simulate_detector(cfg.det_a, **run)
+        # a stream's chunks are dropped as they come, as the Welch pass does
+        return collections.deque(getattr(interferometer, call)(cfg, **run),
+                                 maxlen=0)
+
+    n = 2**17
+    slope = (held_peak(lambda: make(2 * n)) - held_peak(lambda: make(n))) / n
+    assert slope <= rule + 0.1
+
+
+def sized_call(call, cfg, n, method="spectral"):
+    """`call` of the pair `cfg` for n samples at FS."""
+    if call == "run_pipeline":
+        return lambda: run_pipeline(RunConfig(
+            duration=n / FS, sample_rate=FS, rho_geom=cfg.rho_geom,
+            geometric_sensitivity_a=cfg.det_a.geometric_sensitivity,
+            geometric_sensitivity_b=cfg.det_b.geometric_sensitivity,
+            method=method, seed=1))
+    return lambda: getattr(interferometer, call)(cfg, n / FS, FS, seed=1,
+                                                 method=method)
+
+
+@pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
+def test_rho_one_run_that_fits_is_admitted(monkeypatch, call):
+    # 36 bytes per sample hold the shared geometric record, its transform
+    # and the low bins
+    n = 2**18
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 36 * n)
+    sized_call(call, dual(1.0), n)()
+
+
+@pytest.mark.parametrize("call, rho, insensitive, method, per_sample", [
+    # two geometric records and a transform: 40 bytes per sample
+    ("stream_dual", 0.5, None, "spectral", 36),
+    ("run_pipeline", 0.5, None, "spectral", 36),
+    # the shared geometric record and both detectors' records: 24
+    ("simulate_dual", 1.0, "a", "boxcar", 20),
 ])
-def test_pair_too_large_for_memory_is_refused(monkeypatch, call, layout,
-                                              method, fs, per_sample):
-    # physical memory between a geometric stream's figure (`synthesize`
-    # checks it) and the pair's: refused when called, naming duration
-    assert (synthesis._BYTES_PER_SAMPLE[method] < per_sample
-            < interferometer._BYTES_PER_SAMPLE[layout][method])
+def test_pair_too_large_for_memory_is_refused(monkeypatch, call, rho,
+                                              insensitive, method,
+                                              per_sample):
+    # refused when called, naming duration
     n = 2**18
     monkeypatch.setattr(errors, "_physical_memory", lambda: per_sample * n)
     with pytest.raises(errors.ConfigurationError, match="duration"):
-        getattr(interferometer, call)(dual(0.5), n / fs, fs, seed=1,
-                                      method=method)
+        sized_call(call, layout(rho, insensitive), n, method)()
 
 
 def test_boxcar_run_maps_no_record(monkeypatch):
