@@ -5,18 +5,21 @@ large ufuncs, so threads overlap that work.  Work handed to a thread must
 write only to buffers of its own and call no name a tracer may wrap.
 
 One entry point, `on_blocks`, runs all threaded work: a block kernel,
-kernel(blocks, scratch), on one contiguous run of blocks per usable CPU,
-each run with work arrays of its own from a `Workspace`, which maps them
+kernel(blocks, scratch), on every block of a job, one thread per usable
+CPU, each with work arrays of its own from a `Workspace`, which maps them
 (`mapped`), where all work memory is, and keeps them for a loop of calls.
-The first run goes to the calling thread or, given a `step`, the calling
-thread returns step() while the runs use the other CPUs.  `offering` and
-`beside` pass a caller's blocks down to a callee's one-thread step.
+Each worker starts on a block of its own; after that every thread claims
+the next unclaimed block until none is left, so a thread that runs faster
+runs more blocks instead of waiting for the others.  Given a `step`, the
+calling thread runs step() first and then claims blocks too.  `offering`
+and `beside` pass a caller's blocks down to a callee's one-thread step.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -118,11 +121,11 @@ if hasattr(os, "register_at_fork"):
 
 
 class Workspace:
-    """Work arrays of {name: (shape, dtype)} for the runs of `on_blocks`
-    calls: each run's arrays are mapped (`mapped`) when a call first needs
-    them and kept for the later calls given this workspace, so that a loop
-    of calls maps them once; they are unmapped with the workspace.  Calls
-    that share a workspace must not overlap."""
+    """Work arrays of {name: (shape, dtype)} for the threads of `on_blocks`
+    calls: each thread's run of arrays is mapped (`mapped`) when a call
+    first needs it and kept for the later calls given this workspace, so
+    that a loop of calls maps them once; they are unmapped with the
+    workspace.  Calls that share a workspace must not overlap."""
 
     def __init__(self, shapes: dict):
         self.shapes = shapes
@@ -137,34 +140,31 @@ class Workspace:
 
 def on_blocks(kernel, n_blocks: int, samples: int, workspace: Workspace,
               step=None):
-    """Call kernel(blocks, arrays) on contiguous runs of range(n_blocks),
-    one run per CPU usable on `samples` samples, each run with arrays of its
-    own, those of `workspace`; the kernel writes its results into
-    caller-owned buffers, block by block.  Return step(), or None.
+    """Call kernel(blocks, arrays) on every block of range(n_blocks), each
+    block once, on the CPUs usable on `samples` samples; each thread works
+    in arrays of its own, a run of `workspace`, and the kernel writes its
+    results into caller-owned buffers, block by block.  Return step(), or
+    None.
 
-    The first run goes to this thread, or, given `step`, this thread runs
-    step() and the runs take the other CPUs; each other task runs on a
-    worker thread under the caller's numpy error state.  Below
-    `MIN_SAMPLES`, on one CPU, or while another call holds the workers,
-    every task runs here in order, step first.  If tasks raise, the first
-    exception in that order is raised once every task has ended.
+    Worker i (from 1) starts on block i, or block i - 1 given a `step`,
+    which this thread runs first; this thread otherwise starts on block 0.
+    Then every thread takes the next unclaimed block, one at a time, until
+    none is left.  A worker runs under the caller's numpy error state.
+    Below `MIN_SAMPLES`, on one CPU, or while another call holds the
+    workers, everything runs here: step(), then all blocks in one call.
+    If the step or a block raises, the step's exception, or else that of
+    the lowest failing block, is raised once every thread has stopped.
     """
-    threads = workers(samples)
-    runs = np.array_split(np.arange(n_blocks), max(
-        1, min(n_blocks, threads - (step is not None))))
-    tasks = [functools.partial(kernel, run, workspace.run(i))
-             for i, run in enumerate(runs)]
-    if step is not None:
-        tasks.insert(0, step)
-    if (threads < 2 or len(tasks) < 2
-            or not _workers_lock.acquire(blocking=False)):
-        results = [task() for task in tasks]
-    else:
-        try:
-            results = _run_on_workers(tasks)
-        finally:
-            _workers_lock.release()
-    return None if step is None else results[0]
+    threads = min(workers(samples), n_blocks + (step is not None))
+    if threads < 2 or not _workers_lock.acquire(blocking=False):
+        result = None if step is None else step()
+        if n_blocks:
+            kernel(range(n_blocks), workspace.run(0))
+        return result
+    try:
+        return _claim_on_workers(kernel, n_blocks, workspace, step, threads)
+    finally:
+        _workers_lock.release()
 
 
 #: Work offered by a caller to the CPUs that a one-thread step leaves idle
@@ -193,30 +193,54 @@ def beside(step):
     return step() if work is None else on_blocks(*work, step)
 
 
-def _run_on_workers(tasks: list) -> list:
+def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
+                      threads: int):
     err = np.geterr()
-    results = [None] * len(tasks)
-    errors = [None] * len(tasks)
+    # every thread's arrays are mapped here, before any worker starts
+    arrays = [workspace.run(t) for t in range(threads)]
+    # thread t (this one is 0) starts on block t, or on block t - 1 given
+    # a step, which this thread runs first
+    shift = int(step is not None)
+    # next() on a count is one C call, atomic under the interpreter lock
+    claim = itertools.count(threads - shift)
+    failed = {}  # failing block (-1: the step): its exception
+    result = None
 
-    def run(k):
-        try:
-            with np.errstate(**err):
-                results[k] = tasks[k]()
-        except BaseException as exc:  # raised again on the calling thread
-            errors[k] = exc
+    def run(block, scratch):
+        # a claimed block always runs, and claims stop once one has failed:
+        # the blocks below a failing one all run
+        while block < n_blocks:
+            try:
+                kernel(range(block, block + 1), scratch)
+            except BaseException as exc:  # raised again on the calling thread
+                failed[block] = exc
+            if failed:
+                return
+            block = next(claim)
 
-    while len(_workers) < len(tasks) - 1:
+    def work(t):
+        with np.errstate(**err):
+            run(t - shift, arrays[t])
+
+    while len(_workers) < threads - 1:
         _workers.append(_Worker())
-    pool = _workers[:len(tasks) - 1]
-    for k, worker in enumerate(pool, 1):
-        worker.start(functools.partial(run, k))
+    pool = _workers[:threads - 1]
+    for t, worker in enumerate(pool, 1):
+        worker.start(functools.partial(work, t))
     try:
-        results[0] = tasks[0]()
+        if step is None:
+            run(0, arrays[0])
+        else:
+            try:
+                result = step()
+            except BaseException as exc:  # raised once the workers stop
+                failed[-1] = exc
+            if not failed:
+                run(next(claim), arrays[0])
     finally:
-        # the tasks fill caller-owned buffers: none may outlive this call
+        # the blocks fill caller-owned buffers: none may outlive this call
         for worker in pool:
             worker.wait()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+    if failed:
+        raise failed[min(failed)]
+    return result

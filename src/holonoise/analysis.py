@@ -156,6 +156,12 @@ def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
     return scale
 
 
+#: Bytes per segment sample that numpy's `rfft` holds beside its output,
+#: its plan and work buffer: a fresh process's peak RSS grew 40-44 bytes
+#: per sample for one transform of 2**16 to 2**20-sample segments.
+_RFFT_BYTES = 44
+
+
 #: Welch segments transformed together.  32 segments of 4096 samples and
 #: their spectra take about 2 MB.  On a 2-vCPU Xeon VM (2 MB of L2 per core)
 #: blocks of 8 to 32 segments ran equally fast and 64 to 128 up to 40 %
@@ -209,6 +215,34 @@ class _WelchPass:
         self.lows = []
         # (samples, mean, centred sum of squares) of each record
         self.moments = [(0, 0.0, 0.0)] * 2
+
+    def held_bytes(self, n: int, chunk: int) -> int:
+        """Bytes this pass holds at most, fed two n-sample records in
+        chunks of at most `chunk` samples: `LOW_BIN_BYTES` per segment
+        and, whatever n, the work arrays of each thread that sums the
+        blocks one chunk completes (`_RFFT_BYTES` included), the carry and
+        the seam (`_buffer`), those blocks' sums and moments (`_sum`), and
+        the spectra it keeps to its end; nothing for records shorter than
+        a segment, which it refuses."""
+        if n < self.p.segment_length:
+            return 0
+        size, bins = self.p.segment_length, self.p.segment_length // 2 + 1
+        per_block = _WELCH_BLOCK * self.step
+        blocks = -(-chunk // per_block)
+        threads = min(blocks, _threads.workers(blocks * per_block))
+        work = _RFFT_BYTES * size + sum(
+            math.prod(shape) * np.dtype(dtype).itemsize
+            for shape, dtype in self.workspace.shapes.values())
+        # a carry is shorter than a block's span, and a seam is a carry
+        # followed by at most a chunk
+        buffers = 16 * self.span + 16 * (self.span + min(chunk, self.span))
+        # per bin: a row of the three totals (two real spectra and a
+        # complex one) for each block; and the three totals, the three
+        # densities, the density scale and the frequencies, with the window
+        sums = blocks * (32 * bins + 32)
+        spectra = 8 * size + 80 * bins
+        return (LOW_BIN_BYTES * _segment_count(n, self.p) + threads * work
+                + buffers + sums + spectra)
 
     def _block_start(self) -> int:
         return self.block * _WELCH_BLOCK * self.step
@@ -382,7 +416,7 @@ def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
 
 
 def _block_sums(blocks: list, window: np.ndarray, lows: np.ndarray,
-                arrays: dict, items: np.ndarray, scratch: dict) -> None:
+                arrays: dict, items: range, scratch: dict) -> None:
     """Sums over the segments of each block i in `items`, in place.
 
     blocks[i] holds the block's (segments, samples) of each record.  Row i

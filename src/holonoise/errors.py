@@ -23,9 +23,11 @@ def _physical_memory() -> int:
 
 
 def check_fits_in_memory(name: str, value, samples: int,
-                         bytes_per_sample: float) -> None:
+                         bytes_per_sample: float, also=None) -> None:
     """Raise ConfigurationError naming `name` when `samples` samples at
-    `bytes_per_sample` bytes each would not fit in physical memory.
+    `bytes_per_sample` bytes each would not fit in physical memory.  Given
+    `also`, a (name, value, bytes) of memory that another input decides,
+    those bytes are charged too, and the message names both inputs.
 
     Call it before anything record-sized is allocated; `value` is the value
     of `name` that the message quotes.
@@ -33,9 +35,15 @@ def check_fits_in_memory(name: str, value, samples: int,
     # an int beyond the float range needs more memory than 1e300 samples
     samples = min(samples, 1e300)
     need, have = float(samples) * bytes_per_sample, _physical_memory()
+    more = ""
+    if also is not None:
+        also_name, also_value, also_bytes = also
+        need += min(also_bytes, 1e300)
+        more = (f" and {also_name} {also_value} "
+                f"{also_bytes / 2**30:.4g} GiB more")
     if have and need > have:
         raise ConfigurationError(
-            f"{name} {value} means {samples:.4g} samples, about "
+            f"{name} {value} means {samples:.4g} samples{more}, about "
             f"{need / 2**30:.4g} GiB, more than the {have / 2**30:.4g} GiB "
             "of physical memory"
         )

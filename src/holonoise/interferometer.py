@@ -101,7 +101,7 @@ def _shot(det: DetectorConfig, sample_rate: float, seed: int,
     return (asd * np.sqrt(sample_rate / 2.0), seed, channel) if asd else None
 
 
-def _mix_blocks(records: list, first: int, blocks: np.ndarray,
+def _mix_blocks(records: list, first: int, blocks: range,
                 scratch) -> None:
     """Blocks `blocks` of detector records from block `first` on, in place.
 
@@ -160,10 +160,15 @@ def _synth_cfg(seed: int, channel: int, L: float, n: int, sample_rate: float,
                            seed=channel_seed(seed, channel), method=method)
 
 
-def _spans(n: int, chunk: int, too_short) -> list[tuple[int, int]]:
-    """(start, stop) of the chunks of an n-sample record: `chunk` samples
-    each, but a chunk grows by `chunk` samples while it, or the rest of the
-    record after it, is too short to be synthesized (`too_short`)."""
+def _spans(det_a: DetectorConfig, n: int, sample_rate: float
+           ) -> list[tuple[int, int]]:
+    """(start, stop) of the chunks of a streamed n-sample run:
+    `_CHUNK_BLOCKS` blocks each, but a chunk grows by as many while it, or
+    the rest of the record after it, is too short to be synthesized."""
+    chunk = _CHUNK_BLOCKS * synthesis._BLOCK
+    too_short = functools.partial(synthesis._too_short,
+                                  sample_rate=sample_rate,
+                                  spec=HolographicSpectrum(det_a.L))
     spans, start = [], 0
     while start < n:
         stop = min(start + chunk, n)
@@ -231,25 +236,23 @@ def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
                  else terms + [(1.0, noise)]), None
 
 
-def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
-            sample_rate: float, seed: int, method: str, chunk: int):
-    """The records of `plan`, a chunk of `chunk` samples (whole blocks) at
-    a time (`_spans`): yields a (TimeSeries of A, TimeSeries of B or None)
-    pair per chunk.
+def _chunks(det_a: DetectorConfig, det_b, plan: list, spans: list,
+            sample_rate: float, seed: int, method: str):
+    """The records of `plan`, a chunk at a time: yields a (TimeSeries of
+    A, TimeSeries of B or None) pair per (start, stop) of `spans`, which
+    are whole blocks and cover the records.
 
     A geometric stream is synthesized only if a record reads it: with the
     boxcar method a chunk at a time, with the spectral method in one
     transform, made whole first and read a chunk at a time.  The buffers
     of a chunk are its own, so a chunk stays valid after the next is made.
     """
+    n = spans[-1][1]
     # sampling preconditions hold for both arms even when a sensitivity
     # flag later drops the component
     cfgs = {ch: _synth_cfg(seed, ch, det.L, n, sample_rate, method)
             for ch, det in [(CH_GEOM_SHARED, det_a), (CH_GEOM_INDEP, det_b)]
             if det is not None}
-    spans = _spans(n, chunk, functools.partial(
-        synthesis._too_short, sample_rate=sample_rate,
-        spec=cfgs[CH_GEOM_SHARED].spectrum()))
     read = {ch for _, terms, _ in plan for _, ch in terms}
     cfgs = {ch: cfg for ch, cfg in cfgs.items() if ch in read}
     workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
@@ -302,7 +305,7 @@ def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
     n = _n_samples(duration, sample_rate)
     plan = _plan(cfg, None, 0.0, sample_rate, seed)
     check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, True))
-    [(a, _)] = _chunks(cfg, None, plan, n, sample_rate, seed, method, n)
+    [(a, _)] = _chunks(cfg, None, plan, [(0, n)], sample_rate, seed, method)
     return a
 
 
@@ -321,8 +324,8 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     n = _n_samples(duration, sample_rate)
     plan = _plan(cfg.det_a, cfg.det_b, cfg.rho_geom, sample_rate, seed)
     check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, False))
-    return _chunks(cfg.det_a, cfg.det_b, plan, n, sample_rate, seed, method,
-                   _CHUNK_BLOCKS * synthesis._BLOCK)
+    return _chunks(cfg.det_a, cfg.det_b, plan,
+                   _spans(cfg.det_a, n, sample_rate), sample_rate, seed, method)
 
 
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
@@ -339,6 +342,6 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     n = _n_samples(duration, sample_rate)
     plan = _plan(cfg.det_a, cfg.det_b, cfg.rho_geom, sample_rate, seed)
     check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, True))
-    [(a, b)] = _chunks(cfg.det_a, cfg.det_b, plan, n, sample_rate, seed,
-                       method, n)
+    [(a, b)] = _chunks(cfg.det_a, cfg.det_b, plan, [(0, n)], sample_rate,
+                       seed, method)
     return a, b

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, interferometer
+from . import analysis, interferometer, synthesis
 from .errors import ConfigurationError, check_fits_in_memory
 from .noise_model import HolographicSpectrum
 from .synthesis import METHODS
@@ -161,20 +161,28 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     n = interferometer._n_samples(duration, sample_rate)
     plan = interferometer._plan(det.det_a, det.det_b, det.rho_geom,
                                 sample_rate, cfg.seed)
-    # a record shorter than a segment, which Welch refuses, keeps no low bins
-    low_bins = (analysis.LOW_BIN_BYTES
-                / (welch.segment_length - welch.noverlap)
-                if n >= welch.segment_length else 0.0)
-    check_fits_in_memory("duration", duration, n, low_bins
-                         + interferometer._held_bytes(plan, cfg.method, False))
+    welch_pass = analysis._WelchPass(welch)
+
+    def check_memory(chunk):
+        check_fits_in_memory(
+            "duration", duration, n,
+            interferometer._held_bytes(plan, cfg.method, False),
+            also=("segment_length", welch.segment_length,
+                  welch_pass.held_bytes(n, chunk)))
+
+    # chunks of `_CHUNK_BLOCKS` blocks first, so that only a run that may
+    # fit lists its chunks; the longest of them is then what is charged
+    check_memory(min(n, interferometer._CHUNK_BLOCKS * synthesis._BLOCK))
+    spans = interferometer._spans(det.det_a, n, sample_rate)
+    check_memory(max(stop - start for start, stop in spans))
 
     # the spectra square the records and their products square them again,
     # so a huge shot noise or arm length can overflow; that refuses the run
     try:
         with np.errstate(over="raise"):
-            csd = analysis.welch_csd(interferometer.stream_dual(
-                det, duration=duration, sample_rate=sample_rate, seed=cfg.seed,
-                method=cfg.method), p=welch)
+            csd = analysis.welch_csd(interferometer._chunks(
+                det.det_a, det.det_b, plan, spans, sample_rate, cfg.seed,
+                cfg.method), p=welch)
             return RunResult(
                 config=cfg,
                 spectrum=spec,

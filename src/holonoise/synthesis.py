@@ -176,12 +176,25 @@ def _fill_normal(out: np.ndarray, seed: int, channel: int,
         rng.standard_normal(out=out[start:start + _BLOCK])
 
 
-def _draw_blocks(out: np.ndarray, seed: int, blocks: np.ndarray,
+def _draw_blocks(out: np.ndarray, seed: int, blocks: range,
                  scratch: dict) -> None:
     """Blocks `blocks` of `out` from the channel-0 stream of `seed`; no
     work arrays (`scratch` is empty)."""
     for b in blocks:
         _fill_normal(out[b * _BLOCK:(b + 1) * _BLOCK], seed, 0, b)
+
+
+def _scale_blocks(pairs: np.ndarray, amplitude: np.ndarray, scale: float,
+                  blocks: range, scratch: dict) -> None:
+    """Blocks `blocks` of the bins' (real, imaginary) `pairs`, `_BLOCK`
+    bins a block, times sqrt(scale * amplitude), in place; `amplitude`
+    then holds that factor.  No work arrays (`scratch` is empty)."""
+    for b in blocks:
+        part = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        power = amplitude[part]
+        power *= scale
+        np.sqrt(power, out=power)
+        pairs[part] *= power[:, None]
 
 
 def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
@@ -192,14 +205,16 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
     transform is then circularly stationary with the target spectrum.  The
     (real, imaginary) pairs of the bins are the channel-0 stream of
     `cfg.seed` in order; the usable CPUs draw them while this thread
-    evaluates the spectrum.
+    evaluates the spectrum, and then scale them.  The bins and the record
+    are in anonymous mappings (`_threads.mapped`) of their own, and the
+    transform writes into the record.
     """
     if cfg.method != "spectral":
         raise ConfigurationError(f"spectral synthesis got method={cfg.method!r}")
     n, fs = cfg.n_samples, cfg.sample_rate
     # the bins' power is the spectrum times n * fs, which must be a float
     check_positive_finite("n_samples x sample_rate", n * fs)
-    x_f = np.empty(n // 2 + 1, dtype=complex)
+    x_f = _threads.mapped({"bins": ((n // 2 + 1,), complex)})["bins"]
     draws = x_f.view(float)
 
     def target():
@@ -216,17 +231,18 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
         -(-draws.size // _BLOCK), n, _threads.Workspace({}), step=target)
     pairs = draws.reshape(-1, 2)
     # interior bins carry half the power in each quadrature
-    amplitude *= n * fs / 2.0
-    np.sqrt(amplitude, out=amplitude)
-    pairs *= amplitude[:, None]
+    _threads.on_blocks(
+        functools.partial(_scale_blocks, pairs, amplitude, n * fs / 2.0),
+        -(-amplitude.size // _BLOCK), n, _threads.Workspace({}))
     pairs[0] *= np.sqrt(2.0)
     pairs[0, 1] = 0.0
     if n % 2 == 0:
         pairs[-1] *= np.sqrt(2.0)
         pairs[-1, 1] = 0.0
     del amplitude, pairs, draws
+    values = _threads.mapped({"values": ((n,), float)})["values"]
     # the transform runs on one CPU; work offered by the caller uses the rest
-    values = _threads.beside(functools.partial(np.fft.irfft, x_f, n=n))
+    _threads.beside(functools.partial(np.fft.irfft, x_f, n=n, out=values))
     del x_f
     return TimeSeries(sample_rate=fs, values=values)
 
@@ -274,7 +290,7 @@ def _moving_sum(driver: np.ndarray, width: int, out: np.ndarray) -> None:
 
 
 def _boxcar_blocks(values: np.ndarray, seed: int, width: int, scale: float,
-                   first: int, blocks: np.ndarray, scratch: dict) -> None:
+                   first: int, blocks: range, scratch: dict) -> None:
     """Blocks `blocks` of `values`, the boxcar record from block `first`
     on, scaled by `scale`.
 

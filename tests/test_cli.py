@@ -1,10 +1,12 @@
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from collections import defaultdict
 from dataclasses import asdict, fields
@@ -313,14 +315,31 @@ class TestRunCommand:
         assert runs[0].config.band == [3e4, 1.2e6]
         assert runs[0].detection == runs[1].detection
 
+    @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("argv", [
         ["--duration", "0.02"],
         ["--duration", "0.01", "--method", "boxcar",
          "--sample-rate", "29979245.8"],
         ["--duration", "0.02", "--rho", "0.5", "--seed", "7"],
+        # two chunks: record A, in a buffer of its own, gets the early draws
+        ["--duration", "0.07", "--no-sens-a", "--rho", "0.5"],
     ])
     def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch,
-                                                argv):
+                                                argv, jitter):
+        if jitter:
+            # each block first sleeps 0-3 ms, so that the threads claim
+            # the blocks in another order from run to run
+            rng = random.Random(0)
+
+            def jittered(kernel, *args, _on_blocks=_threads.on_blocks,
+                         **kwargs):
+                def slow(blocks, scratch):
+                    for _ in blocks:
+                        time.sleep(rng.uniform(0.0, 0.003))
+                    kernel(blocks, scratch)
+                return _on_blocks(slow, *args, **kwargs)
+
+            monkeypatch.setattr(_threads, "on_blocks", jittered)
         outdirs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(_threads, "workers",

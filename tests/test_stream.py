@@ -8,7 +8,7 @@ import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
-from holonoise import _threads, errors, interferometer, synthesis
+from holonoise import _threads, analysis, errors, interferometer, synthesis
 from holonoise import (
     DetectorConfig,
     DualDetectorConfig,
@@ -189,13 +189,34 @@ def sized_call(call, cfg, n, method="spectral"):
                                                  method=method)
 
 
+def welch_charge(n, segment_length=4096):
+    """What a run of n samples at FS is charged for its Welch pass: its
+    chunks are shorter than one of `_CHUNK_BLOCKS` blocks."""
+    return analysis._WelchPass(WelchParams(segment_length)).held_bytes(n, n)
+
+
 @pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
 def test_rho_one_run_that_fits_is_admitted(monkeypatch, call):
-    # 36 bytes per sample hold the shared geometric record, its transform
-    # and the low bins
+    # 32 bytes per sample hold the shared geometric record and its
+    # transform; a run adds its Welch pass
     n = 2**18
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 36 * n)
+    need = 32 * n + (welch_charge(n) if call == "run_pipeline" else 0)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     sized_call(call, dual(1.0), n)()
+
+
+def test_run_too_large_for_its_segments_is_refused(monkeypatch):
+    # the Welch pass grows with the segment, not with the duration: a run
+    # that fits with segments of 4096 samples is refused with 65536,
+    # naming segment_length
+    n = 2**18
+    assert welch_charge(n, 2**16) > 8 * welch_charge(n)
+    monkeypatch.setattr(errors, "_physical_memory",
+                        lambda: 32 * n + welch_charge(n))
+    run = dict(duration=n / FS, sample_rate=FS, max_lag=1e-6, seed=1)
+    run_pipeline(RunConfig(**run))
+    with pytest.raises(errors.ConfigurationError, match="segment_length"):
+        run_pipeline(RunConfig(segment_length=2**16, **run))
 
 
 @pytest.mark.parametrize("call, rho, insensitive, method, per_sample", [

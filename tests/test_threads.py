@@ -28,15 +28,26 @@ def recorded(calls):
     return kernel
 
 
-def test_step_runs_here_beside_the_runs(three_workers):
+def test_step_runs_here_first_then_claims_blocks(three_workers):
     caller = threading.get_ident()
-    calls = []
-    assert _threads.on_blocks(recorded(calls), 5, LARGE, none(),
-                              step=threading.get_ident) == caller
-    # the runs cover the blocks in order, on the two other threads
-    calls.sort()
-    assert [blocks for blocks, _ in calls] == [[0, 1, 2], [3, 4]]
-    assert all(ident != caller for _, ident in calls)
+    order = []
+
+    def step():
+        order.append("step")
+        return threading.get_ident()
+
+    def kernel(blocks, scratch):
+        order.append((list(blocks), threading.get_ident()))
+
+    assert _threads.on_blocks(kernel, 5, LARGE, none(), step=step) == caller
+    calls = [call for call in order if call != "step"]
+    # one block a call, each block once; the two workers start on blocks 0
+    # and 1, and this thread claims blocks only once the step has returned
+    assert sorted(blocks for blocks, _ in calls) == [[0], [1], [2], [3], [4]]
+    assert all(ident != caller for blocks, ident in calls if blocks[0] < 2)
+    here = [k for k, call in enumerate(order)
+            if call != "step" and call[1] == caller]
+    assert all(k > order.index("step") for k in here)
 
 
 def test_small_records_run_on_the_calling_thread(three_workers):
@@ -92,8 +103,8 @@ def test_first_error_raised_after_every_task_ends(three_workers):
 
 
 def test_nested_call_runs_inline(three_workers):
-    # a run that calls on_blocks finds the workers busy and runs its own
-    # blocks on its thread, instead of waiting for itself
+    # a block that calls on_blocks finds the workers busy and runs the
+    # inner blocks on its thread, in one call, instead of waiting for itself
     calls = []
 
     def outer(blocks, scratch):
@@ -101,9 +112,9 @@ def test_nested_call_runs_inline(three_workers):
             _threads.on_blocks(recorded(calls), 2, LARGE, none())
 
     _threads.on_blocks(outer, 2, LARGE, none())
-    (first, ident), (second, other) = sorted(calls)
-    assert (first, second) == ([0], [1])
-    assert ident == other != threading.get_ident()
+    [(blocks, ident)] = calls
+    assert blocks == [0, 1]
+    assert ident != threading.get_ident()
 
 
 def test_concurrent_callers_get_their_own_results(three_workers):
@@ -139,7 +150,7 @@ def test_concurrent_callers_get_their_own_results(three_workers):
                for c, runs in results.items() for run in runs)
 
 
-def test_runs_cover_the_items_in_order(monkeypatch):
+def test_every_block_runs_once_on_any_cpu_count(monkeypatch):
     def layout(cpus, n_blocks, step=None):
         monkeypatch.setattr(_threads, "workers", lambda samples: cpus)
         calls = []
@@ -147,10 +158,64 @@ def test_runs_cover_the_items_in_order(monkeypatch):
                                   step) == (None if step is None else step())
         return sorted(blocks for blocks, _ in calls)
 
-    assert layout(2, 5) == [[0, 1, 2], [3, 4]]
+    assert layout(2, 5) == [[0], [1], [2], [3], [4]]
     assert layout(3, 2) == [[0], [1]]
-    # a step that takes the one CPU leaves all blocks to one run
+    assert layout(4, 3, step=lambda: "step") == [[0], [1], [2]]
+    # on one CPU the step runs, then all blocks in one call
     assert layout(1, 4, step=lambda: "step") == [[0, 1, 2, 3]]
+    assert layout(3, 0, step=lambda: "step") == []
+
+
+def test_free_threads_claim_the_blocks_a_slow_one_leaves(three_workers):
+    # the worker on block 1 stalls: the other two threads run every other
+    # block, where fixed runs would leave blocks to the stalled thread
+    caller = threading.get_ident()
+    stalled = threading.Event()
+    calls = []
+
+    def kernel(blocks, scratch):
+        calls.append((blocks[0], threading.get_ident()))
+        if blocks[0] == 1:
+            stalled.wait(timeout=10.0)
+        elif len(calls) == 12:
+            stalled.set()
+
+    _threads.on_blocks(kernel, 12, LARGE, none())
+    assert sorted(block for block, _ in calls) == list(range(12))
+    slow = dict(calls)[1]
+    assert slow != caller
+    assert [block for block, ident in calls if ident == slow] == [1]
+
+
+def test_lowest_failing_block_raised(three_workers):
+    # block 4 fails first; block 2 fails later, and it is raised
+    failed_high = threading.Event()
+
+    def kernel(blocks, scratch):
+        if blocks[0] == 4:
+            failed_high.set()
+            raise ValueError("block 4")
+        if blocks[0] == 2:
+            failed_high.wait(timeout=10.0)
+            raise ValueError("block 2")
+        if blocks[0] == 0:
+            # hold this thread until block 4 has failed
+            failed_high.wait(timeout=10.0)
+
+    with pytest.raises(ValueError, match="block 2"):
+        _threads.on_blocks(kernel, 6, LARGE, none())
+    assert failed_high.is_set()
+
+
+def test_step_error_raised_before_block_errors(three_workers):
+    def step():
+        raise KeyError("step")
+
+    def kernel(blocks, scratch):
+        raise ValueError("block")
+
+    with pytest.raises(KeyError, match="step"):
+        _threads.on_blocks(kernel, 4, LARGE, none(), step=step)
 
 
 def test_mapped_arrays_do_not_overlap():
@@ -171,11 +236,17 @@ def test_on_blocks_runs_each_block_once(three_workers):
     _threads.on_blocks(kernel, 7, LARGE, _threads.Workspace(
         {"a": ((4,), float), "b": ((2, 3), complex)}))
     calls.sort(key=lambda call: call[0][0])
-    # contiguous runs, one per worker, that cover every block exactly once
-    assert [blocks for blocks, _, _ in calls] == [[0, 1, 2], [3, 4], [5, 6]]
+    # one block a call, every block exactly once; this thread starts on
+    # block 0 and each worker on a block of its own
+    assert [blocks for blocks, _, _ in calls] == [[k] for k in range(7)]
     assert calls[0][1] == caller
-    assert all(ident != caller for _, ident, _ in calls[1:])
-    arrays = [array for _, _, scratch in calls for array in scratch.values()]
+    assert len({ident for _, ident, _ in calls[:3]}) == 3
+    # each thread works in its own arrays, the same for all its blocks
+    scratches = {}
+    for _, ident, scratch in calls:
+        assert scratches.setdefault(ident, scratch) is scratch
+    arrays = [array for scratch in scratches.values()
+              for array in scratch.values()]
     assert [(array.shape, array.dtype) for array in arrays] == [
         ((4,), np.dtype(float)), ((2, 3), np.dtype(complex))] * 3
     assert not any(np.shares_memory(first, second)
@@ -197,17 +268,19 @@ def test_offered_work_runs_beside_the_step(three_workers):
         assert _threads.beside(threading.get_ident) == caller
         # the offer is taken once
         assert _threads.beside(lambda: "again") == "again"
-    assert sorted(items for items, _ in calls) == [[0, 1, 2], [3, 4]]
-    assert all(ident != caller for _, ident in calls)
+    assert sorted(items for items, _ in calls) == [[0], [1], [2], [3], [4]]
+    # the two workers start on blocks 0 and 1, beside the step
+    assert all(ident != caller for items, ident in calls if items[0] < 2)
 
 
 def test_offered_work_not_taken_runs_at_the_end(three_workers):
     calls = []
     with _threads.offering(recorded(calls), 5, LARGE, none()):
         assert calls == []
-    runs = dict((items[0], ident) for items, ident in calls)
-    assert sorted(items for items, _ in calls) == [[0, 1], [2, 3], [4]]
-    assert runs[0] == threading.get_ident() != runs[2]
+    threads = dict((items[0], ident) for items, ident in calls)
+    assert sorted(items for items, _ in calls) == [[0], [1], [2], [3], [4]]
+    assert threads[0] == threading.get_ident()
+    assert len({threads[0], threads[1], threads[2]}) == 3
 
 
 def test_offered_work_dropped_on_error(three_workers):
