@@ -18,7 +18,6 @@ and `beside` pass a caller's blocks down to a callee's one-thread step.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import mmap
@@ -77,44 +76,10 @@ def mapped(shapes: dict) -> dict:
     return arrays
 
 
-class _Worker:
-    """A thread that runs one task at a time.
-
-    Tasks are handed over through two plain locks, whose blocking acquire
-    allocates nothing; the calling thread's allocations then do not depend
-    on thread timing, which keeps glibc's heap of a run the same from run
-    to run.  The task must not raise.
-    """
-
-    def __init__(self):
-        self._go = threading.Lock()
-        self._go.acquire()
-        self._done = threading.Lock()
-        self._done.acquire()
-        self._task = None
-        threading.Thread(target=self._loop, name="holonoise",
-                         daemon=True).start()
-
-    def _loop(self):
-        while True:
-            self._go.acquire()
-            self._task()
-            # drop the task before signalling, so that the calling thread,
-            # which made it, is the one that frees it
-            self._task = None
-            self._done.release()
-
-    def start(self, task):
-        self._task = task
-        self._go.release()
-
-    def wait(self):
-        self._done.acquire()
-
-
-#: Started on first use and kept for the life of the process; one caller
-#: at a time holds `_workers_lock` while it uses them.
-_workers: list[_Worker] = []
+#: One-thread executors, started on first use and kept for the life of the
+#: process; one caller at a time holds `_workers_lock` while it uses them.
+#: Each takes its own task, so no worker runs two tasks of one call.
+_workers: list = []
 _workers_lock = threading.Lock()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_workers.clear)
@@ -222,11 +187,13 @@ def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
         with np.errstate(**err):
             run(t - shift, arrays[t])
 
-    while len(_workers) < threads - 1:
-        _workers.append(_Worker())
-    pool = _workers[:threads - 1]
-    for t, worker in enumerate(pool, 1):
-        worker.start(functools.partial(work, t))
+    # imported here: at module level it slows `import holonoise`
+    from concurrent.futures import ThreadPoolExecutor
+    _workers.extend(ThreadPoolExecutor(max_workers=1,
+                                       thread_name_prefix="holonoise")
+                    for _ in range(threads - 1 - len(_workers)))
+    tasks = [worker.submit(work, t)
+             for t, worker in enumerate(_workers[:threads - 1], 1)]
     try:
         if step is None:
             run(0, arrays[0])
@@ -238,9 +205,10 @@ def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
             if not failed:
                 run(next(claim), arrays[0])
     finally:
-        # the blocks fill caller-owned buffers: none may outlive this call
-        for worker in pool:
-            worker.wait()
+        # the blocks fill caller-owned buffers: none may outlive this call;
+        # `work` raises nothing, its blocks' errors are in `failed`
+        for task in tasks:
+            task.exception()
     if failed:
         raise failed[min(failed)]
     return result

@@ -216,16 +216,17 @@ class _WelchPass:
         # (samples, mean, centred sum of squares) of each record
         self.moments = [(0, 0.0, 0.0)] * 2
 
-    def held_bytes(self, n: int, chunk: int) -> int:
-        """Bytes this pass holds at most, fed two n-sample records in
-        chunks of at most `chunk` samples: `LOW_BIN_BYTES` per segment
-        and, whatever n, the work arrays of each thread that sums the
-        blocks one chunk completes (`_RFFT_BYTES` included), the carry and
-        the seam (`_buffer`), those blocks' sums and moments (`_sum`), and
-        the spectra it keeps to its end; nothing for records shorter than
-        a segment, which it refuses."""
+    def held_bytes(self, n: int, chunk: int) -> tuple[float, int]:
+        """Memory this pass holds at most, fed two n-sample records in
+        chunks of at most `chunk` samples, as (bytes per sample, bytes):
+        `LOW_BIN_BYTES` per segment, which grow with n, and, whatever n,
+        the work arrays of each thread that sums the blocks one chunk
+        completes (`_RFFT_BYTES` included), the carry and the seam
+        (`_buffer`), those blocks' sums and moments (`_sum`), and the
+        spectra it keeps to its end; nothing for records shorter than a
+        segment, which it refuses."""
         if n < self.p.segment_length:
-            return 0
+            return 0, 0
         size, bins = self.p.segment_length, self.p.segment_length // 2 + 1
         per_block = _WELCH_BLOCK * self.step
         blocks = -(-chunk // per_block)
@@ -241,8 +242,9 @@ class _WelchPass:
         # densities, the density scale and the frequencies, with the window
         sums = blocks * (32 * bins + 32)
         spectra = 8 * size + 80 * bins
-        return (LOW_BIN_BYTES * _segment_count(n, self.p) + threads * work
-                + buffers + sums + spectra)
+        # a segment starts every `step` samples
+        return (LOW_BIN_BYTES / self.step,
+                threads * work + buffers + sums + spectra)
 
     def _block_start(self) -> int:
         return self.block * _WELCH_BLOCK * self.step

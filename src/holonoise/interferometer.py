@@ -5,18 +5,21 @@ noise-model process, present only when the optical layout responds to
 transverse displacements) and white photon shot noise.  For a co-located
 pair the geometric components share a common stream; a single correlation
 coefficient rho_geom in [0, 1] interpolates between fully entangled (1) and
-decoupled (0) geometric states.  One plan (`_plan`) decides, once per run,
-what each record is made of and where it is built.  All component streams
-draw from distinct substreams of one master seed, so toggling any
-component leaves the others bit-identical.  A pair is made a chunk at a
-time (`stream_dual`), so that a run's memory does not grow with its
-duration; `simulate_dual` is the one-chunk case.
+decoupled (0) geometric states.  Every call goes through `_run`, which
+sizes the records, checks the run's memory once and plans it: one plan
+(`_plan`) decides what each record is made of and where it is built.  All
+component streams draw from distinct substreams of one master seed, so
+toggling any component leaves the others bit-identical.  A pair is made a
+chunk at a time (`stream_dual`), so that a run's memory does not grow with
+its duration; `simulate_dual` is the one-chunk case.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,23 +163,23 @@ def _synth_cfg(seed: int, channel: int, L: float, n: int, sample_rate: float,
                            seed=channel_seed(seed, channel), method=method)
 
 
-def _spans(det_a: DetectorConfig, n: int, sample_rate: float
-           ) -> list[tuple[int, int]]:
-    """(start, stop) of the chunks of a streamed n-sample run:
-    `_CHUNK_BLOCKS` blocks each, but a chunk grows by as many while it, or
-    the rest of the record after it, is too short to be synthesized."""
-    chunk = _CHUNK_BLOCKS * synthesis._BLOCK
+def _starts(det_a: DetectorConfig, n: int, sample_rate: float) -> range:
+    """Where the chunks of a streamed n-sample run start; each ends where
+    the next starts, the last at n.  A chunk is `_CHUNK_BLOCKS` blocks, or
+    the fewest multiple of them that spans `MIN_COHERENCE_TIMES` coherence
+    times, and a rest too short to be synthesized joins the last chunk.
+    Computed in closed form, so no chunk is listed."""
+    spec = HolographicSpectrum(det_a.L)
     too_short = functools.partial(synthesis._too_short,
-                                  sample_rate=sample_rate,
-                                  spec=HolographicSpectrum(det_a.L))
-    spans, start = [], 0
-    while start < n:
-        stop = min(start + chunk, n)
-        while stop < n and (too_short(stop - start) or too_short(n - stop)):
-            stop = min(stop + chunk, n)
-        spans.append((start, stop))
-        start = stop
-    return spans
+                                  sample_rate=sample_rate, spec=spec)
+    base = _CHUNK_BLOCKS * synthesis._BLOCK
+    need = synthesis.MIN_COHERENCE_TIMES * spec.coherence_time * sample_rate
+    chunk = n if need >= n else math.ceil(need / base) * base
+    if too_short(chunk):  # `need` rounded down
+        chunk += base
+    chunk = min(chunk, n)
+    rest = n % chunk
+    return range(0, n - rest if rest and too_short(rest) else n, chunk)
 
 
 def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
@@ -207,16 +210,17 @@ def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
     return plan
 
 
-def _held_bytes(plan: list, method: str, whole: bool) -> int:
+def _held_bytes(plan: list, method: str, whole: bool) -> tuple[int, int]:
     """Peak bytes per sample that `_chunks` holds for `plan`, `whole` or
-    streamed: 8 per record-length array (the geometric streams the plan
-    reads, if spectral or whole, and in a whole call each record built in
-    a buffer of its own), and `synthesis.TRANSFORM_BYTES` in a transform."""
+    streamed, as (arrays, transform): 8 per record-length array (the
+    geometric streams the plan reads, if spectral or whole, and in a whole
+    call each record built in a buffer of its own), and
+    `synthesis.TRANSFORM_BYTES` while a transform runs."""
     streams = {ch for _, terms, _ in plan for _, ch in terms}
     spectral = method == "spectral" and bool(streams)
     arrays = (len(streams) + sum(own is None for own, _, _ in plan) if whole
               else len(streams) if spectral else 0)
-    return 8 * arrays + (synthesis.TRANSFORM_BYTES if spectral else 0)
+    return 8 * arrays, synthesis.TRANSFORM_BYTES if spectral else 0
 
 
 def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
@@ -236,18 +240,17 @@ def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
                  else terms + [(1.0, noise)]), None
 
 
-def _chunks(det_a: DetectorConfig, det_b, plan: list, spans: list,
-            sample_rate: float, seed: int, method: str):
-    """The records of `plan`, a chunk at a time: yields a (TimeSeries of
-    A, TimeSeries of B or None) pair per (start, stop) of `spans`, which
-    are whole blocks and cover the records.
+def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
+            starts: range, sample_rate: float, seed: int, method: str):
+    """The n-sample records of `plan`, a chunk at a time: yields a
+    (TimeSeries of A, TimeSeries of B or None) pair per chunk, which runs
+    from its start in `starts`, whole blocks, to the next start or to n.
 
     A geometric stream is synthesized only if a record reads it: with the
     boxcar method a chunk at a time, with the spectral method in one
     transform, made whole first and read a chunk at a time.  The buffers
     of a chunk are its own, so a chunk stays valid after the next is made.
     """
-    n = spans[-1][1]
     # sampling preconditions hold for both arms even when a sensitivity
     # flag later drops the component
     cfgs = {ch: _synth_cfg(seed, ch, det.L, n, sample_rate, method)
@@ -261,7 +264,7 @@ def _chunks(det_a: DetectorConfig, det_b, plan: list, spans: list,
     # leave idle, into the buffer of a record not built in a geometric
     # chunk or, when that chunk is shorter than the record, into a buffer
     # of its own; never into a second record
-    size = spans[0][1]
+    size = next(iter(starts[1:]), n)
     drawn = [_buffer(size) if method == "spectral" and shot is not None
              and (own is None or size < n) else None
              for own, _, shot in plan]
@@ -274,7 +277,7 @@ def _chunks(det_a: DetectorConfig, det_b, plan: list, spans: list,
                  if method == "spectral" else {})
     # from here on only the first chunk's records hold the drawn noise
     del early
-    for start, stop in spans:
+    for start, stop in zip(starts, itertools.chain(starts[1:], [n])):
         first = start // synthesis._BLOCK
         streams = {ch: whole[ch][start:stop] if method == "spectral"
                    else synthesize(replace(cfg, n_samples=stop - start),
@@ -294,18 +297,47 @@ def _chunks(det_a: DetectorConfig, det_b, plan: list, spans: list,
         del a, b, streams, records
 
 
+def _run(det_a: DetectorConfig, det_b, rho: float, duration: float,
+         sample_rate: float, seed: int, method: str, whole: bool,
+         also=None):
+    """The `_chunks` of a run of detector A, and B given `det_b`: one
+    chunk of the whole records given `whole`, else the chunks of
+    `_starts`.
+
+    Makes the call's one memory check, before anything is allocated: a
+    run too large for physical memory raises ConfigurationError naming
+    `duration`.  The charge is the arrays of `_held_bytes` and the larger
+    of its transform and of what the reader of the chunks holds, which
+    `also`, a (name, value, held), gives: held(n, chunk) is the (bytes per
+    sample, bytes) the reader holds for n samples read in chunks of at
+    most `chunk`.  The transforms end before the first chunk is read, so
+    only the reader's bytes beyond the transform's are named `name`.
+    """
+    n = _n_samples(duration, sample_rate)
+    plan = _plan(det_a, det_b, rho, sample_rate, seed)
+    starts = range(0, n, n) if whole else _starts(det_a, n, sample_rate)
+    arrays, transform = _held_bytes(plan, method, whole)
+    if also is None:
+        check_fits_in_memory("duration", duration, n, arrays + transform)
+    else:
+        name, value, held = also
+        per_sample, fixed = held(n, max(n - starts[-1], starts.step))
+        check_fits_in_memory("duration", duration, n,
+                             arrays + transform + per_sample,
+                             also=(name, value, max(fixed - transform * n, 0)))
+    return _chunks(det_a, det_b, plan, n, starts, sample_rate, seed, method)
+
+
 def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,
                       seed: int, method: str = "spectral") -> TimeSeries:
     """Single-detector output: geometric noise (if sensitive) plus shot noise.
 
     This is detector A of `simulate_dual` (`_plan`) and gives its bytes,
-    with no detector B.  A record too large for physical memory
-    (`_held_bytes`) raises ConfigurationError naming `duration`.
+    with no detector B.  A record too large for physical memory (`_run`)
+    raises ConfigurationError naming `duration`.
     """
-    n = _n_samples(duration, sample_rate)
-    plan = _plan(cfg, None, 0.0, sample_rate, seed)
-    check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, True))
-    [(a, _)] = _chunks(cfg, None, plan, [(0, n)], sample_rate, seed, method)
+    [(a, _)] = _run(cfg, None, 0.0, duration, sample_rate, seed, method,
+                    whole=True)
     return a
 
 
@@ -314,18 +346,16 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     """The outputs of `simulate_dual`, a chunk at a time: an iterator of
     (chunk of A, chunk of B) TimeSeries pairs, in record order.
 
-    A chunk is `_CHUNK_BLOCKS` blocks of samples, so a run holds a chunk of
-    each detector and, for the spectral method, the geometric records that
-    `_plan` reads; joined, the chunks are the records of `simulate_dual`
-    byte for byte.  A pair stays valid after the next is made.  A run too
-    large for physical memory (`_held_bytes`) raises ConfigurationError
-    naming `duration` when this is called.
+    A chunk is `_CHUNK_BLOCKS` blocks of samples (`_starts`), so a run
+    holds a chunk of each detector and, for the spectral method, the
+    geometric records that `_plan` reads; joined, the chunks are the
+    records of `simulate_dual` byte for byte.  A pair stays valid after the
+    next is made.  A run too large for physical memory (`_run`) raises
+    ConfigurationError naming `duration` when this is called, in constant
+    time; each chunk is made when it is read.
     """
-    n = _n_samples(duration, sample_rate)
-    plan = _plan(cfg.det_a, cfg.det_b, cfg.rho_geom, sample_rate, seed)
-    check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, False))
-    return _chunks(cfg.det_a, cfg.det_b, plan,
-                   _spans(cfg.det_a, n, sample_rate), sample_rate, seed, method)
+    return _run(cfg.det_a, cfg.det_b, cfg.rho_geom, duration, sample_rate,
+                seed, method, whole=False)
 
 
 def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
@@ -336,12 +366,9 @@ def simulate_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
 
     The records are those `_plan` describes, from four streams on distinct
     substreams of `seed`: the one chunk of `stream_dual`'s loop.  A pair
-    too large for physical memory (`_held_bytes`) raises
-    ConfigurationError naming `duration` before anything is allocated.
+    too large for physical memory (`_run`) raises ConfigurationError
+    naming `duration` before anything is allocated.
     """
-    n = _n_samples(duration, sample_rate)
-    plan = _plan(cfg.det_a, cfg.det_b, cfg.rho_geom, sample_rate, seed)
-    check_fits_in_memory("duration", duration, n, _held_bytes(plan, method, True))
-    [(a, b)] = _chunks(cfg.det_a, cfg.det_b, plan, [(0, n)], sample_rate,
-                       seed, method)
+    [(a, b)] = _run(cfg.det_a, cfg.det_b, cfg.rho_geom, duration,
+                    sample_rate, seed, method, whole=True)
     return a, b

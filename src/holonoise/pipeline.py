@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, interferometer, synthesis
-from .errors import ConfigurationError, check_fits_in_memory
+from . import analysis, interferometer
+from .errors import ConfigurationError
 from .noise_model import HolographicSpectrum
 from .synthesis import METHODS
 
@@ -156,33 +156,27 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         window=cfg.window,
     )
 
-    # an unknown method passes here and is refused by the synthesis config
-    duration, sample_rate = float(cfg.duration), float(cfg.sample_rate)
-    n = interferometer._n_samples(duration, sample_rate)
-    plan = interferometer._plan(det.det_a, det.det_b, det.rho_geom,
-                                sample_rate, cfg.seed)
-    welch_pass = analysis._WelchPass(welch)
-
-    def check_memory(chunk):
-        check_fits_in_memory(
-            "duration", duration, n,
-            interferometer._held_bytes(plan, cfg.method, False),
-            also=("segment_length", welch.segment_length,
-                  welch_pass.held_bytes(n, chunk)))
-
-    # chunks of `_CHUNK_BLOCKS` blocks first, so that only a run that may
-    # fit lists its chunks; the longest of them is then what is charged
-    check_memory(min(n, interferometer._CHUNK_BLOCKS * synthesis._BLOCK))
-    spans = interferometer._spans(det.det_a, n, sample_rate)
-    check_memory(max(stop - start for start, stop in spans))
+    silent = [name for name in ("geometric_sensitivity_a",
+                                "geometric_sensitivity_b")
+              if not getattr(cfg, name)]
+    if silent and cfg.shot_noise_asd == 0.0:
+        raise ConfigurationError(
+            f"shot_noise_asd 0 with {' and '.join(silent)} false leaves a "
+            "detector silent, and its zero-variance spectrum cannot be "
+            "weighted")
+    # the one memory check, with what the Welch pass holds; an unknown
+    # method passes here and is refused by the synthesis config
+    chunks = interferometer._run(
+        det.det_a, det.det_b, det.rho_geom, float(cfg.duration),
+        float(cfg.sample_rate), cfg.seed, cfg.method, whole=False,
+        also=("segment_length", welch.segment_length,
+              analysis._WelchPass(welch).held_bytes))
 
     # the spectra square the records and their products square them again,
     # so a huge shot noise or arm length can overflow; that refuses the run
     try:
         with np.errstate(over="raise"):
-            csd = analysis.welch_csd(interferometer._chunks(
-                det.det_a, det.det_b, plan, spans, sample_rate, cfg.seed,
-                cfg.method), p=welch)
+            csd = analysis.welch_csd(chunks, p=welch)
             return RunResult(
                 config=cfg,
                 spectrum=spec,

@@ -452,11 +452,13 @@ class TestVerifyCommand:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only oracle; the package must not pull it in, and the
-    # library must not pull in the command line
+    # scipy is a test-only oracle; the package must not pull it in, the
+    # library must not pull in the command line, and the thread pool's
+    # module is imported when the first pool is built
     src = str(Path(holonoise.__file__).resolve().parents[1])
-    for module, absent in (("holonoise.cli", ()),
-                           ("holonoise", ("argparse", "holonoise.cli"))):
+    for module, absent in (("holonoise.cli", ("concurrent.futures",)),
+                           ("holonoise", ("argparse", "holonoise.cli",
+                                          "concurrent.futures"))):
         code = (f"import sys, {module}; print([m for m in sys.modules "
                 f"if m.split('.')[0] == 'scipy' or m in {absent!r}])")
         out = subprocess.run([sys.executable, "-c", code], cwd=src,

@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import re
+import time
 
 import numpy as np
 import pytest
@@ -162,7 +164,7 @@ def test_memory_rule_covers_what_a_call_holds(monkeypatch, held_peak, call,
     cfg = layout(rho or 0.0, insensitive)
     det_b = None if call == "simulate_detector" else cfg.det_b
     plan = interferometer._plan(cfg.det_a, det_b, cfg.rho_geom, FS, 5)
-    rule = interferometer._held_bytes(plan, method, call != "stream_dual")
+    rule = sum(interferometer._held_bytes(plan, method, call != "stream_dual"))
 
     def make(n):
         run = dict(duration=n / FS, sample_rate=FS, seed=5, method=method)
@@ -192,7 +194,9 @@ def sized_call(call, cfg, n, method="spectral"):
 def welch_charge(n, segment_length=4096):
     """What a run of n samples at FS is charged for its Welch pass: its
     chunks are shorter than one of `_CHUNK_BLOCKS` blocks."""
-    return analysis._WelchPass(WelchParams(segment_length)).held_bytes(n, n)
+    per_sample, fixed = analysis._WelchPass(
+        WelchParams(segment_length)).held_bytes(n, n)
+    return per_sample * n + fixed
 
 
 @pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
@@ -249,3 +253,119 @@ def test_boxcar_run_maps_no_record(monkeypatch):
     run_pipeline(RunConfig(method="boxcar", sample_rate=29979245.8,
                            duration=0.05, seed=4))
     assert max(sizes) <= interferometer._CHUNK_BLOCKS * BLOCK * 8
+
+
+def old_starts(det_a, n, sample_rate):
+    """The chunk starts of a streamed run found one chunk at a time: a
+    chunk grows by `_CHUNK_BLOCKS` blocks while it, or the rest of the
+    record after it, is too short to be synthesized."""
+    chunk = interferometer._CHUNK_BLOCKS * BLOCK
+    spec = interferometer.HolographicSpectrum(det_a.L)
+    starts, start = [], 0
+    while start < n:
+        stop = min(start + chunk, n)
+        while stop < n and (synthesis._too_short(stop - start, sample_rate,
+                                                 spec)
+                            or synthesis._too_short(n - stop, sample_rate,
+                                                    spec)):
+            stop = min(stop + chunk, n)
+        starts.append(start)
+        start = stop
+    return starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunks=st.integers(1, 40), rest=st.integers(0, BLOCK - 1),
+       coherence_chunks=st.floats(0.05, 12.0))
+def test_chunk_starts_in_closed_form(chunks, rest, coherence_chunks):
+    # the starts are those of the chunk-by-chunk search, whatever the
+    # record's length and however many chunks 10 coherence times span
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 1)
+        n = chunks * BLOCK + rest
+        det = DetectorConfig(L=40.0, shot_noise_asd=1e-20)
+        coherence = interferometer.HolographicSpectrum(40.0).coherence_time
+        fs = coherence_chunks * BLOCK / (synthesis.MIN_COHERENCE_TIMES
+                                         * coherence)
+        starts = interferometer._starts(det, n, fs)
+        assert isinstance(starts, range)
+        assert list(starts) == old_starts(det, n, fs)
+
+
+def test_long_stream_returns_at_once(monkeypatch):
+    # 1.6e16 samples: checked in constant time and no chunk listed, so
+    # the boxcar stream is returned at once and its first chunk made
+    # lazily
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(interferometer, "synthesize", None)
+    clock = time.perf_counter()
+    stream = stream_dual(dual(1.0), 1e9, 1.6e7, 1, "boxcar")
+    assert time.perf_counter() - clock < 1.0
+    with pytest.raises(TypeError):
+        next(stream)
+
+
+@pytest.mark.parametrize("call", ["simulate_detector", "simulate_dual",
+                                  "stream_dual", "run_pipeline"])
+def test_each_call_checks_memory_once(monkeypatch, call):
+    checks = []
+
+    def counted(*args, _check=interferometer.check_fits_in_memory,
+                **kwargs):
+        checks.append(args[0])
+        return _check(*args, **kwargs)
+
+    monkeypatch.setattr(interferometer, "check_fits_in_memory", counted)
+    monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 1)
+    n = 3 * BLOCK
+    if call == "simulate_detector":
+        simulate_detector(dual(1.0).det_a, n / FS, FS, seed=1)
+    elif call == "stream_dual":
+        collections.deque(sized_call(call, dual(1.0), n)(), maxlen=0)
+    else:
+        sized_call(call, dual(1.0), n)()
+    assert checks == ["duration"]
+
+
+def test_spectral_run_is_charged_the_larger_of_transform_and_pass(
+        monkeypatch):
+    # the transform ends before the Welch pass starts: at rho = 1 a run
+    # holds the shared geometric record and then the larger of the two,
+    # here the pass; charged the sum, 32 bytes per sample and the pass,
+    # it was refused
+    n = 2**18
+    per_sample, fixed = analysis._WelchPass(WelchParams()).held_bytes(n, n)
+    assert synthesis.TRANSFORM_BYTES * n < fixed
+    assert per_sample * n < 2**20
+    monkeypatch.setattr(errors, "_physical_memory",
+                        lambda: 8 * n + fixed + 2**20)
+    sized_call("run_pipeline", dual(1.0), n)()
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 8 * n + fixed)
+    with pytest.raises(errors.ConfigurationError, match="duration"):
+        sized_call("run_pipeline", dual(1.0), n)()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_long_run_refusal_blames_the_duration(monkeypatch, method):
+    # the low bins grow with the duration and are charged per sample: the
+    # share of segment_length stays that of a run that fits
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 8 * 2**30)
+    with pytest.raises(errors.ConfigurationError) as refusal:
+        run_pipeline(RunConfig(duration=1e15, method=method))
+    share = re.search(r"segment_length 4096 (\S+) GiB more",
+                      str(refusal.value))
+    assert float(share.group(1)) < 1.0
+
+
+def test_silent_detector_is_refused_before_synthesis(monkeypatch):
+    def synthesize(*args, **kwargs):
+        raise AssertionError("synthesized")
+
+    monkeypatch.setattr(interferometer, "synthesize", synthesize)
+    for insensitive in ("a", "b"):
+        field = f"geometric_sensitivity_{insensitive}"
+        with pytest.raises(errors.ConfigurationError,
+                           match="zero-variance") as refusal:
+            run_pipeline(RunConfig(shot_noise_asd=0.0, **{field: False}))
+        assert "shot_noise_asd" in str(refusal.value)
+        assert field in str(refusal.value)
