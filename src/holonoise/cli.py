@@ -141,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------- spectrum
 
-#: Peak resident bytes per table row of `spectrum`, by format, measured as
-#: the slope of a fresh process's peak RSS between 250,000 and 500,000 rows.
-_BYTES_PER_POINT = {"csv": 425, "json": 654}
+#: Peak resident bytes per table row of `spectrum`, by format: the slope of
+#: a fresh process's peak RSS with one spectral zero per row, 73 (CSV, in
+#: blocks of rows) and 818 (JSON) between 250,000 and 500,000 rows.
+_BYTES_PER_POINT = {"csv": 100, "json": 850}
 
 
 def cmd_spectrum(args) -> int:
@@ -190,13 +191,13 @@ def cmd_spectrum(args) -> int:
         "psd_one_sided_m2_hz": np.where(f > 0, 2.0 * psd2, psd2),
         "envelope_two_sided_m2_hz": envelope,
     }
-    if args.format == "json":
-        # null where the CSV leaves a cell empty: strict JSON has no NaN
-        doc = dict(meta, **{k: np.where(np.isnan(v), None, v).tolist()
-                            for k, v in columns.items()})
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    else:
-        text = hio.format_table_csv(columns, meta)
+    if args.format == "csv":
+        hio._write_rows(args.output or sys.stdout, columns, meta, "%.12e")
+        return 0
+    # null where the CSV leaves a cell empty: strict JSON has no NaN
+    doc = dict(meta, **{k: np.where(np.isnan(v), None, v).tolist()
+                        for k, v in columns.items()})
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -221,10 +222,9 @@ def cmd_synth(args) -> int:
         "method": cfg.method,
         "generator": f"holonoise {__version__} synth",
     }
-    if args.format == "csv":
-        hio.write_timeseries_csv(args.output, ts, seed=cfg.seed, metadata=meta)
-    else:
-        hio.write_timeseries_bin(args.output, ts, seed=cfg.seed, metadata=meta)
+    write = (hio.write_timeseries_csv if args.format == "csv"
+             else hio.write_timeseries_bin)
+    write(args.output, ts, seed=cfg.seed, metadata=meta)
     print(f"wrote {args.output}: {ts.n} samples at {ts.sample_rate:g} Hz")
     return 0
 

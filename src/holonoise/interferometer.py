@@ -210,17 +210,28 @@ def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
     return plan
 
 
-def _held_bytes(plan: list, method: str, whole: bool) -> tuple[int, int]:
-    """Peak bytes per sample that `_chunks` holds for `plan`, `whole` or
-    streamed, as (arrays, transform): 8 per record-length array (the
-    geometric streams the plan reads, if spectral or whole, and in a whole
-    call each record built in a buffer of its own), and
-    `synthesis.TRANSFORM_BYTES` while a transform runs."""
+def _held_bytes(plan: list, method: str, one_chunk: bool) -> tuple:
+    """Peak bytes that `_chunks` holds for `plan`, in one chunk or more, as
+    (arrays, transform) per sample of the record and (early, buffers) per
+    sample of its longest chunk: 8 per record-length array, the geometric
+    streams the plan reads, held whole by the spectral method;
+    `synthesis.TRANSFORM_BYTES` while a transform runs; 8 per buffer that
+    the spectral method draws the first chunk's shot noise into while the
+    transforms run; and, while a chunk is made and read, 8 per record built
+    in a buffer of its own, per boxcar stream's chunk and per early buffer
+    that a record built in a geometric chunk adds to the first."""
     streams = {ch for _, terms, _ in plan for _, ch in terms}
-    spectral = method == "spectral" and bool(streams)
-    arrays = (len(streams) + sum(own is None for own, _, _ in plan) if whole
-              else len(streams) if spectral else 0)
-    return 8 * arrays, synthesis.TRANSFORM_BYTES if spectral else 0
+    spectral = method == "spectral"
+    # as `_chunks` draws them: the buffers of records built in a buffer of
+    # their own, and those added to records built in a geometric chunk
+    drawn = [own for own, _, shot in plan if spectral and shot is not None
+             and (own is None or not one_chunk)]
+    buffered = sum(own is None for own, _, _ in plan)
+    added = len(drawn) - drawn.count(None)
+    return (8 * len(streams) if spectral else 0,
+            synthesis.TRANSFORM_BYTES if spectral and streams else 0,
+            8 * len(drawn),
+            8 * (buffered + added + (0 if spectral else len(streams))))
 
 
 def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
@@ -307,24 +318,29 @@ def _run(det_a: DetectorConfig, det_b, rho: float, duration: float,
     Makes the call's one memory check, before anything is allocated: a
     run too large for physical memory raises ConfigurationError naming
     `duration`.  The charge is the arrays of `_held_bytes` and the larger
-    of its transform and of what the reader of the chunks holds, which
-    `also`, a (name, value, held), gives: held(n, chunk) is the (bytes per
-    sample, bytes) the reader holds for n samples read in chunks of at
-    most `chunk`.  The transforms end before the first chunk is read, so
-    only the reader's bytes beyond the transform's are named `name`.
+    of what the transforms hold, with the early buffers, and of what is
+    held while the chunks are read: the chunks' buffers and what their
+    reader holds, which `also`, a (name, value, held), gives: held(n,
+    chunk) is the (bytes per sample, bytes) the reader holds for n samples
+    read in chunks of at most `chunk`.  The transforms end before the
+    first chunk is made, so only the bytes beyond the transforms' are
+    named `name`.
     """
     n = _n_samples(duration, sample_rate)
     plan = _plan(det_a, det_b, rho, sample_rate, seed)
     starts = range(0, n, n) if whole else _starts(det_a, n, sample_rate)
-    arrays, transform = _held_bytes(plan, method, whole)
+    chunk = max(n - starts[-1], starts.step)
+    arrays, transform, early, buffers = _held_bytes(plan, method,
+                                                    len(starts) == 1)
+    per_sample, fixed = (0, 0) if also is None else also[2](n, chunk)
+    beside, after = transform * n + early * chunk, fixed + buffers * chunk
     if also is None:
-        check_fits_in_memory("duration", duration, n, arrays + transform)
-    else:
-        name, value, held = also
-        per_sample, fixed = held(n, max(n - starts[-1], starts.step))
         check_fits_in_memory("duration", duration, n,
-                             arrays + transform + per_sample,
-                             also=(name, value, max(fixed - transform * n, 0)))
+                             arrays + max(beside, after) / n)
+    else:
+        check_fits_in_memory("duration", duration, n,
+                             arrays + per_sample + beside / n,
+                             also=(*also[:2], max(after - beside, 0)))
     return _chunks(det_a, det_b, plan, n, starts, sample_rate, seed, method)
 
 

@@ -9,9 +9,11 @@ with the same config and seed are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from .synthesis import TimeSeries
 MAGIC = b"HNTS"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIdQQ8sI")  # magic, version, fs, n, seed, units, meta length
+_ROWS = 1 << 16  # rows per `%` call of `_write_rows`, a block of text
 
 
 def _canonical_json(obj) -> str:
@@ -29,11 +32,9 @@ def _canonical_json(obj) -> str:
 
 def write_timeseries_bin(path, ts: TimeSeries, seed: int = 0,
                          metadata: dict | None = None) -> None:
-    """Write a record in the HNTS binary format.
-
-    The fixed header stores the low 64 bits of the seed; the metadata blob
-    keeps the exact value when one is supplied there.
-    """
+    """Write a record in the HNTS binary format, without copying its samples
+    on a little-endian machine.  The fixed header stores the seed's low 64
+    bits; the metadata blob keeps the exact value when one is given there."""
     meta_dict = dict(metadata or {})
     meta_dict.setdefault("seed", int(seed))
     meta = _canonical_json(meta_dict).encode("utf-8")
@@ -43,7 +44,7 @@ def write_timeseries_bin(path, ts: TimeSeries, seed: int = 0,
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(meta)
-        fh.write(ts.values.astype("<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(ts.values, dtype="<f8")))
 
 
 def read_timeseries_bin(path) -> tuple[TimeSeries, dict]:
@@ -74,11 +75,7 @@ def write_timeseries_csv(path, ts: TimeSeries, seed: int = 0,
     meta = dict(metadata or {})
     meta.update(sample_rate_hz=ts.sample_rate, n_samples=ts.n, seed=int(seed),
                 units="m")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_preamble(meta))
-        fh.write("displacement_m\n")
-        for v in ts.values:
-            fh.write(f"{v:.17e}\n")
+    _write_rows(path, {"displacement_m": ts.values}, meta, "%.17e")
 
 
 def read_timeseries_csv(path) -> tuple[TimeSeries, dict]:
@@ -97,37 +94,40 @@ def _preamble(metadata: dict) -> str:
                    for key in sorted(metadata))
 
 
-def format_table_csv(columns: dict, metadata: dict | None = None) -> str:
-    """Render a CSV table with a '#'-prefixed metadata preamble.
-
-    `columns` maps column name to a 1-d array of real or complex floats; all
-    columns must be equally long.  Complex columns are split into
-    `<name>_re` and `<name>_im`.  Cells are written as `%.12e`; NaN cells
-    are left empty.
-    """
+def _write_rows(out, columns: dict, metadata: dict, cell: str) -> None:
+    """Write a '#' metadata preamble and a CSV table of `columns` (1-d,
+    equally long; a complex one split into `<name>_re` and `<name>_im`) to
+    `out`, an open text file or a path opened once they are checked.  Cells
+    are `cell`, a `%` format, `_ROWS` rows per block; NaN cells are empty."""
     cols: dict[str, np.ndarray] = {}
     for name, values in columns.items():
         arr = np.asarray(values)
-        if np.iscomplexobj(arr):
-            cols[f"{name}_re"] = arr.real
-            cols[f"{name}_im"] = arr.imag
-        else:
-            cols[name] = arr
-    lengths = {c.size for c in cols.values()}
+        cols.update({f"{name}_re": arr.real, f"{name}_im": arr.imag}
+                    if np.iscomplexobj(arr) else {name: arr})
+    lengths = sorted({c.size for c in cols.values()})
     if len(lengths) != 1:
-        raise ValueError(f"columns have unequal lengths: {sorted(lengths)}")
-    (n,) = lengths
-    row = ",".join(["%.12e"] * len(cols)) + "\n"
-    cells = np.column_stack(list(cols.values())).ravel().tolist()
-    body = (row * n) % tuple(cells)
-    # "nan" is the only cell text holding those letters
-    return (_preamble(metadata or {}) + ",".join(cols) + "\n"
-            + body.replace("nan", ""))
+        raise ValueError(f"columns have unequal lengths: {lengths}")
+    row = ",".join([cell] * len(cols)) + "\n"
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", encoding="utf-8")) as fh:
+        fh.write(_preamble(metadata) + ",".join(cols) + "\n")
+        for start in range(0, lengths[0], _ROWS):
+            block = np.column_stack([c[start:start + _ROWS]
+                                     for c in cols.values()])
+            text = (row * len(block)) % tuple(block.ravel().tolist())
+            # "nan" is the only cell text holding those letters
+            fh.write(text.replace("nan", ""))
+
+
+def format_table_csv(columns: dict, metadata: dict | None = None) -> str:
+    """The text that `write_table_csv` writes."""
+    _write_rows(text := StringIO(), columns, metadata or {}, "%.12e")
+    return text.getvalue()
 
 
 def write_table_csv(path, columns: dict, metadata: dict | None = None) -> None:
-    """Write `format_table_csv` output to a file."""
-    Path(path).write_text(format_table_csv(columns, metadata), encoding="utf-8")
+    """Write `columns` as a CSV table (`_write_rows`), cells as `%.12e`."""
+    _write_rows(path, columns, metadata or {}, "%.12e")
 
 
 def read_table_csv(path) -> tuple[dict, dict]:

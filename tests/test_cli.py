@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import holonoise
 from holonoise import ConfigurationError, HolographicSpectrum, analytic_psd
-from holonoise import _threads, analysis, interferometer, synthesis
+from holonoise import _threads, analysis, cli, interferometer, synthesis
 from holonoise import io as hio
 from holonoise.analysis import WINDOWS
 from holonoise.cli import RunConfig, build_parser, main, resolve_run_config
@@ -80,6 +80,41 @@ class TestSpectrumCommand:
         assert run_cli(*argv, "-o", out) == 0
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_file_agree_across_blocks(self, tmp_path, capsys,
+                                                 fmt):
+        # more rows than one block of text, envelope cells empty below f_c
+        out = tmp_path / f"spec.{fmt}"
+        argv = ("spectrum", "--f-max", 2e7, "--f-min", 1e3, "--n-points",
+                2 * hio._ROWS + 3, "--format", fmt)
+        assert run_cli(*argv, "-o", out) == 0
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt, n", [("csv", 250_000), ("json", 125_000)])
+    def test_peak_memory_slope_within_its_charge(self, tmp_path, fmt, n):
+        # the peak RSS of fresh processes, with one spectral zero per row
+        # (the longest metadata), grows by at most the charge per point
+        # from n to 2 n points: whole blocks of CSV rows
+        pytest.importorskip("resource")
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss
+        src = str(Path(holonoise.__file__).resolve().parents[1])
+        code = ("import resource, sys; from holonoise.cli import main; "
+                "assert main(sys.argv[1:]) == 0; "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+        def peak(points):
+            return unit * int(subprocess.run(
+                [sys.executable, "-c", code, "spectrum", "--f-max", "1e13",
+                 "--n-points", str(points), "--format", fmt,
+                 "-o", str(tmp_path / "spec")],
+                env=dict(os.environ, PYTHONPATH=src), check=True,
+                capture_output=True, text=True).stdout)
+
+        slope = (peak(2 * n) - peak(n)) / n
+        assert slope <= cli._BYTES_PER_POINT[fmt]
 
     def test_overflowing_frequencies_give_zero_quietly(self, tmp_path):
         # at 5e299 Hz the density underflows and the envelope's (f / f_c)^2

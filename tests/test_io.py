@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +26,21 @@ class TestBinaryFormat:
         assert meta["seed"] == 42
         assert meta["method"] == "spectral"
         assert meta["units"] == "m"
+
+    def test_writes_the_record_without_a_copy(self, tmp_path):
+        # 8 MiB of samples, written from the record itself
+        big = TimeSeries(sample_rate=1.6e7, values=np.random.default_rng(1)
+                         .normal(size=2**20) * 1e-18)
+        path = tmp_path / "big.hnts"
+        tracemalloc.start()
+        try:
+            hio.write_timeseries_bin(path, big, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(hio.read_timeseries_bin(path)[0].values,
+                              big.values)
 
     def test_deterministic_bytes(self, ts, tmp_path):
         p1, p2 = tmp_path / "a.hnts", tmp_path / "b.hnts"
@@ -72,6 +90,20 @@ class TestCsvTimeSeries:
         assert np.array_equal(back.values, ts.values)  # %.17e is lossless
         assert meta["seed"] == 9
 
+    def test_bytes_across_blocks_match_the_line_rule(self, tmp_path):
+        # a record over two blocks of rows: the bytes of the per-sample
+        # lines, "%.17e" each
+        values = np.random.default_rng(2).normal(size=2 * hio._ROWS + 3)
+        values[[0, hio._ROWS - 1, hio._ROWS, -1]] = [-0.0, 5e-324, 1e300, 0.1]
+        path = tmp_path / "rec.csv"
+        hio.write_timeseries_csv(path, TimeSeries(1.6e7, values), seed=9,
+                                 metadata={"L": 40.0})
+        meta = {"L": 40.0, "sample_rate_hz": 1.6e7, "n_samples": values.size,
+                "seed": 9, "units": "m"}
+        expected = (hio._preamble(meta) + "displacement_m\n"
+                    + "".join(f"{v:.17e}\n" for v in values))
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_rejects_missing_sample_rate(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text("# seed = 9\ndisplacement_m\n1.0\n2.0\n")
@@ -96,10 +128,10 @@ class TestTables:
         assert np.isnan(cols["env"][0])
         assert_allclose(cols["env"][1:], env[1:])
 
-    @pytest.mark.parametrize("rows", [0, 1, 9])
+    @pytest.mark.parametrize("rows", [0, 1, 9, 65535, 65536, 65537, 131075])
     def test_format_matches_cell_by_cell_rule(self, rows):
-        # the one-call body writes what the per-cell rule wrote: "%.12e",
-        # and an empty cell for NaN
+        # the blocks of rows write what the per-cell rule wrote: "%.12e",
+        # and an empty cell for NaN, whole blocks or not
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, -2.5e300,
                    1e-310, 0.1]
         values = np.resize(special, rows)
@@ -117,8 +149,8 @@ class TestTables:
             else:
                 cells[name] = arr
         lines = [",".join(cells)] + [
-            ",".join("" if np.isnan(c[i]) else f"{c[i]:.12e}"
-                     for c in cells.values()) for i in range(rows)]
+            ",".join("" if math.isnan(x) else f"{x:.12e}" for x in row)
+            for row in zip(*(c.tolist() for c in cells.values()))]
         expected = hio._preamble(meta) + "\n".join(lines) + "\n"
         assert hio.format_table_csv(columns, meta) == expected
 

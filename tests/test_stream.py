@@ -158,13 +158,10 @@ def layout(rho, insensitive):
 def test_memory_rule_covers_what_a_call_holds(monkeypatch, held_peak, call,
                                               method, rho, insensitive):
     # the held bytes' slope between n and 2 n samples, where the work
-    # arrays and the chunks cancel, is at most the rule the call refuses
-    # by; the objects made per block of draws add about 0.02
+    # arrays and the chunks cancel, is at most the slope of the charge the
+    # call refuses by; the objects made per block of draws add about 0.02
     monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 1)
     cfg = layout(rho or 0.0, insensitive)
-    det_b = None if call == "simulate_detector" else cfg.det_b
-    plan = interferometer._plan(cfg.det_a, det_b, cfg.rho_geom, FS, 5)
-    rule = sum(interferometer._held_bytes(plan, method, call != "stream_dual"))
 
     def make(n):
         run = dict(duration=n / FS, sample_rate=FS, seed=5, method=method)
@@ -175,8 +172,51 @@ def test_memory_rule_covers_what_a_call_holds(monkeypatch, held_peak, call,
                                  maxlen=0)
 
     n = 2**17
+    rule = (charged(monkeypatch, lambda: make(2 * n))
+            - charged(monkeypatch, lambda: make(n))) / n
     slope = (held_peak(lambda: make(2 * n)) - held_peak(lambda: make(n))) / n
     assert slope <= rule + 0.1
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("rho, insensitive", [
+    (rho, insensitive) for rho in (0.0, 0.5, 1.0)
+    for insensitive in (None, "a", "b")])
+def test_memory_rule_covers_the_chunk_buffers(monkeypatch, held_peak, method,
+                                              rho, insensitive):
+    # a stream's buffers of a chunk each: what it holds grows with the
+    # chunk, from one block to two, by at most what its charge grows by;
+    # the work arrays, a block for each of one thread, cancel
+    monkeypatch.setattr(_threads, "workers", lambda samples: 1)
+    cfg = layout(rho, insensitive)
+    n = 4 * BLOCK
+
+    def make():
+        return collections.deque(stream_dual(cfg, n / FS, FS, 5, method),
+                                 maxlen=0)
+
+    held, charge = [], []
+    for blocks in (1, 2):
+        monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", blocks)
+        held.append(held_peak(make))
+        charge.append(charged(monkeypatch, make))
+    assert (held[1] - held[0]) / BLOCK <= (charge[1] - charge[0]) / BLOCK + 0.1
+
+
+class _Charged(Exception):
+    pass
+
+
+def charged(monkeypatch, make) -> float:
+    """The bytes that the memory check of make() charges; nothing runs."""
+    def check(name, value, samples, bytes_per_sample, also=None):
+        raise _Charged(samples * bytes_per_sample + (also[2] if also else 0))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(interferometer, "check_fits_in_memory", check)
+        with pytest.raises(_Charged) as charge:
+            make()
+    return charge.value.args[0]
 
 
 def sized_call(call, cfg, n, method="spectral"):
@@ -201,10 +241,11 @@ def welch_charge(n, segment_length=4096):
 
 @pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
 def test_rho_one_run_that_fits_is_admitted(monkeypatch, call):
-    # 32 bytes per sample hold the shared geometric record and its
-    # transform; a run adds its Welch pass
+    # 40 bytes per sample hold the shared geometric record, its transform
+    # and B's shot noise, drawn meanwhile into the buffer B is built in (the
+    # run is one chunk); a run adds its Welch pass
     n = 2**18
-    need = 32 * n + (welch_charge(n) if call == "run_pipeline" else 0)
+    need = 40 * n + (welch_charge(n) if call == "run_pipeline" else 0)
     monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     sized_call(call, dual(1.0), n)()
 
@@ -216,7 +257,7 @@ def test_run_too_large_for_its_segments_is_refused(monkeypatch):
     n = 2**18
     assert welch_charge(n, 2**16) > 8 * welch_charge(n)
     monkeypatch.setattr(errors, "_physical_memory",
-                        lambda: 32 * n + welch_charge(n))
+                        lambda: 40 * n + welch_charge(n))
     run = dict(duration=n / FS, sample_rate=FS, max_lag=1e-6, seed=1)
     run_pipeline(RunConfig(**run))
     with pytest.raises(errors.ConfigurationError, match="segment_length"):
@@ -331,16 +372,17 @@ def test_spectral_run_is_charged_the_larger_of_transform_and_pass(
         monkeypatch):
     # the transform ends before the Welch pass starts: at rho = 1 a run
     # holds the shared geometric record and then the larger of the two,
-    # here the pass; charged the sum, 32 bytes per sample and the pass,
-    # it was refused
+    # with B's buffer on either side (B's shot noise is drawn into it
+    # beside the transform), here the pass; charged the sum, 40 bytes per
+    # sample and the pass, it was refused
     n = 2**18
     per_sample, fixed = analysis._WelchPass(WelchParams()).held_bytes(n, n)
     assert synthesis.TRANSFORM_BYTES * n < fixed
     assert per_sample * n < 2**20
     monkeypatch.setattr(errors, "_physical_memory",
-                        lambda: 8 * n + fixed + 2**20)
+                        lambda: 16 * n + fixed + 2**20)
     sized_call("run_pipeline", dual(1.0), n)()
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 8 * n + fixed)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 16 * n + fixed)
     with pytest.raises(errors.ConfigurationError, match="duration"):
         sized_call("run_pipeline", dual(1.0), n)()
 
