@@ -11,8 +11,7 @@ CPU, each with work arrays of its own from a `Workspace`, which maps them
 Each worker starts on a block of its own; after that every thread claims
 the next unclaimed block until none is left, so a thread that runs faster
 runs more blocks instead of waiting for the others.  Given a `step`, the
-calling thread runs step() first and then claims blocks too.  `offering`
-and `beside` pass a caller's blocks down to a callee's one-thread step.
+calling thread runs step() first and then claims blocks too.
 """
 
 from __future__ import annotations
@@ -130,32 +129,6 @@ def on_blocks(kernel, n_blocks: int, samples: int, workspace: Workspace,
         return _claim_on_workers(kernel, n_blocks, workspace, step, threads)
     finally:
         _workers_lock.release()
-
-
-#: Work offered by a caller to the CPUs that a one-thread step leaves idle
-#: (`offering`, `beside`), one offer per calling thread.
-_offer = threading.local()
-
-
-@contextlib.contextmanager
-def offering(kernel, n_blocks: int, samples: int, workspace: Workspace):
-    """Offer `on_blocks(kernel, n_blocks, samples, workspace)` to the first
-    `beside` call made on this thread within the block, which runs it on
-    the CPUs other than its own; untaken, it runs when the block ends."""
-    _offer.work = (kernel, n_blocks, samples, workspace)
-    try:
-        yield
-    finally:
-        work, _offer.work = _offer.work, None
-    if work is not None:
-        on_blocks(*work)
-
-
-def beside(step):
-    """Return step(), run on this thread, while the work offered to this
-    thread (`offering`) runs on the other usable CPUs."""
-    work, _offer.work = getattr(_offer, "work", None), None
-    return step() if work is None else on_blocks(*work, step)
 
 
 def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,

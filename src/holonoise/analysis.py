@@ -156,7 +156,7 @@ def _density_scale(p: WelchParams, fs: float) -> np.ndarray:
     return scale
 
 
-#: Bytes per segment sample that numpy's `rfft` holds beside its output,
+#: Bytes per segment sample that numpy's `rfft` holds over its output,
 #: its plan and work buffer: a fresh process's peak RSS grew 40-44 bytes
 #: per sample for one transform of 2**16 to 2**20-sample segments.
 _RFFT_BYTES = 44
@@ -692,8 +692,9 @@ def detection_significance(csd: SpectrumEstimate, model: HolographicSpectrum,
     csd : SpectrumEstimate
         Cross-spectrum with `sigma` populated (as from `welch_csd`); any
         other estimate is a `ValueError`.
-    model : HolographicSpectrum
-        Zero-parameter spectral prediction to fit.
+    model : HolographicSpectrum or array
+        Zero-parameter prediction to fit: a spectrum, whose `one_sided_psd`
+        is the template, or the template at the estimate's frequencies.
     band : (f_lo, f_hi)
         Frequency band of the fit, inclusive.
     """
@@ -712,7 +713,9 @@ def detection_significance(csd: SpectrumEstimate, model: HolographicSpectrum,
         )
     freqs = csd.frequencies[mask]
     x = np.real(np.asarray(csd.values)[mask])
-    template = np.asarray(one_sided_psd(model, freqs))
+    template = (np.asarray(one_sided_psd(model, freqs))
+                if isinstance(model, HolographicSpectrum)
+                else np.asarray(model, dtype=float)[mask])
     sigma = np.asarray(csd.sigma)[mask]
     n_zero = int(np.sum(sigma == 0.0))
     if n_zero:

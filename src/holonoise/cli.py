@@ -41,8 +41,8 @@ from .algebra import (
     SECONDS_PER_YEAR,
 )
 # Unused here; perfbench/tracing.py wraps these names in this module too:
-# simulate_dual, welch_psd, welch_csd, coherence, cross_correlation and
-# detection_significance.
+# simulate_dual, welch_psd, welch_csd, coherence, cross_correlation,
+# detection_significance and one_sided_psd.
 from .analysis import (  # noqa: F401
     coherence,
     cross_correlation,
@@ -58,11 +58,11 @@ from .noise_model import (
     analytic_autocorrelation,
     analytic_psd,
     envelope_high_f,
-    one_sided_psd,
     time_averaged_ms_displacement,
 )
+from .noise_model import one_sided_psd  # noqa: F401
 from .pipeline import RunConfig, run_pipeline
-from .synthesis import METHODS, SynthesisConfig, synthesize
+from .synthesis import METHODS, SynthesisConfig, record_psd, synthesize
 from . import io as hio
 
 OUTDIR_ENV = "HOLONOISE_OUTDIR"
@@ -141,10 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------- spectrum
 
-#: Peak resident bytes per table row of `spectrum`, by format: the slope of
-#: a fresh process's peak RSS with one spectral zero per row, 73 (CSV, in
-#: blocks of rows) and 818 (JSON) between 250,000 and 500,000 rows.
-_BYTES_PER_POINT = {"csv": 100, "json": 850}
+#: Peak resident bytes per table row of `spectrum`, by format, written in
+#: blocks of rows: the slope of a fresh process's peak RSS with one spectral
+#: zero per row, 73 (CSV, 250,000 to 500,000 rows) and 58-60 (JSON, 125,000
+#: to 250,000; 42 from 250,000 to 500,000).
+_BYTES_PER_POINT = {"csv": 100, "json": 75}
 
 
 def cmd_spectrum(args) -> int:
@@ -169,7 +170,8 @@ def cmd_spectrum(args) -> int:
     # at most one zero per table row, so the metadata never outgrows the table
     n_zeros = int(max(min(args.f_max / float(spec.zeros(1)[0]),
                           args.n_points), 1))
-    zeros = [z for z in spec.zeros(n_zeros) if z <= args.f_max]
+    zeros = spec.zeros(n_zeros)
+    zeros = zeros[zeros <= args.f_max]
     meta = {
         "arm_length_m": args.arm_length,
         "f_min_hz": args.f_min,
@@ -192,16 +194,11 @@ def cmd_spectrum(args) -> int:
         "envelope_two_sided_m2_hz": envelope,
     }
     if args.format == "csv":
-        hio._write_rows(args.output or sys.stdout, columns, meta, "%.12e")
-        return 0
-    # null where the CSV leaves a cell empty: strict JSON has no NaN
-    doc = dict(meta, **{k: np.where(np.isnan(v), None, v).tolist()
-                        for k, v in columns.items()})
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        hio._write_rows(args.output or sys.stdout, columns,
+                        dict(meta, zeros_hz=zeros.tolist()), "%.12e")
     else:
-        sys.stdout.write(text)
+        # null where the CSV leaves a cell empty: strict JSON has no NaN
+        hio._write_json(args.output or sys.stdout, dict(meta, **columns))
     return 0
 
 
@@ -265,7 +262,8 @@ def cmd_run(args) -> int:
     resolved = asdict(cfg)
     meta = {"config": resolved, "generator": f"holonoise {__version__} run",
             "seed": cfg.seed}
-    model_one_sided = np.asarray(one_sided_psd(spec, csd.frequencies))
+    model_one_sided = record_psd(spec, cfg.sample_rate, cfg.method,
+                                 csd.frequencies)
     # made only now, so that a run rejected at any stage leaves nothing behind
     outdir.mkdir(parents=True, exist_ok=True)
     for kind, psd in zip(("psd_a", "psd_b"), csd.psds):

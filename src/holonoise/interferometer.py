@@ -16,7 +16,6 @@ its duration; `simulate_dual` is the one-chunk case.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -140,11 +139,6 @@ def _mix_blocks(records: list, first: int, blocks: range,
                 o += noise
 
 
-def _buffer(size: int) -> np.ndarray:
-    """A record buffer in an anonymous mapping of its own."""
-    return _threads.mapped({"values": ((size,), float)})["values"]
-
-
 def _n_samples(duration: float, sample_rate: float) -> int:
     """Samples in `duration` at `sample_rate`."""
     check_positive_finite("duration", duration)
@@ -154,13 +148,6 @@ def _n_samples(duration: float, sample_rate: float) -> int:
     if n < 1:
         raise ConfigurationError(f"duration {duration} s yields an empty record")
     return n
-
-
-def _synth_cfg(seed: int, channel: int, L: float, n: int, sample_rate: float,
-               method: str) -> SynthesisConfig:
-    """The synthesis of geometric stream `channel` of a run of `seed`."""
-    return SynthesisConfig(L=L, sample_rate=sample_rate, n_samples=n,
-                           seed=channel_seed(seed, channel), method=method)
 
 
 def _starts(det_a: DetectorConfig, n: int, sample_rate: float) -> range:
@@ -210,47 +197,6 @@ def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
     return plan
 
 
-def _held_bytes(plan: list, method: str, one_chunk: bool) -> tuple:
-    """Peak bytes that `_chunks` holds for `plan`, in one chunk or more, as
-    (arrays, transform) per sample of the record and (early, buffers) per
-    sample of its longest chunk: 8 per record-length array, the geometric
-    streams the plan reads, held whole by the spectral method;
-    `synthesis.TRANSFORM_BYTES` while a transform runs; 8 per buffer that
-    the spectral method draws the first chunk's shot noise into while the
-    transforms run; and, while a chunk is made and read, 8 per record built
-    in a buffer of its own, per boxcar stream's chunk and per early buffer
-    that a record built in a geometric chunk adds to the first."""
-    streams = {ch for _, terms, _ in plan for _, ch in terms}
-    spectral = method == "spectral"
-    # as `_chunks` draws them: the buffers of records built in a buffer of
-    # their own, and those added to records built in a geometric chunk
-    drawn = [own for own, _, shot in plan if spectral and shot is not None
-             and (own is None or not one_chunk)]
-    buffered = sum(own is None for own, _, _ in plan)
-    added = len(drawn) - drawn.count(None)
-    return (8 * len(streams) if spectral else 0,
-            synthesis.TRANSFORM_BYTES if spectral and streams else 0,
-            8 * len(drawn),
-            8 * (buffered + added + (0 if spectral else len(streams))))
-
-
-def _record(planned: tuple, noise, streams: dict, size: int) -> tuple:
-    """A record of `_plan` in a chunk of `size` samples, as `_mix_blocks`
-    takes it, with the chunks of the geometric streams in `streams`.  Shot
-    noise already drawn into `noise` is the first term of a record in a
-    buffer of its own, which is then `noise`, and the last of one built in
-    a geometric chunk; either way the sums are those of the noise drawn in
-    place."""
-    own, terms, shot = planned
-    terms = [(weight, streams[ch]) for weight, ch in terms]
-    out = (streams[own] if own is not None
-           else _buffer(size) if noise is None else noise)
-    if noise is None:
-        return out, terms, shot
-    return out, ([(1.0, noise)] + terms if out is noise
-                 else terms + [(1.0, noise)]), None
-
-
 def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
             starts: range, sample_rate: float, seed: int, method: str):
     """The n-sample records of `plan`, a chunk at a time: yields a
@@ -264,39 +210,27 @@ def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
     """
     # sampling preconditions hold for both arms even when a sensitivity
     # flag later drops the component
-    cfgs = {ch: _synth_cfg(seed, ch, det.L, n, sample_rate, method)
+    cfgs = {ch: SynthesisConfig(L=det.L, sample_rate=sample_rate,
+                                n_samples=n, seed=channel_seed(seed, ch),
+                                method=method)
             for ch, det in [(CH_GEOM_SHARED, det_a), (CH_GEOM_INDEP, det_b)]
             if det is not None}
     read = {ch for _, terms, _ in plan for _, ch in terms}
     cfgs = {ch: cfg for ch, cfg in cfgs.items() if ch in read}
     workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
-    # the first chunk's shot noise reads no geometric record: with the
-    # spectral method it is drawn on the CPUs that the one-CPU transforms
-    # leave idle, into the buffer of a record not built in a geometric
-    # chunk or, when that chunk is shorter than the record, into a buffer
-    # of its own; never into a second record
-    size = next(iter(starts[1:]), n)
-    drawn = [_buffer(size) if method == "spectral" and shot is not None
-             and (own is None or size < n) else None
-             for own, _, shot in plan]
-    early = [(noise, [], shot) for noise, (_, _, shot) in zip(drawn, plan)
-             if noise is not None]
-    with (_threads.offering(functools.partial(_mix_blocks, early, 0),
-                            -(-size // synthesis._BLOCK), size, workspace)
-          if early else contextlib.nullcontext()):
-        whole = ({ch: synthesize(cfg).values for ch, cfg in cfgs.items()}
-                 if method == "spectral" else {})
-    # from here on only the first chunk's records hold the drawn noise
-    del early
+    whole = ({ch: synthesize(cfg).values for ch, cfg in cfgs.items()}
+             if method == "spectral" else {})
     for start, stop in zip(starts, itertools.chain(starts[1:], [n])):
         first = start // synthesis._BLOCK
         streams = {ch: whole[ch][start:stop] if method == "spectral"
                    else synthesize(replace(cfg, n_samples=stop - start),
                                    first).values
                    for ch, cfg in cfgs.items()}
-        records = [_record(planned, noise, streams, stop - start)
-                   for planned, noise in zip(plan, drawn)]
-        drawn = [None] * len(plan)
+        # as `_mix_blocks` takes them; a record not in a chunk has a buffer
+        records = [(streams[own] if own is not None else _threads.mapped(
+                        {"values": ((stop - start,), float)})["values"],
+                    [(weight, streams[ch]) for weight, ch in terms], shot)
+                   for own, terms, shot in plan]
         _threads.on_blocks(functools.partial(_mix_blocks, records, first),
                            -(-(stop - start) // synthesis._BLOCK),
                            stop - start, workspace)
@@ -317,30 +251,36 @@ def _run(det_a: DetectorConfig, det_b, rho: float, duration: float,
 
     Makes the call's one memory check, before anything is allocated: a
     run too large for physical memory raises ConfigurationError naming
-    `duration`.  The charge is the arrays of `_held_bytes` and the larger
-    of what the transforms hold, with the early buffers, and of what is
-    held while the chunks are read: the chunks' buffers and what their
-    reader holds, which `also`, a (name, value, held), gives: held(n,
-    chunk) is the (bytes per sample, bytes) the reader holds for n samples
-    read in chunks of at most `chunk`.  The transforms end before the
-    first chunk is made, so only the bytes beyond the transforms' are
-    named `name`.
+    `duration`.  The charge is 8 bytes per sample for each geometric
+    stream the plan reads, held whole by the spectral method, and the
+    larger of what its transforms hold, `synthesis.TRANSFORM_BYTES` per
+    sample, and of what is held while the chunks are read: 8 bytes per
+    sample of a chunk for each record built in a buffer of its own and
+    each boxcar stream's chunk, and what their reader holds, which `also`,
+    a (name, value, held), gives: held(n, chunk) is the (bytes per
+    sample, bytes) the reader holds for n samples read in chunks of at
+    most `chunk`.  The transforms end before the first chunk is made, so
+    only the bytes beyond the transforms' are named `name`.
     """
     n = _n_samples(duration, sample_rate)
     plan = _plan(det_a, det_b, rho, sample_rate, seed)
     starts = range(0, n, n) if whole else _starts(det_a, n, sample_rate)
     chunk = max(n - starts[-1], starts.step)
-    arrays, transform, early, buffers = _held_bytes(plan, method,
-                                                    len(starts) == 1)
+    streams = len({ch for _, terms, _ in plan for _, ch in terms})
+    spectral = method == "spectral"
+    arrays = 8 * streams if spectral else 0
+    buffers = 8 * (sum(own is None for own, _, _ in plan)
+                   + (0 if spectral else streams))
     per_sample, fixed = (0, 0) if also is None else also[2](n, chunk)
-    beside, after = transform * n + early * chunk, fixed + buffers * chunk
+    during = synthesis.TRANSFORM_BYTES * n if spectral and streams else 0
+    after = fixed + buffers * chunk
     if also is None:
         check_fits_in_memory("duration", duration, n,
-                             arrays + max(beside, after) / n)
+                             arrays + max(during, after) / n)
     else:
         check_fits_in_memory("duration", duration, n,
-                             arrays + per_sample + beside / n,
-                             also=(*also[:2], max(after - beside, 0)))
+                             arrays + per_sample + during / n,
+                             also=(*also[:2], max(after - during, 0)))
     return _chunks(det_a, det_b, plan, n, starts, sample_rate, seed, method)
 
 

@@ -94,6 +94,20 @@ def _preamble(metadata: dict) -> str:
                    for key in sorted(metadata))
 
 
+def _text_file(out):
+    """`out` if it is an open text file, else the path opened for writing."""
+    return (contextlib.nullcontext(out) if hasattr(out, "write")
+            else open(out, "w", encoding="utf-8"))
+
+
+def _blocks(cols: list, row: str):
+    """`row`, a `%` format of one cell per column, for each row of the
+    equally long 1-d `cols`, `_ROWS` rows a block of text."""
+    for start in range(0, cols[0].size, _ROWS):
+        block = np.column_stack([c[start:start + _ROWS] for c in cols])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
 def _write_rows(out, columns: dict, metadata: dict, cell: str) -> None:
     """Write a '#' metadata preamble and a CSV table of `columns` (1-d,
     equally long; a complex one split into `<name>_re` and `<name>_im`) to
@@ -108,15 +122,37 @@ def _write_rows(out, columns: dict, metadata: dict, cell: str) -> None:
     if len(lengths) != 1:
         raise ValueError(f"columns have unequal lengths: {lengths}")
     row = ",".join([cell] * len(cols)) + "\n"
-    with (contextlib.nullcontext(out) if hasattr(out, "write")
-          else open(out, "w", encoding="utf-8")) as fh:
+    with _text_file(out) as fh:
         fh.write(_preamble(metadata) + ",".join(cols) + "\n")
-        for start in range(0, lengths[0], _ROWS):
-            block = np.column_stack([c[start:start + _ROWS]
-                                     for c in cols.values()])
-            text = (row * len(block)) % tuple(block.ravel().tolist())
+        for text in _blocks(list(cols.values()), row):
             # "nan" is the only cell text holding those letters
             fh.write(text.replace("nan", ""))
+
+
+def _write_json(out, doc: dict) -> None:
+    """Write json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    and a newline to `out` (as `_write_rows` takes it); a 1-d float array
+    member is its list, `_ROWS` cells a block, with NaN cells null."""
+    with _text_file(out) as fh:
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            value = doc[key]
+            fh.write(",\n" if i else "\n")
+            if isinstance(value, np.ndarray) and not value.size:
+                value = []
+            if not isinstance(value, np.ndarray):
+                # the member as json.dumps indents it in the object
+                fh.write(json.dumps({key: value}, sort_keys=True, indent=2,
+                                    allow_nan=False)[2:-2])
+                continue
+            if np.any(np.isinf(value)):
+                raise ValueError(f"{key} holds a value JSON cannot: infinity")
+            fh.write(f"  {json.dumps(key)}: [")
+            for k, text in enumerate(_blocks([value], ",\n    %r")):
+                # the repr of a float is its JSON text; "nan" is NaN's only
+                fh.write((text[1:] if k == 0 else text).replace("nan", "null"))
+            fh.write("\n  ]")
+        fh.write("\n}\n")
 
 
 def format_table_csv(columns: dict, metadata: dict | None = None) -> str:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, interferometer
+from . import analysis, interferometer, synthesis
 from .errors import ConfigurationError
 from .noise_model import HolographicSpectrum
 from .synthesis import METHODS
@@ -71,7 +71,7 @@ class RunConfig:
         True, (bool,), "detector A responds to geometric noise", "--sens-a")
     geometric_sensitivity_b: bool = _run_field(
         True, (bool,), "detector B responds to geometric noise", "--sens-b")
-    method: str = _run_field("spectral", (str,), "synthesis method",
+    method: str = _run_field("boxcar", (str,), "synthesis method",
                              "--method", choices=METHODS)
     segment_length: int = _run_field(4096, (int,), "Welch segment length in "
                                      "samples", "--segment-length", type=int)
@@ -183,7 +183,10 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 csd=csd,
                 coherence=analysis.coherence_from_csd(csd),
                 correlation=analysis.cross_correlation(csd, cfg.max_lag),
-                detection=analysis.detection_significance(csd, spec, cfg.band),
+                detection=analysis.detection_significance(
+                    csd, synthesis.record_psd(spec, cfg.sample_rate,
+                                              cfg.method, csd.frequencies),
+                    cfg.band),
             )
     except FloatingPointError as exc:
         raise ConfigurationError(

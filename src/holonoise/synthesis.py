@@ -6,9 +6,10 @@ Two independent constructions are provided and must agree statistically:
   two-sided periodogram equals `analytic_psd` exactly on the record's grid;
   the record is one inverse FFT, so it is circular (periodic);
 * boxcar: a linear moving sum of white Gaussian noise over one light
-  round-trip time, which reproduces the triangular autocorrelation exactly
-  at the sample lags; the driver starts width - 1 samples before the record
-  (a pre-roll), so the record is stationary from its first sample.
+  round trip of w = 2L/c * fs samples, whole or not, which reproduces the
+  triangular autocorrelation exactly at the sample lags; the window reads
+  the driver ahead of each sample, so the record is stationary from its
+  first sample.
 
 Records must be long compared to the coherence time, which the config
 invariants enforce.
@@ -35,7 +36,7 @@ from .errors import (
     check_fits_in_memory,
     check_positive_finite,
 )
-from .noise_model import HolographicSpectrum, analytic_psd
+from .noise_model import HolographicSpectrum, analytic_psd, one_sided_psd
 
 METHODS = ("spectral", "boxcar")
 
@@ -207,7 +208,7 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
     `cfg.seed` in order; the usable CPUs draw them while this thread
     evaluates the spectrum, and then scale them.  The bins and the record
     are in anonymous mappings (`_threads.mapped`) of their own, and the
-    transform writes into the record.
+    transform, on this thread, writes into the record.
     """
     if cfg.method != "spectral":
         raise ConfigurationError(f"spectral synthesis got method={cfg.method!r}")
@@ -241,21 +242,52 @@ def synthesize_spectral(cfg: SynthesisConfig) -> TimeSeries:
         pairs[-1, 1] = 0.0
     del amplitude, pairs, draws
     values = _threads.mapped({"values": ((n,), float)})["values"]
-    # the transform runs on one CPU; work offered by the caller uses the rest
-    _threads.beside(functools.partial(np.fft.irfft, x_f, n=n, out=values))
+    np.fft.irfft(x_f, n=n, out=values)
     del x_f
     return TimeSeries(sample_rate=fs, values=values)
 
 
-def boxcar_width(cfg: SynthesisConfig) -> int:
-    """Number of samples in one coherence time, rounded to the nearest integer.
+def boxcar_width(cfg: SynthesisConfig) -> float:
+    """Samples in one coherence time, w = 2L/c * fs, the boxcar's width.
 
-    The effective coherence time of the synthesized record is width/fs; pick
-    sample rates that make 2L/c * fs integral when exact agreement with the
-    analytic model matters.
+    A width within float rounding of an integer is that integer, so that a
+    rate chosen to make 2L/c * fs integral sums whole samples.
     """
-    width = int(round(cfg.spectrum().coherence_time * cfg.sample_rate))
-    return max(width, 1)
+    return _width(cfg.spectrum(), cfg.sample_rate)
+
+
+def _width(spec: HolographicSpectrum, sample_rate: float) -> float:
+    w = spec.coherence_time * sample_rate
+    return (w if abs(w - round(w)) > 8 * sys.float_info.epsilon * w
+            else float(round(w)))
+
+
+def record_psd(spec: HolographicSpectrum, sample_rate: float, method: str,
+               f) -> np.ndarray:
+    """One-sided PSD (m^2/Hz) at f >= 0 Hz of the records that `method`
+    makes of `spec` at `sample_rate`: the template a run fits.
+
+    Spectral bins are drawn from `one_sided_psd`.  A boxcar record has the
+    sampled triangle's spectrum, the (2m + 1)-term cosine sum over lags
+    k/fs of `analytic_autocorrelation`, over fs; with theta = 2 pi f/fs,
+    w = m + phi (`boxcar_width`) and D = sin(m theta/2) / sin(theta/2) (m
+    at 0): plateau (D^2 + 2 phi D cos((m + 1) theta/2) + phi) / w^2, twice
+    that above 0 Hz.
+    """
+    f = np.asarray(f, dtype=float)
+    if method == "spectral":
+        return np.asarray(one_sided_psd(spec, f))
+    width = _width(spec, sample_rate)
+    m = int(width)
+    phi = width - m
+    # theta/2 in [0, pi): the sum has period fs in f
+    half = np.pi * np.mod(f / sample_rate, 1.0)
+    sine = np.sin(half)
+    d = np.divide(np.sin(m * half), sine, out=np.full_like(half, m),
+                  where=sine != 0.0)
+    two_sided = spec.plateau * (
+        d * (d + 2.0 * phi * np.cos((m + 1) * half)) + phi) / width**2
+    return np.where(f > 0, 2.0 * two_sided, two_sided)
 
 
 def _moving_sum(driver: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -289,22 +321,33 @@ def _moving_sum(driver: np.ndarray, width: int, out: np.ndarray) -> None:
         size *= 2
 
 
-def _boxcar_blocks(values: np.ndarray, seed: int, width: int, scale: float,
-                   first: int, blocks: range, scratch: dict) -> None:
-    """Blocks `blocks` of `values`, the boxcar record from block `first`
-    on, scaled by `scale`.
+def _boxcar_blocks(values: np.ndarray, seed: int, width: float,
+                   scale: float, first: int, blocks: range,
+                   scratch: dict) -> None:
+    """Blocks `blocks` of `values`, the boxcar record of `width` samples
+    (`synthesize_boxcar`) from block `first` on, scaled by `scale`.
 
-    Block k of `values` is record block b = first + k: the moving sum of
-    driver samples b * _BLOCK on, the channel-0 stream of `seed`, its own
-    driver block and the first width - 1 samples after it, redrawn here
-    from the blocks that follow.  The driver is drawn into
-    `scratch["driver"]`, so nothing is allocated.
+    Block k of `values` is record block b = first + k, whose driver, the
+    block's own and the samples after it, redrawn here from the blocks
+    that follow, is drawn into `scratch["driver"]` and whose channel-1
+    stream into `scratch["tail"]`, so nothing is allocated.
     """
+    m = int(width)
+    phi = width - m
     for k in blocks:
         out = values[k * _BLOCK:(k + 1) * _BLOCK]
-        driver = scratch["driver"][:out.size + width - 1]
+        driver = scratch["driver"][:out.size + m - 1 + (phi > 0)]
         _fill_normal(driver, seed, 0, first + k)
-        _moving_sum(driver, width, out)
+        if phi:
+            # phi (sqrt((1 - phi)/phi) e + d), before the sum overwrites d
+            tail = scratch["tail"][:out.size]
+            _fill_normal(tail, seed, 1, first + k)
+            tail *= np.sqrt((1.0 - phi) / phi)
+            tail += driver[m:]
+            tail *= phi
+        _moving_sum(driver[:out.size + m - 1], m, out)
+        if phi:
+            out += tail
         out *= scale
 
 
@@ -313,11 +356,13 @@ def synthesize_boxcar(cfg: SynthesisConfig, first_block: int = 0
     """White Gaussian noise summed over a sliding light-round-trip window.
 
     The white driver has two-sided PSD 2 c^2 t_P / pi; its linear moving
-    sum over one round trip (width = round(2L/c * fs) samples, scaled by
-    1/fs) gives a record whose autocovariance is the exact sampled triangle
-    of the noise model.  Sample i sums driver samples i to i + width - 1:
-    the driver, the channel-0 stream of `cfg.seed`, is width - 1 samples
-    longer than the record.  The blocks are summed on the usable CPUs.
+    sum over one round trip of w = m + phi samples (`boxcar_width`, m
+    whole), scaled by 1/fs, gives a record whose autocovariance is the
+    model's triangle at the sample lags, sigma^2 (1 - |k|/w)^+, exactly.
+    Sample i sums driver samples i to i + m - 1, the channel-0 stream of
+    `cfg.seed`, phi times sample i + m and sqrt(phi (1 - phi)) times
+    sample i of its channel 1, drawn only when phi > 0.  The blocks are
+    summed on the usable CPUs.
     Given `first_block`, the record is samples first_block * _BLOCK on of
     the longer record of `cfg.seed`: a record can be made a piece at a time.
     """
@@ -329,21 +374,22 @@ def synthesize_boxcar(cfg: SynthesisConfig, first_block: int = 0
     return TimeSeries(sample_rate=fs, values=values)
 
 
-def _boxcar(seed: int, n: int, width: int, scale: float,
+def _boxcar(seed: int, n: int, width: float, scale: float,
             first: int = 0) -> np.ndarray:
-    """`scale` times n moving sums of `width` samples of the channel-0
-    stream of `seed`, from block `first` on: sample i sums stream samples
-    first * _BLOCK + i to first * _BLOCK + i + width - 1.  The record is
-    in an anonymous mapping (`_threads.mapped`)."""
+    """`scale` times the n-sample boxcar record of `width` samples of the
+    streams of `seed` (`_boxcar_blocks`), from block `first` on.  The
+    record is in an anonymous mapping (`_threads.mapped`)."""
+    fractional = int(width > int(width))
     values = _threads.mapped({"values": ((n,), float)})["values"]
     _threads.on_blocks(
         functools.partial(_boxcar_blocks, values, seed, width, scale, first),
-        -(-n // _BLOCK), n,
-        _threads.Workspace({"driver": ((_BLOCK + width - 1,), float)}))
+        -(-n // _BLOCK), n, _threads.Workspace({
+            "driver": ((_BLOCK + int(width) - 1 + fractional,), float),
+            "tail": ((_BLOCK * fractional,), float)}))
     return values
 
 
-#: Bytes per sample that a spectral transform holds beside its output while
+#: Bytes per sample that a spectral transform holds over its output while
 #: it runs, its bins and numpy's `irfft` work buffers: `synthesize` holds 32,
 #: the slope of a fresh process's peak RSS between 2**22 and 2**23 samples.
 TRANSFORM_BYTES = 24

@@ -328,6 +328,18 @@ class TestRunCommand:
         holonoise.run_pipeline(RunConfig(duration=0.004, seed=5))
         assert len(calls) == 2
 
+    def test_default_boxcar_run_is_unbiased(self):
+        # the default run (boxcar at 16 MHz, 4.27 samples per round trip,
+        # fitted with the sampled triangle's spectrum) recovers A = 1: the
+        # mean of 10 seeds lies within 3 standard errors of the mean; a
+        # window rounded to 4 samples read A = 0.890 +- 0.004 over 40
+        assert RunConfig().method == "boxcar"
+        fits = [holonoise.run_pipeline(RunConfig(seed=seed)).detection
+                for seed in range(1, 11)]
+        mean = np.mean([fit.amplitude_fit for fit in fits])
+        se = np.sqrt(np.sum([fit.amplitude_se**2 for fit in fits])) / 10
+        assert abs(mean - 1.0) < 3.0 * se
+
     def test_api_and_cli_share_one_pipeline(self, tmp_path):
         code, outdir = self.run_small(tmp_path, "cli")
         assert code == 0
@@ -356,8 +368,11 @@ class TestRunCommand:
         ["--duration", "0.01", "--method", "boxcar",
          "--sample-rate", "29979245.8"],
         ["--duration", "0.02", "--rho", "0.5", "--seed", "7"],
-        # two chunks: record A, in a buffer of its own, gets the early draws
+        # two chunks: record A is built in a buffer of its own
         ["--duration", "0.07", "--no-sens-a", "--rho", "0.5"],
+        ["--duration", "0.02", "--method", "spectral"],
+        ["--duration", "0.07", "--no-sens-a", "--rho", "0.5", "--method",
+         "spectral"],
     ])
     def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch,
                                                 argv, jitter):
@@ -411,7 +426,7 @@ class TestRunCommand:
                              (analysis, "welch_csd"),
                              (analysis, "cross_correlation"),
                              (analysis, "detection_significance"),
-                             (analysis, "one_sided_psd"),
+                             (synthesis, "one_sided_psd"),
                              (synthesis, "_draw_blocks"),
                              (synthesis, "_boxcar_blocks"),
                              (interferometer, "_mix_blocks"),
@@ -422,11 +437,11 @@ class TestRunCommand:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         monkeypatch.setattr(_threads, "workers", lambda samples: 2)
-        # 160,000 samples: 3 blocks of draws and 3 Welch blocks; the boxcar
-        # run's 299,792 samples are 3 chunks of 2 blocks
+        # the spectral run's 160,000 samples: 3 blocks of draws and 3 Welch
+        # blocks; the boxcar run's 299,792 samples are 3 chunks of 2 blocks
         monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 2)
-        assert run_cli("run", "--duration", 0.01, "--outdir",
-                       tmp_path / "out") == 0
+        assert run_cli("run", "--duration", 0.01, "--method", "spectral",
+                       "--outdir", tmp_path / "out") == 0
         assert run_cli("run", "--duration", 0.01, "--method", "boxcar",
                        "--sample-rate", 29979245.8, "--outdir",
                        tmp_path / "boxcar") == 0
@@ -467,12 +482,12 @@ class TestRunCommand:
         argv = ["run", "--arm-length", "41", "--duration", "0.5",
                 "--sample-rate", "2e7", "--seed", "3", "--rho", "0.25",
                 "--shot-asd", "1e-19", "--no-sens-a", "--no-sens-b",
-                "--method", "boxcar", "--segment-length", "1024",
+                "--method", "spectral", "--segment-length", "1024",
                 "--overlap", "0", "--window", "rectangular",
                 "--band-hi", "9e5", "--band-lo", "1e5", "--max-lag", "1e-6"]
         cfg = resolve_run_config(build_parser().parse_args(argv))
         assert cfg == RunConfig(41.0, 0.5, 2e7, 3, 0.25, 1e-19, False, False,
-                                "boxcar", 1024, 0.0, "rectangular",
+                                "spectral", 1024, 0.0, "rectangular",
                                 [1e5, 9e5], 1e-6)
         assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
 

@@ -228,8 +228,9 @@ class TestRecordLayout:
     @pytest.mark.parametrize("rho", [1.0, 0.5])
     def test_spectral_pair_draws_no_noise_record_beside_its_transform(
             self, held_peak, rho):
-        # while a transform runs, one record exists beside it: B's buffer
-        # at rho = 1, the shared geometric record at rho < 1
+        # while a transform runs, no record exists beside it at rho = 1,
+        # and the shared geometric record at rho < 1: no shot noise is
+        # drawn before the transforms end
         n = 2**18
         synth = SynthesisConfig(L=L, sample_rate=FS, n_samples=n,
                                 seed=channel_seed(2, 0), method="spectral")
@@ -237,7 +238,7 @@ class TestRecordLayout:
         peak = held_peak(lambda: simulate_dual(
             dual_cfg(rho=rho), duration=n / FS, sample_rate=FS, seed=2,
             method="spectral"))
-        assert peak <= synthesis_peak + 1.5 * 8 * n
+        assert peak <= synthesis_peak + (0.5 if rho == 1.0 else 1.5) * 8 * n
 
 
 class TestDualDetector:

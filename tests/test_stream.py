@@ -135,7 +135,8 @@ def test_boxcar_run_needs_no_memory_per_sample(monkeypatch, tmp_path,
     monkeypatch.setattr(errors, "_physical_memory", lambda: 64 * 2**20)
     argv = ["run", "--duration", "0.2", "--outdir"]
     assert main(argv + [str(tmp_path / "boxcar"), "--method", "boxcar"]) == 0
-    assert main(argv + [str(tmp_path / "spectral")]) == 2
+    assert main(argv + [str(tmp_path / "spectral"), "--method",
+                        "spectral"]) == 2
     assert "duration" in capsys.readouterr().err
     assert not (tmp_path / "spectral").exists()
 
@@ -241,11 +242,11 @@ def welch_charge(n, segment_length=4096):
 
 @pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
 def test_rho_one_run_that_fits_is_admitted(monkeypatch, call):
-    # 40 bytes per sample hold the shared geometric record, its transform
-    # and B's shot noise, drawn meanwhile into the buffer B is built in (the
-    # run is one chunk); a run adds its Welch pass
+    # 32 bytes per sample hold the shared geometric record and its
+    # transform, and then the record and the buffer B is built in (the run
+    # is one chunk); a run adds its Welch pass
     n = 2**18
-    need = 40 * n + (welch_charge(n) if call == "run_pipeline" else 0)
+    need = 32 * n + (welch_charge(n) if call == "run_pipeline" else 0)
     monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     sized_call(call, dual(1.0), n)()
 
@@ -257,8 +258,9 @@ def test_run_too_large_for_its_segments_is_refused(monkeypatch):
     n = 2**18
     assert welch_charge(n, 2**16) > 8 * welch_charge(n)
     monkeypatch.setattr(errors, "_physical_memory",
-                        lambda: 40 * n + welch_charge(n))
-    run = dict(duration=n / FS, sample_rate=FS, max_lag=1e-6, seed=1)
+                        lambda: 32 * n + welch_charge(n))
+    run = dict(duration=n / FS, sample_rate=FS, max_lag=1e-6, seed=1,
+               method="spectral")
     run_pipeline(RunConfig(**run))
     with pytest.raises(errors.ConfigurationError, match="segment_length"):
         run_pipeline(RunConfig(segment_length=2**16, **run))
@@ -371,10 +373,9 @@ def test_each_call_checks_memory_once(monkeypatch, call):
 def test_spectral_run_is_charged_the_larger_of_transform_and_pass(
         monkeypatch):
     # the transform ends before the Welch pass starts: at rho = 1 a run
-    # holds the shared geometric record and then the larger of the two,
-    # with B's buffer on either side (B's shot noise is drawn into it
-    # beside the transform), here the pass; charged the sum, 40 bytes per
-    # sample and the pass, it was refused
+    # holds the shared geometric record and then the larger of the
+    # transform and of B's buffer with the pass, here the latter; charged
+    # the sum, 40 bytes per sample and the pass, it was refused
     n = 2**18
     per_sample, fixed = analysis._WelchPass(WelchParams()).held_bytes(n, n)
     assert synthesis.TRANSFORM_BYTES * n < fixed

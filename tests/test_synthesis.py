@@ -10,6 +10,7 @@ from holonoise import (
     TimeSeries,
     analytic_autocorrelation,
     analytic_psd,
+    one_sided_psd,
     synthesize,
     synthesize_boxcar,
     synthesize_spectral,
@@ -197,12 +198,94 @@ def test_moving_sum_matches_fft_convolution(n):
 def test_boxcar_matches_fft_convolution_of_its_driver():
     # a record length with a large prime factor, as in long runs
     cfg = make_cfg("boxcar", n=17 * 977, seed=4)
-    width = boxcar_width(cfg)
+    width = int(boxcar_width(cfg))
+    assert width == boxcar_width(cfg)
     white = np.sqrt(white_noise_psd() * FS) * documented_stream(
         cfg.seed, 0, cfg.n_samples + width - 1)
     ref = linear_boxcar(white, width) / FS
     assert_allclose(synthesize_boxcar(cfg).values, ref, rtol=0,
                     atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("first", [0, 2])
+def test_fractional_boxcar_is_its_sums_of_two_streams(first):
+    # at 16 MHz a round trip is 4.27 samples: sample i is the sum of driver
+    # samples i to i + 3, 0.27 times sample i + 4, and sqrt(0.27 * 0.73)
+    # times sample i of channel 1; also from a later block on
+    cfg = make_cfg("boxcar", n=2 * _BLOCK + 999, seed=6, fs=1.6e7)
+    width = boxcar_width(cfg)
+    m, phi = int(width), width - int(width)
+    assert 0.2 < phi < 0.3
+    n, start = cfg.n_samples, first * _BLOCK
+    driver = documented_stream(cfg.seed, 0, start + n + m)[start:]
+    extra = documented_stream(cfg.seed, 1, start + n)[start:]
+    want = (sum(driver[j:j + n] for j in range(m)) + phi * driver[m:m + n]
+            + np.sqrt(phi * (1.0 - phi)) * extra)
+    want *= np.sqrt(white_noise_psd() * cfg.sample_rate) / cfg.sample_rate
+    got = synthesize_boxcar(cfg, first).values
+    assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("width", [4.27, 5.5, 7.999, 320.6])
+def test_fractional_boxcar_autocovariance_is_the_sampled_triangle(width):
+    # unit driver: the autocovariance at lag k is (w - |k|)^+, within the
+    # sampling error of Bartlett's formula, (1/N) sum_j (c_j^2 +
+    # c_{j+k} c_{j-k}), at every lag up to two past the window
+    n = 2**20
+    x = _boxcar(21, n, width, 1.0)
+    lags = np.arange(int(width) + 3)
+    power = np.abs(np.fft.rfft(x, 2 * n)) ** 2
+    got = np.fft.irfft(power)[:lags.size] / (n - lags)
+    model = np.maximum(width - np.abs(np.arange(-lags.size - int(width),
+                                                lags.size + int(width) + 1)),
+                       0.0)
+    mid = model.size // 2
+    want = model[mid:mid + lags.size]
+    var = np.array([np.sum(model**2) + np.sum(model[k:] * model[:model.size
+                                                                 - k])
+                    for k in lags]) / n
+    assert np.all(np.abs(got - want) < 5.0 * np.sqrt(var))
+
+
+@pytest.mark.parametrize("L", [3.0, 40.0, 41.0, 600.0])
+def test_integer_rates_take_the_integer_path(monkeypatch, L):
+    # a rate made for whole samples is whole up to float rounding (at 3 m
+    # and 32 samples, 2L/c * fs is 31.999999999999996): its width is that
+    # integer, and no channel-1 normal is drawn
+    for width in range(4, 513):
+        got = boxcar_width(make_cfg("boxcar", n=20 * width, L=L,
+                                    fs=integer_boxcar_rate(L, width)))
+        assert got == width and isinstance(got, float), (L, width)
+    channels = set()
+
+    def recording(out, seed, channel, first_block,
+                  _fill=synthesis._fill_normal):
+        channels.add(channel)
+        _fill(out, seed, channel, first_block)
+
+    monkeypatch.setattr(synthesis, "_fill_normal", recording)
+    for width in (4, 8, 32, 320):
+        synthesize(make_cfg("boxcar", n=2 * _BLOCK + 5, L=L,
+                            fs=integer_boxcar_rate(L, width)))
+    assert channels == {0}
+
+
+@pytest.mark.parametrize("fs", [1.6e7, 29979245.8, 2.4e7,
+                                integer_boxcar_rate(L, 32), 1.2e9])
+def test_boxcar_template_is_the_transform_of_the_sampled_triangle(fs):
+    # the closed form is the cosine sum of the triangle's 2m + 1 sample
+    # lags to 1e-12 of the plateau, doubled above 0 Hz
+    spec = HolographicSpectrum(L)
+    f = np.linspace(0.0, fs / 2, 2049)
+    width = synthesis._width(spec, fs)
+    k = np.arange(-int(width), int(width) + 1)
+    lags = np.asarray(analytic_autocorrelation(spec, k / fs))
+    dtft = np.cos(2 * np.pi * np.outer(f, k) / fs) @ lags / fs
+    want = np.where(f > 0, 2.0 * dtft, dtft)
+    got = synthesis.record_psd(spec, fs, "boxcar", f)
+    assert np.max(np.abs(got - want)) < 1e-12 * spec.plateau
+    assert np.array_equal(synthesis.record_psd(spec, fs, "spectral", f),
+                          one_sided_psd(spec, f))
 
 
 # three blocks and a remainder

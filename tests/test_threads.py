@@ -259,34 +259,3 @@ def test_on_blocks_small_records_run_here_in_one_run(three_workers):
     _threads.on_blocks(lambda blocks, scratch: calls.append(
         (list(blocks), threading.get_ident())), 4, LARGE - 1, none())
     assert calls == [([0, 1, 2, 3], threading.get_ident())]
-
-
-def test_offered_work_runs_beside_the_step(three_workers):
-    caller = threading.get_ident()
-    calls = []
-    with _threads.offering(recorded(calls), 5, LARGE, none()):
-        assert _threads.beside(threading.get_ident) == caller
-        # the offer is taken once
-        assert _threads.beside(lambda: "again") == "again"
-    assert sorted(items for items, _ in calls) == [[0], [1], [2], [3], [4]]
-    # the two workers start on blocks 0 and 1, beside the step
-    assert all(ident != caller for items, ident in calls if items[0] < 2)
-
-
-def test_offered_work_not_taken_runs_at_the_end(three_workers):
-    calls = []
-    with _threads.offering(recorded(calls), 5, LARGE, none()):
-        assert calls == []
-    threads = dict((items[0], ident) for items, ident in calls)
-    assert sorted(items for items, _ in calls) == [[0], [1], [2], [3], [4]]
-    assert threads[0] == threading.get_ident()
-    assert len({threads[0], threads[1], threads[2]}) == 3
-
-
-def test_offered_work_dropped_on_error(three_workers):
-    calls = []
-    with pytest.raises(ValueError):
-        with _threads.offering(recorded(calls), 5, LARGE, none()):
-            raise ValueError("stop")
-    assert calls == []
-    assert _threads.beside(lambda: "alone") == "alone"
