@@ -5,7 +5,7 @@ closed-form spectral model, time-series synthesis, simulation of correlated
 detector pairs, and the cross-spectral detection pipeline.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .algebra import (
     CONSTANTS,

@@ -10,8 +10,7 @@ CPU, each with work arrays of its own from a `Workspace`, which maps them
 (`mapped`), where all work memory is, and keeps them for a loop of calls.
 Each worker starts on a block of its own; after that every thread claims
 the next unclaimed block until none is left, so a thread that runs faster
-runs more blocks instead of waiting for the others.  Given a `step`, the
-calling thread runs step() first and then claims blocks too.
+runs more blocks instead of waiting for the others.
 """
 
 from __future__ import annotations
@@ -102,47 +101,38 @@ class Workspace:
         return self._runs[i]
 
 
-def on_blocks(kernel, n_blocks: int, samples: int, workspace: Workspace,
-              step=None):
+def on_blocks(kernel, n_blocks: int, samples: int,
+              workspace: Workspace) -> None:
     """Call kernel(blocks, arrays) on every block of range(n_blocks), each
     block once, on the CPUs usable on `samples` samples; each thread works
     in arrays of its own, a run of `workspace`, and the kernel writes its
-    results into caller-owned buffers, block by block.  Return step(), or
-    None.
+    results into caller-owned buffers, block by block.
 
-    Worker i (from 1) starts on block i, or block i - 1 given a `step`,
-    which this thread runs first; this thread otherwise starts on block 0.
-    Then every thread takes the next unclaimed block, one at a time, until
-    none is left.  A worker runs under the caller's numpy error state.
-    Below `MIN_SAMPLES`, on one CPU, or while another call holds the
-    workers, everything runs here: step(), then all blocks in one call.
-    If the step or a block raises, the step's exception, or else that of
-    the lowest failing block, is raised once every thread has stopped.
+    Thread i (this one is 0) starts on block i; then every thread takes
+    the next unclaimed block until none is left.  A worker runs under the
+    caller's numpy error state.  Below `MIN_SAMPLES`, on one CPU, or while
+    another call holds the workers, all blocks run here in one call.  The
+    lowest failing block's exception is raised once every thread stops.
     """
-    threads = min(workers(samples), n_blocks + (step is not None))
+    threads = min(workers(samples), n_blocks)
     if threads < 2 or not _workers_lock.acquire(blocking=False):
-        result = None if step is None else step()
         if n_blocks:
             kernel(range(n_blocks), workspace.run(0))
-        return result
+        return
     try:
-        return _claim_on_workers(kernel, n_blocks, workspace, step, threads)
+        _claim_on_workers(kernel, n_blocks, workspace, threads)
     finally:
         _workers_lock.release()
 
 
-def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
-                      threads: int):
+def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace,
+                      threads: int) -> None:
     err = np.geterr()
     # every thread's arrays are mapped here, before any worker starts
     arrays = [workspace.run(t) for t in range(threads)]
-    # thread t (this one is 0) starts on block t, or on block t - 1 given
-    # a step, which this thread runs first
-    shift = int(step is not None)
     # next() on a count is one C call, atomic under the interpreter lock
-    claim = itertools.count(threads - shift)
-    failed = {}  # failing block (-1: the step): its exception
-    result = None
+    claim = itertools.count(threads)
+    failed = {}  # failing block: its exception
 
     def run(block, scratch):
         # a claimed block always runs, and claims stop once one has failed:
@@ -158,7 +148,7 @@ def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
 
     def work(t):
         with np.errstate(**err):
-            run(t - shift, arrays[t])
+            run(t, arrays[t])
 
     # imported here: at module level it slows `import holonoise`
     from concurrent.futures import ThreadPoolExecutor
@@ -168,15 +158,7 @@ def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
     tasks = [worker.submit(work, t)
              for t, worker in enumerate(_workers[:threads - 1], 1)]
     try:
-        if step is None:
-            run(0, arrays[0])
-        else:
-            try:
-                result = step()
-            except BaseException as exc:  # raised once the workers stop
-                failed[-1] = exc
-            if not failed:
-                run(next(claim), arrays[0])
+        run(0, arrays[0])
     finally:
         # the blocks fill caller-owned buffers: none may outlive this call;
         # `work` raises nothing, its blocks' errors are in `failed`
@@ -184,4 +166,3 @@ def _claim_on_workers(kernel, n_blocks: int, workspace: Workspace, step,
             task.exception()
     if failed:
         raise failed[min(failed)]
-    return result

@@ -203,10 +203,9 @@ def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
     (TimeSeries of A, TimeSeries of B or None) pair per chunk, which runs
     from its start in `starts`, whole blocks, to the next start or to n.
 
-    A geometric stream is synthesized only if a record reads it: with the
-    boxcar method a chunk at a time, with the spectral method in one
-    transform, made whole first and read a chunk at a time.  The buffers
-    of a chunk are its own, so a chunk stays valid after the next is made.
+    A geometric stream is synthesized a chunk at a time, and only if a
+    record reads it.  The buffers of a chunk are its own, so a chunk stays
+    valid after the next is made.
     """
     # sampling preconditions hold for both arms even when a sensitivity
     # flag later drops the component
@@ -218,13 +217,10 @@ def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
     read = {ch for _, terms, _ in plan for _, ch in terms}
     cfgs = {ch: cfg for ch, cfg in cfgs.items() if ch in read}
     workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
-    whole = ({ch: synthesize(cfg).values for ch, cfg in cfgs.items()}
-             if method == "spectral" else {})
     for start, stop in zip(starts, itertools.chain(starts[1:], [n])):
         first = start // synthesis._BLOCK
-        streams = {ch: whole[ch][start:stop] if method == "spectral"
-                   else synthesize(replace(cfg, n_samples=stop - start),
-                                   first).values
+        streams = {ch: synthesize(replace(cfg, n_samples=stop - start),
+                                  first).values
                    for ch, cfg in cfgs.items()}
         # as `_mix_blocks` takes them; a record not in a chunk has a buffer
         records = [(streams[own] if own is not None else _threads.mapped(
@@ -251,36 +247,26 @@ def _run(det_a: DetectorConfig, det_b, rho: float, duration: float,
 
     Makes the call's one memory check, before anything is allocated: a
     run too large for physical memory raises ConfigurationError naming
-    `duration`.  The charge is 8 bytes per sample for each geometric
-    stream the plan reads, held whole by the spectral method, and the
-    larger of what its transforms hold, `synthesis.TRANSFORM_BYTES` per
-    sample, and of what is held while the chunks are read: 8 bytes per
-    sample of a chunk for each record built in a buffer of its own and
-    each boxcar stream's chunk, and what their reader holds, which `also`,
-    a (name, value, held), gives: held(n, chunk) is the (bytes per
-    sample, bytes) the reader holds for n samples read in chunks of at
-    most `chunk`.  The transforms end before the first chunk is made, so
-    only the bytes beyond the transforms' are named `name`.
+    `duration`.  The charge is 8 bytes per sample of a chunk (of the
+    record, in a whole call) for each geometric stream the plan reads and
+    each record built in a buffer of its own, and what their reader holds,
+    which `also`, a (name, value, held), gives: held(n, chunk) is the
+    (bytes per sample, bytes) held for n samples read in chunks of at most
+    `chunk`, of which only the bytes per sample are named `duration`.
     """
     n = _n_samples(duration, sample_rate)
     plan = _plan(det_a, det_b, rho, sample_rate, seed)
     starts = range(0, n, n) if whole else _starts(det_a, n, sample_rate)
     chunk = max(n - starts[-1], starts.step)
-    streams = len({ch for _, terms, _ in plan for _, ch in terms})
-    spectral = method == "spectral"
-    arrays = 8 * streams if spectral else 0
-    buffers = 8 * (sum(own is None for own, _, _ in plan)
-                   + (0 if spectral else streams))
-    per_sample, fixed = (0, 0) if also is None else also[2](n, chunk)
-    during = synthesis.TRANSFORM_BYTES * n if spectral and streams else 0
-    after = fixed + buffers * chunk
+    buffers = 8 * chunk * (
+        len({ch for _, terms, _ in plan for _, ch in terms})
+        + sum(own is None for own, _, _ in plan))
     if also is None:
-        check_fits_in_memory("duration", duration, n,
-                             arrays + max(during, after) / n)
+        check_fits_in_memory("duration", duration, n, buffers / n)
     else:
-        check_fits_in_memory("duration", duration, n,
-                             arrays + per_sample + during / n,
-                             also=(*also[:2], max(after - during, 0)))
+        per_sample, fixed = also[2](n, chunk)
+        check_fits_in_memory("duration", duration, n, per_sample,
+                             also=(*also[:2], fixed + buffers))
     return _chunks(det_a, det_b, plan, n, starts, sample_rate, seed, method)
 
 
@@ -303,8 +289,8 @@ def stream_dual(cfg: DualDetectorConfig, duration: float, sample_rate: float,
     (chunk of A, chunk of B) TimeSeries pairs, in record order.
 
     A chunk is `_CHUNK_BLOCKS` blocks of samples (`_starts`), so a run
-    holds a chunk of each detector and, for the spectral method, the
-    geometric records that `_plan` reads; joined, the chunks are the
+    holds a chunk of each detector and of each geometric stream that
+    `_plan` reads, whatever its duration; joined, the chunks are the
     records of `simulate_dual` byte for byte.  A pair stays valid after the
     next is made.  A run too large for physical memory (`_run`) raises
     ConfigurationError naming `duration` when this is called, in constant

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CONSTANTS
-from .errors import ConfigurationError, check_positive_finite
+from .errors import (ConfigurationError, check_fits_in_memory,
+                     check_positive_finite)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,9 @@ class HolographicSpectrum:
         return 4.0 * CONSTANTS.c * CONSTANTS.t_P * self.L / np.pi
 
     def zeros(self, n: int) -> np.ndarray:
-        """First n spectral nulls, at multiples of c / 2L (Hz)."""
+        """First n spectral nulls, at multiples of c / 2L (Hz); n too large
+        for physical memory raises ConfigurationError."""
+        check_fits_in_memory("n", n, n, 8)
         return np.arange(1, n + 1) * CONSTANTS.c / (2.0 * self.L)
 
 
@@ -74,10 +77,11 @@ def analytic_psd(spec: HolographicSpectrum, f):
     """Two-sided displacement PSD in m^2/Hz at frequency f >= 0 (Hz):
     plateau * sinc^2(f 2L/c), the transform of the triangle.
 
-    Accepts scalars or arrays; the plateau is returned at f = 0.
+    Accepts scalars or arrays; the plateau is returned at f = 0.  A
+    negative or NaN frequency raises ValueError.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
+    if not np.all(f >= 0):
         raise ValueError("frequency must be nonnegative")
     # sinc^2 underflows to 0 long before pi f 2L/c leaves the float range:
     # capping f 2L/c at 1/tiny keeps sin's argument finite and changes no
@@ -100,9 +104,12 @@ def analytic_autocorrelation(spec: HolographicSpectrum, lag):
     """Displacement autocorrelation at time lag (s): an exact triangle.
 
     Peak 4 c t_P L / pi at zero lag, falling linearly to zero at the light
-    round-trip time 2 L / c and vanishing beyond.
+    round-trip time 2 L / c and vanishing beyond.  A NaN lag raises
+    ValueError.
     """
     lag = np.asarray(lag, dtype=float)
+    if np.any(np.isnan(lag)):
+        raise ValueError("lag must not be NaN")
     out = spec.total_variance * np.clip(
         1.0 - np.abs(lag) / spec.coherence_time, 0.0, None
     )
@@ -112,12 +119,12 @@ def analytic_autocorrelation(spec: HolographicSpectrum, lag):
 def time_averaged_ms_displacement(spec: HolographicSpectrum, tau: float) -> float:
     """Variance of the position averaged over a window tau >> 2L/c (m^2).
 
-    Equals total_variance * (2L/c) / tau; valid only for tau > 2L/c.
+    Equals total_variance * (2L/c) / tau; valid only for finite tau > 2L/c.
     """
-    if tau <= spec.coherence_time:
+    if not spec.coherence_time < tau < math.inf:
         raise ValueError(
-            f"averaging time {tau} must exceed the coherence time "
-            f"{spec.coherence_time}"
+            f"averaging time {tau} must be finite and exceed the coherence "
+            f"time {spec.coherence_time}"
         )
     return spec.total_variance * spec.coherence_time / tau
 

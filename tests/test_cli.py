@@ -422,12 +422,11 @@ class TestRunCommand:
         # be called on this thread, while the private kernels use the pool
         threads = defaultdict(set)
         for module, name in ((interferometer, "synthesize"),
-                             (synthesis, "analytic_psd"),
                              (analysis, "welch_csd"),
                              (analysis, "cross_correlation"),
                              (analysis, "detection_significance"),
                              (synthesis, "one_sided_psd"),
-                             (synthesis, "_draw_blocks"),
+                             (synthesis, "_spectral_blocks"),
                              (synthesis, "_boxcar_blocks"),
                              (interferometer, "_mix_blocks"),
                              (analysis, "_block_sums")):
@@ -437,8 +436,8 @@ class TestRunCommand:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         monkeypatch.setattr(_threads, "workers", lambda samples: 2)
-        # the spectral run's 160,000 samples: 3 blocks of draws and 3 Welch
-        # blocks; the boxcar run's 299,792 samples are 3 chunks of 2 blocks
+        # the spectral run's 160,000 samples are a chunk of 2 blocks and
+        # one of 1; the boxcar run's 299,792 samples are 3 chunks of 2 blocks
         monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 2)
         assert run_cli("run", "--duration", 0.01, "--method", "spectral",
                        "--outdir", tmp_path / "out") == 0
@@ -446,8 +445,8 @@ class TestRunCommand:
                        "--sample-rate", 29979245.8, "--outdir",
                        tmp_path / "boxcar") == 0
         caller = threading.get_ident()
-        assert len(threads) == 10
-        for name in ("_draw_blocks", "_boxcar_blocks", "_mix_blocks",
+        assert len(threads) == 9
+        for name in ("_spectral_blocks", "_boxcar_blocks", "_mix_blocks",
                      "_block_sums"):
             assert threads.pop(name) - {caller}, name
         assert all(idents == {caller} for idents in threads.values()), threads

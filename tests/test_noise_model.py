@@ -13,7 +13,9 @@ from holonoise import (
     one_sided_psd,
     time_averaged_ms_displacement,
 )
+from holonoise import errors
 from holonoise.algebra import CONSTANTS
+from holonoise.errors import ConfigurationError
 
 # frozen from direct evaluation of the closed forms for L = 40 m
 F_C_40 = 596418.1449046178
@@ -31,6 +33,16 @@ class TestSpectrumObject:
                         [FIRST_ZERO_40, 2 * FIRST_ZERO_40, 3 * FIRST_ZERO_40],
                         rtol=1e-12)
         assert_allclose(spec40.coherence_time, COHERENCE_40, rtol=1e-12)
+
+    def test_zeros_too_many_for_memory_are_refused(self, spec40,
+                                                   monkeypatch):
+        # checked against physical memory before the array is made
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
+        assert spec40.zeros(2**17).size == 2**17
+        with pytest.raises(ConfigurationError, match="n 131073"):
+            spec40.zeros(2**17 + 1)
+        with pytest.raises(ConfigurationError, match="n 10000000000000"):
+            spec40.zeros(10**13)
 
     def test_rejects_bad_arm_length(self):
         with pytest.raises(ValueError):
@@ -68,6 +80,11 @@ class TestAnalyticPsd:
         with pytest.raises(ValueError):
             analytic_psd(spec40, -1.0)
 
+    def test_rejects_nan_frequency(self, spec40):
+        for f in (np.nan, [0.0, np.nan, 1e6]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                analytic_psd(spec40, f)
+
     def test_zero_beyond_float_range_without_warning(self, spec40):
         # the density, plateau * sinc^2(f 2L/c), underflows above about
         # 1e148 Hz at 40 m: it and its envelope are 0 there; below, they
@@ -93,7 +110,6 @@ class TestAnalyticPsd:
             warnings.simplefilter("error")
             psd = analytic_psd(spec, f)
         assert psd.tolist() == [0.0] * 4
-        assert np.isnan(analytic_psd(spec, np.nan))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble is a plain double here")
@@ -167,6 +183,11 @@ class TestAutocorrelation:
         assert_allclose(analytic_autocorrelation(spec40, spec40.coherence_time / 2),
                         PEAK_40 / 2, rtol=1e-12)
 
+    def test_rejects_nan_lag(self, spec40):
+        with pytest.raises(ValueError, match="NaN"):
+            analytic_autocorrelation(spec40, [0.0, np.nan])
+        assert analytic_autocorrelation(spec40, -np.inf) == 0.0
+
     def test_even_in_lag(self, spec40):
         lags = np.linspace(-2, 2, 41) * spec40.coherence_time
         vals = np.asarray(analytic_autocorrelation(spec40, lags))
@@ -202,3 +223,9 @@ class TestTimeAveragedDisplacement:
     def test_rejects_short_average(self, spec40):
         with pytest.raises(ValueError):
             time_averaged_ms_displacement(spec40, spec40.coherence_time)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_average(self, spec40, tau):
+        # an infinite average was 0.0 and a NaN one NaN
+        with pytest.raises(ValueError, match="finite"):
+            time_averaged_ms_displacement(spec40, tau)

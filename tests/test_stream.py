@@ -114,11 +114,13 @@ def test_chunks_of_unequal_records_are_refused():
         welch_csd(zip(chunks_of(a, BLOCK), chunks_of(b, 2 * BLOCK)))
 
 
-def test_run_memory_does_not_grow_with_duration(monkeypatch, held_peak):
+@pytest.mark.parametrize("method", METHODS)
+def test_run_memory_does_not_grow_with_duration(monkeypatch, held_peak,
+                                                method):
     # between durations d and 4 d only the 64 bytes per Welch segment of
     # the low bins may add, and 10 %
     monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 2)
-    cfg = RunConfig(method="boxcar", sample_rate=29979245.8, seed=2)
+    cfg = RunConfig(method=method, sample_rate=29979245.8, seed=2)
     peaks, segments = [], []
     for duration in (0.02, 0.08):
         results = []
@@ -130,15 +132,12 @@ def test_run_memory_does_not_grow_with_duration(monkeypatch, held_peak):
     assert peaks[1] <= 1.1 * peaks[0] + 64 * (segments[1] - segments[0])
 
 
-def test_boxcar_run_needs_no_memory_per_sample(monkeypatch, tmp_path,
-                                              capsys):
+@pytest.mark.parametrize("method", METHODS)
+def test_run_needs_no_memory_per_sample(monkeypatch, tmp_path, method):
+    # 3.2 million samples in 64 MiB: a chunk of each stream and record
     monkeypatch.setattr(errors, "_physical_memory", lambda: 64 * 2**20)
-    argv = ["run", "--duration", "0.2", "--outdir"]
-    assert main(argv + [str(tmp_path / "boxcar"), "--method", "boxcar"]) == 0
-    assert main(argv + [str(tmp_path / "spectral"), "--method",
-                        "spectral"]) == 2
-    assert "duration" in capsys.readouterr().err
-    assert not (tmp_path / "spectral").exists()
+    assert main(["run", "--duration", "0.2", "--method", method,
+                 "--outdir", str(tmp_path)]) == 0
 
 
 def layout(rho, insensitive):
@@ -240,15 +239,19 @@ def welch_charge(n, segment_length=4096):
     return per_sample * n + fixed
 
 
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
-def test_rho_one_run_that_fits_is_admitted(monkeypatch, call):
-    # 32 bytes per sample hold the shared geometric record and its
-    # transform, and then the record and the buffer B is built in (the run
-    # is one chunk); a run adds its Welch pass
+def test_rho_one_run_that_fits_is_admitted(monkeypatch, call, method):
+    # 16 bytes per sample hold the shared geometric stream's chunk and the
+    # buffer B is built in (the run is one chunk); a run adds its Welch
+    # pass
     n = 2**18
-    need = 32 * n + (welch_charge(n) if call == "run_pipeline" else 0)
+    need = 16 * n + (welch_charge(n) if call == "run_pipeline" else 0)
     monkeypatch.setattr(errors, "_physical_memory", lambda: need)
-    sized_call(call, dual(1.0), n)()
+    sized_call(call, dual(1.0), n, method)()
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
+    with pytest.raises(errors.ConfigurationError, match="duration"):
+        sized_call(call, dual(1.0), n, method)()
 
 
 def test_run_too_large_for_its_segments_is_refused(monkeypatch):
@@ -258,7 +261,7 @@ def test_run_too_large_for_its_segments_is_refused(monkeypatch):
     n = 2**18
     assert welch_charge(n, 2**16) > 8 * welch_charge(n)
     monkeypatch.setattr(errors, "_physical_memory",
-                        lambda: 32 * n + welch_charge(n))
+                        lambda: 16 * n + welch_charge(n))
     run = dict(duration=n / FS, sample_rate=FS, max_lag=1e-6, seed=1,
                method="spectral")
     run_pipeline(RunConfig(**run))
@@ -267,9 +270,9 @@ def test_run_too_large_for_its_segments_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("call, rho, insensitive, method, per_sample", [
-    # two geometric records and a transform: 40 bytes per sample
-    ("stream_dual", 0.5, None, "spectral", 36),
-    ("run_pipeline", 0.5, None, "spectral", 36),
+    # the chunks of two geometric streams: 16 bytes per sample
+    ("stream_dual", 0.5, None, "spectral", 12),
+    ("run_pipeline", 0.5, None, "spectral", 12),
     # the shared geometric record and both detectors' records: 24
     ("simulate_dual", 1.0, "a", "boxcar", 20),
 ])
@@ -283,7 +286,8 @@ def test_pair_too_large_for_memory_is_refused(monkeypatch, call, rho,
         sized_call(call, layout(rho, insensitive), n, method)()
 
 
-def test_boxcar_run_maps_no_record(monkeypatch):
+@pytest.mark.parametrize("method", METHODS)
+def test_run_maps_no_record(monkeypatch, method):
     # its largest mapping is one chunk of one record
     sizes = []
 
@@ -293,7 +297,7 @@ def test_boxcar_run_maps_no_record(monkeypatch):
         return arrays
 
     monkeypatch.setattr(_threads, "mapped", counted)
-    run_pipeline(RunConfig(method="boxcar", sample_rate=29979245.8,
+    run_pipeline(RunConfig(method=method, sample_rate=29979245.8,
                            duration=0.05, seed=4))
     assert max(sizes) <= interferometer._CHUNK_BLOCKS * BLOCK * 8
 
@@ -368,24 +372,6 @@ def test_each_call_checks_memory_once(monkeypatch, call):
     else:
         sized_call(call, dual(1.0), n)()
     assert checks == ["duration"]
-
-
-def test_spectral_run_is_charged_the_larger_of_transform_and_pass(
-        monkeypatch):
-    # the transform ends before the Welch pass starts: at rho = 1 a run
-    # holds the shared geometric record and then the larger of the
-    # transform and of B's buffer with the pass, here the latter; charged
-    # the sum, 40 bytes per sample and the pass, it was refused
-    n = 2**18
-    per_sample, fixed = analysis._WelchPass(WelchParams()).held_bytes(n, n)
-    assert synthesis.TRANSFORM_BYTES * n < fixed
-    assert per_sample * n < 2**20
-    monkeypatch.setattr(errors, "_physical_memory",
-                        lambda: 16 * n + fixed + 2**20)
-    sized_call("run_pipeline", dual(1.0), n)()
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 16 * n + fixed)
-    with pytest.raises(errors.ConfigurationError, match="duration"):
-        sized_call("run_pipeline", dual(1.0), n)()
 
 
 @pytest.mark.parametrize("method", METHODS)

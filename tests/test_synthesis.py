@@ -97,6 +97,21 @@ class TestConfigValidation:
     def test_boxcar_width(self):
         assert boxcar_width(make_cfg("boxcar")) == 32
 
+    @pytest.mark.parametrize("n", [1e5, 65536.0, "65536", True])
+    def test_non_integer_length(self, n):
+        # refused when built, not later by synthesize
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            make_cfg(n=n)
+        assert make_cfg(n=np.int64(65536)).n_samples == 65536
+
+    @pytest.mark.parametrize("method", ["spectral", "boxcar"])
+    def test_template_refuses_negative_and_nan_frequencies(self, method):
+        # with one_sided_psd's message; the boxcar's gave 2.2e-40 at -1e5
+        spec = HolographicSpectrum(L)
+        for f in (-1e5, np.nan, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                synthesis.record_psd(spec, FS, method, f)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("method", ["spectral", "boxcar"])
@@ -184,6 +199,56 @@ def linear_boxcar(driver, width):
     from scipy.signal import fftconvolve
 
     return fftconvolve(driver, np.ones(width), mode="valid")
+
+
+def sici_taps(width):
+    """Oracle: the spectral filter's taps from scipy's sine integral."""
+    from scipy.special import sici
+
+    k = np.arange(-synthesis._SIDE_TAPS,
+                  synthesis._SIDE_TAPS + int(width) + 1, dtype=float)
+    return (sici(np.pi * (width - k))[0] + sici(np.pi * k)[0]) / np.pi
+
+
+@pytest.mark.parametrize("width", [4.27, 32.0, 320.6])
+def test_spectral_taps_are_the_band_limited_window(width):
+    # the taps are the sine-integral differences, and their PSD is the
+    # model's, plateau * sinc^2(f 2L/c), to 1e-5 over the default band
+    spec = HolographicSpectrum(L)
+    fs = integer_boxcar_rate(L, width)
+    taps = synthesis._taps(synthesis._width(spec, fs))
+    assert np.max(np.abs(taps - sici_taps(width))) < 1e-13
+    f = np.linspace(spec.f_c / 20.0, 2.0 * spec.f_c, 301)
+    k = np.arange(taps.size)
+    response = np.exp(-2j * np.pi * np.outer(f / fs, k)) @ taps
+    got = 2.0 * white_noise_psd() / fs**2 * np.abs(response) ** 2
+    assert np.max(np.abs(got / one_sided_psd(spec, f) - 1.0)) < 1e-5
+
+
+def test_spectral_taps_sum_to_the_window():
+    # the lag-zero variance is the band-limited share of the triangle's:
+    # 0.9503 of it at 4.27 samples per round trip, 0.9994 at 320.6
+    for width, share in ((4.27, 0.9503), (8.0, 0.9747), (320.6, 0.9994)):
+        taps = synthesis._taps(width)
+        assert abs(taps.sum() - width) < 1e-5 * width
+        assert abs(np.sum(taps**2) / width - share) < 1e-4
+
+
+@pytest.mark.parametrize("first", [0, 2])
+def test_spectral_record_is_its_filtered_driver(first):
+    # sample i is sum_k h[k] d[i + k] over the taps, the channel-0 stream
+    # read ahead: the record is linear, not circular, also from a later
+    # block on
+    from scipy.signal import fftconvolve
+
+    cfg = make_cfg("spectral", n=2 * _BLOCK + 999, seed=6, fs=1.6e7)
+    taps = sici_taps(boxcar_width(cfg))
+    n, start = cfg.n_samples, first * _BLOCK
+    driver = documented_stream(cfg.seed, 0, start + n + taps.size - 1)
+    want = fftconvolve(driver[start:], taps[::-1], mode="valid")
+    want *= np.sqrt(white_noise_psd() * cfg.sample_rate) / cfg.sample_rate
+    got = synthesize(cfg, first).values
+    assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 # 3 * 65,536 + 7 samples: several blocks and a remainder

@@ -28,36 +28,6 @@ def recorded(calls):
     return kernel
 
 
-def test_step_runs_here_first_then_claims_blocks(three_workers):
-    caller = threading.get_ident()
-    order = []
-
-    def step():
-        order.append("step")
-        return threading.get_ident()
-
-    def kernel(blocks, scratch):
-        order.append((list(blocks), threading.get_ident()))
-
-    assert _threads.on_blocks(kernel, 5, LARGE, none(), step=step) == caller
-    calls = [call for call in order if call != "step"]
-    # one block a call, each block once; the two workers start on blocks 0
-    # and 1, and this thread claims blocks only once the step has returned
-    assert sorted(blocks for blocks, _ in calls) == [[0], [1], [2], [3], [4]]
-    assert all(ident != caller for blocks, ident in calls if blocks[0] < 2)
-    here = [k for k, call in enumerate(order)
-            if call != "step" and call[1] == caller]
-    assert all(k > order.index("step") for k in here)
-
-
-def test_small_records_run_on_the_calling_thread(three_workers):
-    caller = threading.get_ident()
-    calls = []
-    assert _threads.on_blocks(recorded(calls), 3, LARGE - 1, none(),
-                              step=threading.get_ident) == caller
-    assert calls == [([0, 1, 2], caller)]
-
-
 def test_tasks_inherit_caller_errstate(three_workers):
     # np.errstate is per thread; a pool thread must still raise on overflow
     big = np.full(4, 1e200)
@@ -151,19 +121,19 @@ def test_concurrent_callers_get_their_own_results(three_workers):
 
 
 def test_every_block_runs_once_on_any_cpu_count(monkeypatch):
-    def layout(cpus, n_blocks, step=None):
+    def layout(cpus, n_blocks):
         monkeypatch.setattr(_threads, "workers", lambda samples: cpus)
         calls = []
-        assert _threads.on_blocks(recorded(calls), n_blocks, LARGE, none(),
-                                  step) == (None if step is None else step())
+        assert _threads.on_blocks(recorded(calls), n_blocks, LARGE,
+                                  none()) is None
         return sorted(blocks for blocks, _ in calls)
 
     assert layout(2, 5) == [[0], [1], [2], [3], [4]]
     assert layout(3, 2) == [[0], [1]]
-    assert layout(4, 3, step=lambda: "step") == [[0], [1], [2]]
-    # on one CPU the step runs, then all blocks in one call
-    assert layout(1, 4, step=lambda: "step") == [[0, 1, 2, 3]]
-    assert layout(3, 0, step=lambda: "step") == []
+    assert layout(4, 3) == [[0], [1], [2]]
+    # on one CPU all blocks run in one call
+    assert layout(1, 4) == [[0, 1, 2, 3]]
+    assert layout(3, 0) == []
 
 
 def test_free_threads_claim_the_blocks_a_slow_one_leaves(three_workers):
@@ -175,10 +145,12 @@ def test_free_threads_claim_the_blocks_a_slow_one_leaves(three_workers):
 
     def kernel(blocks, scratch):
         calls.append((blocks[0], threading.get_ident()))
+        # the 12th call sets the event, whichever block it runs: block 1
+        # may be the last to start, and then waits for nothing
+        if len(calls) == 12:
+            stalled.set()
         if blocks[0] == 1:
             stalled.wait(timeout=10.0)
-        elif len(calls) == 12:
-            stalled.set()
 
     _threads.on_blocks(kernel, 12, LARGE, none())
     assert sorted(block for block, _ in calls) == list(range(12))
@@ -205,17 +177,6 @@ def test_lowest_failing_block_raised(three_workers):
     with pytest.raises(ValueError, match="block 2"):
         _threads.on_blocks(kernel, 6, LARGE, none())
     assert failed_high.is_set()
-
-
-def test_step_error_raised_before_block_errors(three_workers):
-    def step():
-        raise KeyError("step")
-
-    def kernel(blocks, scratch):
-        raise ValueError("block")
-
-    with pytest.raises(KeyError, match="step"):
-        _threads.on_blocks(kernel, 4, LARGE, none(), step=step)
 
 
 def test_mapped_arrays_do_not_overlap():
