@@ -49,6 +49,12 @@ _PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
 _HUGE_PAGES_FROM = 1 << 22
 
 
+def nbytes(shapes: dict) -> int:
+    """Bytes of the arrays of {name: (shape, dtype)} (`mapped`)."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in shapes.values())
+
+
 def mapped(shapes: dict) -> dict:
     """Arrays of the given {name: (shape, dtype)}, in one anonymous mapping.
 
@@ -59,8 +65,7 @@ def mapped(shapes: dict) -> dict:
     """
     if not shapes:
         return {}
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
-             for shape, dtype in shapes.values()]
+    sizes = [nbytes({name: spec}) for name, spec in shapes.items()]
     # mmap refuses length 0
     memory = mmap.mmap(-1, max(sum(sizes), 1), **_PRIVATE)
     if sum(sizes) >= _HUGE_PAGES_FROM:

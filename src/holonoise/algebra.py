@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigurationError, check_positive_finite
+
 SPEED_OF_LIGHT = 2.99792458e8      # m/s (exact)
 PLANCK_LENGTH = 1.616e-35          # m
 PLANCK_MASS = 2.176e-8             # kg
@@ -95,7 +97,7 @@ def validate_four_velocity(u, tol: float = 1e-9) -> np.ndarray:
     if u.shape != (4,):
         raise ValueError(f"4-velocity must have shape (4,), got {u.shape}")
     norm = minkowski_norm_sq(u)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # NaN fails
         raise ValueError(f"not a valid 4-velocity: U.U = {norm!r}, expected 1")
     return u
 
@@ -128,6 +130,8 @@ def commutator_tensor(xbar, ubar, consts: PhysicalConstants = CONSTANTS) -> np.n
     xbar = np.asarray(xbar, dtype=float)
     if xbar.shape != (4,):
         raise ValueError(f"position must have shape (4,), got {xbar.shape}")
+    if not np.all(np.isfinite(xbar)):
+        raise ConfigurationError(f"xbar must be finite, got {xbar}")
     ubar = validate_four_velocity(ubar)
     lower = np.einsum("mnkl,k,l->mn", _EPS4, xbar, ubar) * consts.l_P
     return MINKOWSKI_METRIC @ lower @ MINKOWSKI_METRIC
@@ -163,8 +167,9 @@ def boost_matrix(beta) -> np.ndarray:
     if beta.shape != (3,):
         raise ValueError("beta must be a scalar or 3-vector")
     b2 = float(beta @ beta)
-    if b2 >= 1.0:
-        raise ValueError(f"|beta| must be < 1, got |beta|^2 = {b2}")
+    if not b2 < 1.0:  # NaN fails
+        raise ConfigurationError(
+            f"beta must have |beta| < 1, got |beta|^2 = {b2}")
     lam = np.eye(4)
     if b2 == 0.0:
         return lam
@@ -248,8 +253,7 @@ def dof_counts(length: float, consts: PhysicalConstants = CONSTANTS) -> DofCount
     directions combined; the product scales as the boundary area in Planck
     units rather than the volume.
     """
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
+    check_positive_finite("length", length)
     n = length / consts.l_P
     return DofCounts(n_radial=n, n_transverse=n, n_total=n * n)
 

@@ -231,9 +231,7 @@ class _WelchPass:
         per_block = _WELCH_BLOCK * self.step
         blocks = -(-chunk // per_block)
         threads = min(blocks, _threads.workers(blocks * per_block))
-        work = _RFFT_BYTES * size + sum(
-            math.prod(shape) * np.dtype(dtype).itemsize
-            for shape, dtype in self.workspace.shapes.values())
+        work = _RFFT_BYTES * size + _threads.nbytes(self.workspace.shapes)
         # a carry is shorter than a block's span, and a seam is a carry
         # followed by at most a chunk
         buffers = 16 * self.span + 16 * (self.span + min(chunk, self.span))
@@ -259,12 +257,15 @@ class _WelchPass:
                    else type(chunk).__name__)
             raise ValueError(f"chunks must be (a, b) pairs of TimeSeries, "
                              f"got {got}")
-        _check_pair(*chunk)
         if self.sample_rate is None:
             self.sample_rate = chunk[0].sample_rate
-        if chunk[0].sample_rate != self.sample_rate:
-            raise ValueError(f"sample rates differ: {self.sample_rate} vs "
-                             f"{chunk[0].sample_rate}")
+        for ts in chunk:
+            if ts.sample_rate != self.sample_rate:
+                raise ValueError(f"sample rates differ: {self.sample_rate} "
+                                 f"vs {ts.sample_rate}")
+        if chunk[0].n != chunk[1].n:
+            raise ValueError(f"record lengths differ: {chunk[0].n} vs "
+                             f"{chunk[1].n}")
         data = [ts.values for ts in chunk]
         start, self.seen = self.seen, self.seen + data[0].size
         source, base, blocks = data, start, []
@@ -460,15 +461,6 @@ def _moments(x: np.ndarray, work: np.ndarray) -> tuple[float, float]:
     return mean, np.sum(np.square(d, out=d))
 
 
-def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
-    if a.sample_rate != b.sample_rate:
-        raise ValueError(
-            f"sample rates differ: {a.sample_rate} vs {b.sample_rate}"
-        )
-    if a.n != b.n:
-        raise ValueError(f"record lengths differ: {a.n} vs {b.n}")
-
-
 def _psd_estimate(welch: _WelchPass, pxx: np.ndarray) -> SpectrumEstimate:
     n_seg, p = welch.n_segments, welch.p
     return SpectrumEstimate(
@@ -480,22 +472,11 @@ def _psd_estimate(welch: _WelchPass, pxx: np.ndarray) -> SpectrumEstimate:
 
 
 def welch_psd(ts: TimeSeries, p: WelchParams = WelchParams()) -> SpectrumEstimate:
-    """Averaged-periodogram one-sided PSD of a record, in m^2/Hz.
-
-    Parameters
-    ----------
-    ts : TimeSeries
-        Input record.
-    p : WelchParams
-        Segment length, overlap and window.
-
-    Returns
-    -------
-    SpectrumEstimate
-        With `sigma` = values / sqrt(effective segments), the chi-squared
-        scale of an averaged periodogram corrected for segment overlap:
-        `welch_csd(ts, ts, p).psds[0]`, so the paired pass makes every
-        estimate.
+    """Averaged-periodogram one-sided PSD of record `ts`, in m^2/Hz, with
+    segments, overlap and window `p`: `welch_csd(ts, ts, p).psds[0]`, so
+    the paired pass makes every estimate.  Its `sigma` is values /
+    sqrt(effective segments), the chi-squared scale of an averaged
+    periodogram corrected for segment overlap.
     """
     if not isinstance(ts, TimeSeries):
         raise ValueError(f"expected a TimeSeries, got {type(ts).__name__}")

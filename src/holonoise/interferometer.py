@@ -30,7 +30,8 @@ from .errors import (
     check_positive_finite,
 )
 from .noise_model import HolographicSpectrum
-from .synthesis import SynthesisConfig, TimeSeries, channel_seed, synthesize
+from .synthesis import (SynthesisConfig, TimeSeries, boxcar_width,
+                        channel_seed, synthesize)
 
 # substream channel ids for a dual run
 CH_GEOM_SHARED = 0
@@ -92,15 +93,6 @@ class DualDetectorConfig:
 #: 8, 16 and 32 blocks (417 ms whole; medians of 8 processes, each the best
 #: of 3 runs), and peaked at 57.5, 66.0 and 82.9 MB in a fresh process.
 _CHUNK_BLOCKS = 16
-
-
-def _shot(det: DetectorConfig, sample_rate: float, seed: int,
-          channel: int):
-    """The shot noise of `det` for `_mix_blocks`: white noise of one-sided
-    PSD asd^2, so per-sample variance asd^2/2 * fs, from the (seed, channel)
-    stream; None for a detector without shot noise."""
-    asd = det.shot_noise_asd
-    return (asd * np.sqrt(sample_rate / 2.0), seed, channel) if asd else None
 
 
 def _mix_blocks(records: list, first: int, blocks: range,
@@ -179,10 +171,12 @@ def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
     both see the full geometric spectrum while their cross-spectrum is rho
     times it.  `terms` are the (weight, channel) pairs of these sums with a
     nonzero weight, none for a detector without geometric sensitivity, and
-    `shot` the shot noise (`_shot`).  A record is built in the chunk of its
-    detector's stream, g for A and g' for B, when it reads it (`own` is
-    then that channel), else in a buffer of its own (`own` None).  B comes
-    first, so that A may then overwrite the chunk of g, which B reads.
+    `shot` its shot noise as `_mix_blocks` takes it, white noise of
+    one-sided PSD asd^2 (per-sample variance asd^2/2 * fs) from its shot
+    channel, or None.  A record is built in the chunk of its detector's
+    stream, g for A and g' for B, when it reads it (`own` is then that
+    channel), else in a buffer of its own (`own` None).  B comes first, so
+    that A may then overwrite the chunk of g, which B reads.
     """
     detectors = [(det_a, CH_GEOM_SHARED, CH_SHOT_A, [(1.0, CH_GEOM_SHARED)])]
     if det_b is not None:
@@ -192,50 +186,41 @@ def _plan(det_a: DetectorConfig, det_b, rho: float, sample_rate: float,
     for det, stream, channel, terms in detectors:
         terms = [(weight, ch) for weight, ch in terms
                  if weight > 0.0 and det.geometric_sensitivity]
+        asd = det.shot_noise_asd
         plan.append((stream if terms and terms[0][1] == stream else None,
-                     terms, _shot(det, sample_rate, seed, channel)))
+                     terms, (asd * np.sqrt(sample_rate / 2.0), seed, channel)
+                     if asd else None))
     return plan
 
 
-def _chunks(det_a: DetectorConfig, det_b, plan: list, n: int,
-            starts: range, sample_rate: float, seed: int, method: str):
+def _chunks(plan: list, streams: dict, n: int, starts: range,
+            sample_rate: float, workspace):
     """The n-sample records of `plan`, a chunk at a time: yields a
     (TimeSeries of A, TimeSeries of B or None) pair per chunk, which runs
     from its start in `starts`, whole blocks, to the next start or to n.
 
-    A geometric stream is synthesized a chunk at a time, and only if a
-    record reads it.  The buffers of a chunk are its own, so a chunk stays
-    valid after the next is made.
+    Each geometric stream that a record reads, {channel: its whole
+    SynthesisConfig} in `streams`, is synthesized a chunk at a time; the
+    records are mixed in the work arrays of `workspace`.  The buffers of a
+    chunk are its own, so a chunk stays valid after the next is made.
     """
-    # sampling preconditions hold for both arms even when a sensitivity
-    # flag later drops the component
-    cfgs = {ch: SynthesisConfig(L=det.L, sample_rate=sample_rate,
-                                n_samples=n, seed=channel_seed(seed, ch),
-                                method=method)
-            for ch, det in [(CH_GEOM_SHARED, det_a), (CH_GEOM_INDEP, det_b)]
-            if det is not None}
-    read = {ch for _, terms, _ in plan for _, ch in terms}
-    cfgs = {ch: cfg for ch, cfg in cfgs.items() if ch in read}
-    workspace = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
     for start, stop in zip(starts, itertools.chain(starts[1:], [n])):
         first = start // synthesis._BLOCK
-        streams = {ch: synthesize(replace(cfg, n_samples=stop - start),
-                                  first).values
-                   for ch, cfg in cfgs.items()}
+        chunk = {ch: synthesize(replace(cfg, n_samples=stop - start),
+                                first).values
+                 for ch, cfg in streams.items()}
         # as `_mix_blocks` takes them; a record not in a chunk has a buffer
-        records = [(streams[own] if own is not None else _threads.mapped(
+        records = [(chunk[own] if own is not None else _threads.mapped(
                         {"values": ((stop - start,), float)})["values"],
-                    [(weight, streams[ch]) for weight, ch in terms], shot)
+                    [(weight, chunk[ch]) for weight, ch in terms], shot)
                    for own, terms, shot in plan]
         _threads.on_blocks(functools.partial(_mix_blocks, records, first),
                            -(-(stop - start) // synthesis._BLOCK),
                            stop - start, workspace)
-        a = TimeSeries(sample_rate=sample_rate, values=records[-1][0])
-        b = (None if det_b is None
-             else TimeSeries(sample_rate=sample_rate, values=records[0][0]))
-        yield a, b
+        pair = [TimeSeries(sample_rate, values) for values, _, _ in records]
+        yield pair[-1], pair[0] if len(pair) > 1 else None
         # the chunk is the reader's now: drop it before making the next
-        del a, b, streams, records
+        del pair, chunk, records
 
 
 def _run(det_a: DetectorConfig, det_b, rho: float, duration: float,
@@ -245,29 +230,42 @@ def _run(det_a: DetectorConfig, det_b, rho: float, duration: float,
     chunk of the whole records given `whole`, else the chunks of
     `_starts`.
 
-    Makes the call's one memory check, before anything is allocated: a
-    run too large for physical memory raises ConfigurationError naming
-    `duration`.  The charge is 8 bytes per sample of a chunk (of the
-    record, in a whole call) for each geometric stream the plan reads and
-    each record built in a buffer of its own, and what their reader holds,
-    which `also`, a (name, value, held), gives: held(n, chunk) is the
-    (bytes per sample, bytes) held for n samples read in chunks of at most
-    `chunk`, of which only the bytes per sample are named `duration`.
+    Builds both arms' stream configs, which check them, then makes the
+    call's one memory check, before anything is allocated: a run too
+    large for physical memory raises ConfigurationError naming `duration`.
+    The charge is 8 bytes per sample of a chunk (of the record, in a whole
+    call) for each stream a record reads and each record built in a
+    buffer of its own; for each thread that runs a chunk's blocks, the
+    mix's work arrays and one stream's filter's (`synthesis._work_arrays`)
+    at a time; and what their reader holds, which `also`, a (name, value,
+    held), gives: held(n, chunk) is the (bytes per sample, bytes) held for
+    n samples read in chunks of at most `chunk`, of which only the bytes
+    per sample are named `duration`.
     """
     n = _n_samples(duration, sample_rate)
     plan = _plan(det_a, det_b, rho, sample_rate, seed)
+    cfgs = {ch: SynthesisConfig(L=det.L, sample_rate=sample_rate, n_samples=n,
+                                seed=channel_seed(seed, ch), method=method)
+            for ch, det in [(CH_GEOM_SHARED, det_a), (CH_GEOM_INDEP, det_b)]
+            if det is not None}
+    streams = {ch: cfgs[ch] for ch in sorted(
+        {ch for _, terms, _ in plan for _, ch in terms})}
     starts = range(0, n, n) if whole else _starts(det_a, n, sample_rate)
     chunk = max(n - starts[-1], starts.step)
-    buffers = 8 * chunk * (
-        len({ch for _, terms, _ in plan for _, ch in terms})
-        + sum(own is None for own, _, _ in plan))
+    mix = _threads.Workspace({"term": ((synthesis._BLOCK,), float)})
+    work = _threads.nbytes(mix.shapes) + max(
+        (_threads.nbytes(synthesis._work_arrays(cfg.method, boxcar_width(cfg)))
+         for cfg in streams.values()), default=0)
+    threads = min(_threads.workers(chunk), -(-chunk // synthesis._BLOCK))
+    buffers = threads * work + 8 * chunk * (
+        len(streams) + sum(own is None for own, _, _ in plan))
     if also is None:
         check_fits_in_memory("duration", duration, n, buffers / n)
     else:
         per_sample, fixed = also[2](n, chunk)
         check_fits_in_memory("duration", duration, n, per_sample,
                              also=(*also[:2], fixed + buffers))
-    return _chunks(det_a, det_b, plan, n, starts, sample_rate, seed, method)
+    return _chunks(plan, streams, n, starts, sample_rate, mix)
 
 
 def simulate_detector(cfg: DetectorConfig, duration: float, sample_rate: float,

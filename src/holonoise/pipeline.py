@@ -165,7 +165,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             "detector silent, and its zero-variance spectrum cannot be "
             "weighted")
     # the one memory check, with what the Welch pass holds; an unknown
-    # method passes here and is refused by the synthesis config
+    # method is refused first, by the synthesis configs
     chunks = interferometer._run(
         det.det_a, det.det_b, det.rho_geom, float(cfg.duration),
         float(cfg.sample_rate), cfg.seed, cfg.method, whole=False,

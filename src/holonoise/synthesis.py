@@ -13,8 +13,8 @@ Each reads the driver ahead of each sample, so a record is stationary from
 its first sample, and is made a block at a time, so any stretch of it can
 be made alone.
 
-Records must be long compared to the coherence time, which the config
-invariants enforce.
+`synthesize` makes every record: each method declares a block filter
+(`_filter`), and records must span ten coherence times (`SynthesisConfig`).
 
 Every random number is drawn in blocks of `_BLOCK` samples: block b of
 channel c of a seed comes from a generator of its own,
@@ -220,21 +220,34 @@ def _taps(width: float) -> np.ndarray:
             + _sine_integral(np.pi * k)) / np.pi
 
 
-def _spectral_blocks(values: np.ndarray, seed: int, response: np.ndarray,
-                     taps: int, first: int, blocks: range,
+@functools.lru_cache(maxsize=4)
+def _spectral_filter(width: float, scale: float) -> np.ndarray:
+    """The spectral filter of `width` samples: the transform of its taps
+    (`_taps`) on the frame of its work arrays, conjugated and scaled by
+    `scale`, read only; built once per (width, scale), so per width and
+    sample rate, while it is among the last four asked for."""
+    (size,), _ = _work_arrays("spectral", width)["frame"]
+    response = np.fft.rfft(_taps(width), size).conj()
+    response *= scale
+    response.flags.writeable = False
+    return response
+
+
+def _spectral_blocks(values: np.ndarray, seed: int, first: int,
+                     response: np.ndarray, blocks: range,
                      scratch: dict) -> None:
     """Blocks `blocks` of `values`, the spectral record (`synthesize_spectral`)
-    from block `first` on: sample i is sum_k h[k] d[i + k] over the `taps`
-    taps h, whose scaled and conjugated transform on a frame is `response`.
-    Block k is record block first + k, whose driver, its own and the next
-    taps - 1 samples, redrawn, is filtered by overlap-save in `scratch`.
+    from block `first` on, filtered by `response`.  Block k is record block
+    first + k, whose driver, its own and the samples that the taps read
+    ahead, redrawn, is filtered by overlap-save in `scratch`.
     """
     frame, spectrum = scratch["frame"], scratch["spectrum"]
     size = frame.size
-    hop = size - taps + 1
+    ahead = scratch["driver"].size - _BLOCK  # the taps but one
+    hop = size - ahead
     for k in blocks:
         out = values[k * _BLOCK:(k + 1) * _BLOCK]
-        driver = scratch["driver"][:out.size + taps - 1]
+        driver = scratch["driver"][:out.size + ahead]
         _fill_normal(driver, seed, 0, first + k)
         for start in range(0, out.size, hop):
             np.fft.rfft(driver[start:start + size], n=size, out=spectrum)
@@ -253,36 +266,11 @@ def synthesize_spectral(cfg: SynthesisConfig, first_block: int = 0
     samples i + K + k, K = `_SIDE_TAPS`, weighted by the taps g[k] of
     `_taps` for the window of w = 2L/c * fs samples, and scaled by 1/fs:
     a PSD of plateau * sinc^2(f 2L/c) below Nyquist, up to the taps'
-    truncation.  The blocks are filtered on the usable CPUs.  Given
-    `first_block`, the record is samples first_block * _BLOCK on of the
-    longer record of `cfg.seed`: a record can be made a piece at a time.
+    truncation; made by `synthesize`, from block `first_block` on.
     """
     if cfg.method != "spectral":
         raise ConfigurationError(f"spectral synthesis got method={cfg.method!r}")
-    fs = cfg.sample_rate
-    taps = _taps(boxcar_width(cfg))
-    # frames of 2 to 4 times the taps: on a 2-vCPU Xeon VM a block took 2.2,
-    # 1.6, 2.2 and 3.8 ms through 8,197 taps in frames of 2**14 to 2**17
-    size = 1 << (2 * taps.size - 1).bit_length()
-    response = np.fft.rfft(taps, size).conj()
-    response *= np.sqrt(white_noise_psd() * fs) / fs
-    values = _filtered(
-        _spectral_blocks, cfg.n_samples,
-        (cfg.seed, response, taps.size, first_block), {
-            "driver": ((_BLOCK + taps.size - 1,), float),
-            "spectrum": ((size // 2 + 1,), complex),
-            "frame": ((size,), float)})
-    return TimeSeries(sample_rate=fs, values=values)
-
-
-def _filtered(kernel, n: int, args: tuple, shapes: dict) -> np.ndarray:
-    """The n-sample record, in an anonymous mapping (`_threads.mapped`),
-    that kernel(values, *args, blocks, scratch) makes a block at a time on
-    the usable CPUs, each thread in work arrays of `shapes`."""
-    values = _threads.mapped({"values": ((n,), float)})["values"]
-    _threads.on_blocks(functools.partial(kernel, values, *args),
-                       -(-n // _BLOCK), n, _threads.Workspace(shapes))
-    return values
+    return synthesize(cfg, first_block)
 
 
 def boxcar_width(cfg: SynthesisConfig) -> float:
@@ -362,17 +350,14 @@ def _moving_sum(driver: np.ndarray, width: int, out: np.ndarray) -> None:
         size *= 2
 
 
-def _boxcar_blocks(values: np.ndarray, seed: int, width: float,
-                   scale: float, first: int, blocks: range,
+def _boxcar_blocks(values: np.ndarray, seed: int, first: int,
+                   width: float, scale: float, blocks: range,
                    scratch: dict) -> None:
     """Blocks `blocks` of `values`, the boxcar record of `width` samples
-    (`synthesize_boxcar`) from block `first` on, scaled by `scale`.
-
-    Block k of `values` is record block b = first + k, whose driver, the
-    block's own and the samples after it, redrawn here from the blocks
-    that follow, is drawn into `scratch["driver"]` and whose channel-1
-    stream into `scratch["tail"]`, so nothing is allocated.
-    """
+    (`synthesize_boxcar`) from block `first` on, scaled by `scale`.  Block
+    k is record block first + k, whose driver, its own and the samples
+    after it, redrawn, and channel-1 stream are drawn into `scratch`, so
+    nothing is allocated."""
     m = int(width)
     phi = width - m
     for k in blocks:
@@ -402,33 +387,57 @@ def synthesize_boxcar(cfg: SynthesisConfig, first_block: int = 0
     model's triangle at the sample lags, sigma^2 (1 - |k|/w)^+, exactly.
     Sample i sums driver samples i to i + m - 1, the channel-0 stream of
     `cfg.seed`, phi times sample i + m and sqrt(phi (1 - phi)) times
-    sample i of its channel 1, drawn only when phi > 0.  The blocks are
-    summed on the usable CPUs; `first_block` as for `synthesize_spectral`.
+    sample i of its channel 1, drawn only when phi > 0; made by
+    `synthesize`, from block `first_block` on.
     """
     if cfg.method != "boxcar":
         raise ConfigurationError(f"boxcar synthesis got method={cfg.method!r}")
-    fs = cfg.sample_rate
-    values = _boxcar(cfg.seed, cfg.n_samples, boxcar_width(cfg),
-                     np.sqrt(white_noise_psd() * fs) / fs, first_block)
-    return TimeSeries(sample_rate=fs, values=values)
+    return synthesize(cfg, first_block)
 
 
-def _boxcar(seed: int, n: int, width: float, scale: float,
-            first: int = 0) -> np.ndarray:
-    """`scale` times the n-sample boxcar record of `width` samples of the
-    streams of `seed` (`_boxcar_blocks`), from block `first` on."""
-    fractional = int(width > int(width))
-    return _filtered(_boxcar_blocks, n, (seed, width, scale, first), {
-        "driver": ((_BLOCK + int(width) - 1 + fractional,), float),
-        "tail": ((_BLOCK * fractional,), float)})
+def _work_arrays(method: str, width: float) -> dict:
+    """The {name: (shape, dtype)} work arrays of one thread that runs the
+    blocks of a `method` stream of a window of `width` samples."""
+    m = int(width)
+    if method == "spectral":
+        taps = 2 * _SIDE_TAPS + m + 1
+        # frames of 2 to 4 times the taps: on a 2-vCPU Xeon VM a block took
+        # 2.2, 1.6, 2.2 and 3.8 ms through 8,197 taps in frames of 2**14-2**17
+        size = 1 << (2 * taps - 1).bit_length()
+        return {"driver": ((_BLOCK + taps - 1,), float),
+                "spectrum": ((size // 2 + 1,), complex),
+                "frame": ((size,), float)}
+    fractional = int(width > m)
+    return {"driver": ((_BLOCK + m - 1 + fractional,), float),
+            "tail": ((_BLOCK * fractional,), float)}
+
+
+def _filter(method: str, width: float, sample_rate: float) -> tuple:
+    """The block filter of a `method` stream of a window of `width`
+    samples at `sample_rate`: (kernel, args, shapes), where
+    kernel(values, seed, first, *args, blocks, scratch) makes blocks
+    `blocks` of `values`, the record of `seed` from block `first` on, in
+    the work arrays of `shapes` (`_work_arrays`)."""
+    shapes = _work_arrays(method, width)
+    scale = np.sqrt(white_noise_psd() * sample_rate) / sample_rate
+    if method == "spectral":
+        return _spectral_blocks, (_spectral_filter(width, scale),), shapes
+    return _boxcar_blocks, (width, scale), shapes
 
 
 def synthesize(cfg: SynthesisConfig, first_block: int = 0) -> TimeSeries:
-    """Dispatch on cfg.method; a record too large for physical memory (8
-    bytes per sample) raises ConfigurationError before anything is
-    allocated.  Either record may start at block `first_block` of its
-    streams."""
-    check_fits_in_memory("n_samples", cfg.n_samples, cfg.n_samples, 8)
-    if cfg.method == "spectral":
-        return synthesize_spectral(cfg, first_block)
-    return synthesize_boxcar(cfg, first_block)
+    """The record of `cfg`, of either method: its blocks filtered
+    (`_filter`) on the usable CPUs into a mapped record.  Given
+    `first_block`, it is samples first_block * _BLOCK on of the longer
+    record of `cfg.seed`: a record can be made a piece at a time.  One too
+    large for physical memory (8 bytes per sample) raises
+    ConfigurationError before anything is allocated."""
+    n = cfg.n_samples
+    check_fits_in_memory("n_samples", n, n, 8)
+    kernel, args, shapes = _filter(cfg.method, boxcar_width(cfg),
+                                   cfg.sample_rate)
+    values = _threads.mapped({"values": ((n,), float)})["values"]
+    _threads.on_blocks(
+        functools.partial(kernel, values, cfg.seed, first_block, *args),
+        -(-n // _BLOCK), n, _threads.Workspace(shapes))
+    return TimeSeries(sample_rate=cfg.sample_rate, values=values)

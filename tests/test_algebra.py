@@ -21,6 +21,7 @@ from holonoise.algebra import (
     validate_four_velocity,
     validate_lorentz_transform,
 )
+from holonoise.errors import ConfigurationError
 
 REST = np.array([1.0, 0.0, 0.0, 0.0])
 X_LAB = np.array([0.0, 0.0, 0.0, 40.0])
@@ -184,6 +185,7 @@ class TestBoostsAndShapes:
         (validate_four_velocity, ([1.0, 0.0, 0.0],), "shape"),
         (validate_lorentz_transform, (np.eye(3),), "4x4"),
         (commutator_tensor, ([0.0, 0.0, 40.0], REST), "shape"),
+        (commutator_tensor, (X_LAB, [np.nan, 0.0, 0.0, 0.0]), "4-velocity"),
         (rest_frame_commutator, ([0.0, 40.0],), "shape"),
         (uncertainty_bound, (X_LAB, 1, 2), "shape"),
         (boost_matrix, ([0.5, 0.0],), "3-vector"),
@@ -193,6 +195,15 @@ class TestBoostsAndShapes:
     ])
     def test_malformed_input_refused(self, call, args, message):
         with pytest.raises(ValueError, match=message):
+            call(*args)
+
+    @pytest.mark.parametrize("call, args, name", [
+        (boost_matrix, ([np.nan, 0.0, 0.0],), "beta"),
+        (commutator_tensor, ([0.0, np.nan, 0.0, 40.0], REST), "xbar"),
+        (dof_counts, (np.nan,), "length"),
+    ])
+    def test_nan_refused_naming_the_argument(self, call, args, name):
+        with pytest.raises(ConfigurationError, match=name):
             call(*args)
 
 

@@ -239,14 +239,27 @@ def welch_charge(n, segment_length=4096):
     return per_sample * n + fixed
 
 
+def work_charge(method, threads=2):
+    """The work arrays that a run at FS is charged for `threads` threads:
+    each holds the mix's term, a block, and one stream's filter at a time,
+    the boxcar's driver of a block and 4 samples and its channel-1 tail of
+    a block (4.27 samples a window), or the spectral driver of a block and
+    8,196 samples, a frame of 32,768 and its 16,385-bin spectrum."""
+    filter_bytes = {"boxcar": 8 * (2 * BLOCK + 4),
+                    "spectral": 8 * (BLOCK + 8196 + 32768) + 16 * 16385}
+    return threads * (8 * BLOCK + filter_bytes[method])
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("call", ["stream_dual", "run_pipeline"])
 def test_rho_one_run_that_fits_is_admitted(monkeypatch, call, method):
     # 16 bytes per sample hold the shared geometric stream's chunk and the
-    # buffer B is built in (the run is one chunk); a run adds its Welch
-    # pass
+    # buffer B is built in (the run is one chunk), and two threads their
+    # work arrays; a run adds its Welch pass
+    monkeypatch.setattr(_threads, "workers", lambda samples: 2)
     n = 2**18
-    need = 16 * n + (welch_charge(n) if call == "run_pipeline" else 0)
+    need = 16 * n + work_charge(method) + (
+        welch_charge(n) if call == "run_pipeline" else 0)
     monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     sized_call(call, dual(1.0), n, method)()
     monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
@@ -258,10 +271,11 @@ def test_run_too_large_for_its_segments_is_refused(monkeypatch):
     # the Welch pass grows with the segment, not with the duration: a run
     # that fits with segments of 4096 samples is refused with 65536,
     # naming segment_length
+    monkeypatch.setattr(_threads, "workers", lambda samples: 2)
     n = 2**18
     assert welch_charge(n, 2**16) > 8 * welch_charge(n)
-    monkeypatch.setattr(errors, "_physical_memory",
-                        lambda: 16 * n + welch_charge(n))
+    monkeypatch.setattr(errors, "_physical_memory", lambda: (
+        16 * n + work_charge("spectral") + welch_charge(n)))
     run = dict(duration=n / FS, sample_rate=FS, max_lag=1e-6, seed=1,
                method="spectral")
     run_pipeline(RunConfig(**run))

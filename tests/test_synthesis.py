@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,23 +6,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from holonoise import (
+    DetectorConfig,
+    DualDetectorConfig,
     HolographicSpectrum,
     SynthesisConfig,
     TimeSeries,
     analytic_autocorrelation,
     analytic_psd,
     one_sided_psd,
+    simulate_dual,
+    stream_dual,
     synthesize,
     synthesize_boxcar,
     synthesize_spectral,
     white_noise_psd,
 )
-from holonoise import _threads, synthesis
+from holonoise import _threads, interferometer, synthesis
 from holonoise.algebra import CONSTANTS
 from holonoise.errors import ConfigurationError
 from holonoise.synthesis import (
     _BLOCK,
-    _boxcar,
     boxcar_width,
     channel_seed,
 )
@@ -35,6 +39,19 @@ FS = integer_boxcar_rate(L, width=32)   # 32 samples per coherence time
 def make_cfg(method="spectral", n=2**16, seed=11, fs=FS, L=L):
     return SynthesisConfig(L=L, sample_rate=fs, n_samples=n, seed=seed,
                            method=method)
+
+
+def _boxcar(seed, n, width, scale):
+    """`scale` times the n-sample boxcar record of `width` samples of the
+    streams of `seed`: the boxcar's block filter run on the pool as
+    `synthesize` runs it, at widths and scales no config gives."""
+    kernel, _, shapes = synthesis._filter("boxcar", width, FS)
+    values = np.empty(n)
+    _threads.on_blocks(functools.partial(kernel, values, seed, 0, width,
+                                         scale),
+                       -(-n // synthesis._BLOCK), n,
+                       _threads.Workspace(shapes))
+    return values
 
 
 class TestTimeSeries:
@@ -249,6 +266,50 @@ def test_spectral_record_is_its_filtered_driver(first):
     want *= np.sqrt(white_noise_psd() * cfg.sample_rate) / cfg.sample_rate
     got = synthesize(cfg, first).values
     assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_spectral_filter_is_built_once_per_width_and_rate(monkeypatch):
+    # a streamed pair of three chunks and two whole pairs, two streams
+    # each, at one width and rate, then a whole pair at another rate
+    widths = []
+
+    def counted(width, _taps=synthesis._taps):
+        widths.append(width)
+        return _taps(width)
+
+    monkeypatch.setattr(synthesis, "_taps", counted)
+    monkeypatch.setattr(interferometer, "_CHUNK_BLOCKS", 1)
+    synthesis._spectral_filter.cache_clear()
+    det = DetectorConfig(L=L, shot_noise_asd=0.0)
+    pair = DualDetectorConfig(det_a=det, det_b=det, rho_geom=0.5)
+    n = 3 * _BLOCK
+    assert len(list(stream_dual(pair, n / 1.6e7, 1.6e7, 1))) == 3
+    for fs in (1.6e7, 1.6e7, 2e7):
+        simulate_dual(pair, n / fs, fs, 1)
+    spec = HolographicSpectrum(L)
+    assert widths == [synthesis._width(spec, 1.6e7),
+                      synthesis._width(spec, 2e7)]
+
+
+def test_cached_filters_make_the_records_of_fresh_ones():
+    # records at 40 m and 41 m, made alternately, are those made each
+    # from a filter built for it
+    cfgs = [make_cfg("spectral", n=2 * _BLOCK + 5, seed=3, fs=1.6e7, L=arm)
+            for arm in (40.0, 41.0)]
+    alternating = [synthesize(cfg).values.tobytes() for cfg in cfgs * 2]
+    fresh = []
+    for cfg in cfgs:
+        synthesis._spectral_filter.cache_clear()
+        fresh.append(synthesize(cfg).values.tobytes())
+    assert alternating == fresh * 2
+
+
+def test_cached_filter_is_read_only():
+    _, (response,), shapes = synthesis._filter("spectral", 4.27, 1.6e7)
+    assert response.size == shapes["spectrum"][0][0]
+    assert not response.flags.writeable
+    with pytest.raises(ValueError):
+        response[0] = 0.0
 
 
 # 3 * 65,536 + 7 samples: several blocks and a remainder
