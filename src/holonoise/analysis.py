@@ -173,19 +173,19 @@ class _WelchPass:
     """The Welch pass over two synchronous records, fed a chunk of each at
     a time (`add`) and summed up by `finish`.
 
-    Blocks of `_WELCH_BLOCK` segments are summed by `_block_sums` on the
-    usable CPUs as soon as a chunk completes them, and the block sums are
-    added to the totals in block order, from zero, so the result depends
-    neither on the CPU count nor on where the chunks end.  The samples from
-    the start of the first unfinished block on are carried to the next
-    chunk (under one block's span); the blocks that start in them are
-    summed from the carried samples followed by the chunk's first ones, the
-    others from the chunk itself.  Bins 0 and 1 of every segment's
-    transforms are kept, and each block also takes the mean and centred sum
-    of squares of the samples from its start to the next block's (the last
-    block: to the record's end), which are merged in block order into each
-    record's mean and variance (Chan et al.).  Every work array is in an
-    anonymous mapping (`_threads.mapped`).
+    Block j of `_WELCH_BLOCK` segments starts at sample j·hop, hop =
+    `_WELCH_BLOCK`·step, and takes the mean and centred sum of squares of
+    samples [j·hop, (j + 1)·hop) (a short last block: to the record's end).
+    The blocks are summed by `_block_sums` on the usable CPUs as soon as a
+    chunk completes their span, and the block sums are added to the
+    totals, and the moments merged into each record's mean and variance
+    (Chan et al.), in block order, from zero, so the result depends neither
+    on the CPU count nor on where the chunks end.  The samples from the
+    start of the first block not summed on, fewer than one block's span,
+    are carried to the next chunk; a block is read in place from the carry
+    or the chunk that holds it whole, or gathered from both (`_gather`).
+    Bins 0 and 1 of every segment's transforms are kept.  Every work array
+    is in an anonymous mapping (`_threads.mapped`).
     """
 
     def __init__(self, p: WelchParams):
@@ -195,23 +195,24 @@ class _WelchPass:
         # the sample rate is the first chunk's
         self.sample_rate, self.p = None, p
         self.step = p.segment_length - p.noverlap
+        self.hop = _WELCH_BLOCK * self.step
         self.span = (_WELCH_BLOCK - 1) * self.step + p.segment_length
         # the window, the density scale and the totals (|X|^2 of each
         # record, then conj(X) Y) are made with the first segments, so that
         # a record shorter than one is refused whatever the segment length
         self.totals = None
-        # "carry" and "seam", mapped when first needed (`_buffer`)
-        self.buffers = {}
         # the work arrays of `_block_sums`; untouched rows are never paged in
         shape = (_WELCH_BLOCK, p.segment_length // 2 + 1)
         self.workspace = _threads.Workspace({
+            "samples": ((2, self.span), float),
             "windowed": ((_WELCH_BLOCK, p.segment_length), float),
             "power": (shape, float), "power_imag": (shape, float),
             "spectrum0": (shape, complex), "spectrum1": (shape, complex),
             "centred": ((self.span,), float)})
         self.seen = 0   # samples added
         self.block = 0  # the first block not summed
-        self.held = 0   # samples carried, from the start of `block` on
+        # each record's samples from the start of `block` on
+        self.carry = np.empty((2, 0))
         self.lows = []
         # (samples, mean, centred sum of squares) of each record
         self.moments = [(0, 0.0, 0.0)] * 2
@@ -221,20 +222,19 @@ class _WelchPass:
         chunks of at most `chunk` samples, as (bytes per sample, bytes):
         `LOW_BIN_BYTES` per segment, which grow with n, and, whatever n,
         the work arrays of each thread that sums the blocks one chunk
-        completes (`_RFFT_BYTES` included), the carry and the seam
-        (`_buffer`), those blocks' sums and moments (`_sum`), and the
-        spectra it keeps to its end; nothing for records shorter than a
-        segment, which it refuses."""
+        completes (`_RFFT_BYTES` and a block's gathered samples included),
+        the old and the new carry, those blocks' sums and moments (`_sum`),
+        and the spectra it keeps to its end; nothing for records shorter
+        than a segment, which it refuses."""
         if n < self.p.segment_length:
             return 0, 0
         size, bins = self.p.segment_length, self.p.segment_length // 2 + 1
-        per_block = _WELCH_BLOCK * self.step
-        blocks = -(-chunk // per_block)
-        threads = min(blocks, _threads.workers(blocks * per_block))
+        blocks = -(-chunk // self.hop)
+        threads = min(blocks, _threads.workers(blocks * self.hop))
         work = _RFFT_BYTES * size + _threads.nbytes(self.workspace.shapes)
-        # a carry is shorter than a block's span, and a seam is a carry
-        # followed by at most a chunk
-        buffers = 16 * self.span + 16 * (self.span + min(chunk, self.span))
+        # a carry is shorter than a block's span, and the new one is made
+        # from the old
+        carries = 2 * 16 * self.span
         # per bin: a row of the three totals (two real spectra and a
         # complex one) for each block; and the three totals, the three
         # densities, the density scale and the frequencies, with the window
@@ -242,10 +242,7 @@ class _WelchPass:
         spectra = 8 * size + 80 * bins
         # a segment starts every `step` samples
         return (LOW_BIN_BYTES / self.step,
-                threads * work + buffers + sums + spectra)
-
-    def _block_start(self) -> int:
-        return self.block * _WELCH_BLOCK * self.step
+                threads * work + carries + sums + spectra)
 
     def add(self, chunk: tuple) -> None:
         """Take the next chunk of each record: an (a, b) pair of
@@ -266,104 +263,53 @@ class _WelchPass:
         if chunk[0].n != chunk[1].n:
             raise ValueError(f"record lengths differ: {chunk[0].n} vs "
                              f"{chunk[1].n}")
-        data = [ts.values for ts in chunk]
-        start, self.seen = self.seen, self.seen + data[0].size
-        source, base, blocks = data, start, []
-        if self.held:
-            # the carry, then enough samples to end every block starting in it
-            take = min(data[0].size, self.span - 1)
-            seam = self._buffer("seam", self.held + take)
-            seam[:, :self.held] = self._buffer("carry", self.held)
-            for row, values in zip(seam, data):
-                row[self.held:] = values[:take]
-            blocks = self._complete(list(seam), start - self.held, start)
-            if self._block_start() < start:
-                # that block ends after the chunk, which is all in the seam
-                source, base = list(seam), start - self.held
-        blocks += self._complete(source, base)
-        self._sum(blocks)
-        # keep the samples from the first block not summed on
-        offset = self._block_start() - base
-        self.held = source[0].size - offset
-        for row, x in zip(self._buffer("carry", self.held), source):
-            row[:] = x[offset:]
+        self.seen += chunk[0].n
+        # each record's samples from the start of `block` to `seen`
+        pieces = [(carry, ts.values) for carry, ts in zip(self.carry, chunk)]
+        # the blocks whose span the chunk completes
+        done = max((self.seen - self.span) // self.hop + 1 - self.block, 0)
+        self._sum(pieces, done * _WELCH_BLOCK)
+        carry = _threads.mapped({"carry": (
+            (2, self.seen - self.block * self.hop), float)})["carry"]
+        start = done * self.hop
+        for row, record in zip(carry, pieces):
+            row[:] = _gather(record, start, start + row.size, row)
+        self.carry = carry
 
-    def _buffer(self, name: str, size: int) -> np.ndarray:
-        """The first `size` samples of each record in buffer `name`, which
-        is mapped anew, and emptied, when it is too small.  A carry is
-        shorter than one block's span and a seam than two, so the buffers
-        stay small however long the records."""
-        buffer = self.buffers.get(name)
-        if buffer is None or buffer.shape[1] < size:
-            room = max(size, 2 * (0 if buffer is None else buffer.shape[1]))
-            limit = self.span * (2 if name == "seam" else 1)
-            buffer = self.buffers[name] = _threads.mapped({name: (
-                (2, min(room, limit)), float)})[name]
-        return buffer[:, :size]
-
-    def _complete(self, data: list, base: int, before=None) -> list:
-        """`_blocks` of the blocks from `block` on that `data`, the samples
-        from `base` on, holds whole and that start before `before`."""
-        per_block = _WELCH_BLOCK * self.step
-        end = base + data[0].size
-        stop = (end - self.span) // per_block + 1 if end >= self.span else 0
-        if before is not None:
-            stop = min(stop, -(-before // per_block))
-        return self._blocks(data, base, max(stop - self.block, 0))
-
-    def _blocks(self, data: list, base: int, n_blocks: int,
-                rows: int = _WELCH_BLOCK) -> list:
-        """Blocks `block` to `block` + n_blocks of `data`, the samples from
-        `base` on, the last of them `rows` segments long: for each block,
-        (a view of its segments, its samples up to the next block's start,
-        or to the end of `data` for a short last block) of each record;
-        `block` moves past them."""
-        if not n_blocks:
-            return []
-        offset = self._block_start() - base
-        count = (n_blocks - 1) * _WELCH_BLOCK + rows
-        segments = [sliding_window_view(x[offset:], self.p.segment_length)
-                    [::self.step][:count] for x in data]
-        hop = _WELCH_BLOCK * self.step
-        blocks = []
-        for j in range(n_blocks):
-            stop = None if rows < _WELCH_BLOCK and j == n_blocks - 1 else (
-                offset + (j + 1) * hop)
-            blocks.append([(seg[j * _WELCH_BLOCK:(j + 1) * _WELCH_BLOCK],
-                            x[offset + j * hop:stop])
-                           for seg, x in zip(segments, data)])
-        self.block += n_blocks
-        return blocks
-
-    def _sum(self, blocks: list) -> None:
-        """Sum `blocks` (`_blocks`) into the totals and the moments, in
-        order, and keep their segments' bins 0 and 1."""
-        if not blocks:
+    def _sum(self, pieces: list, count: int) -> None:
+        """Sum the `count` segments from the start of `block` on, held in
+        each record's `pieces`, into the totals and the moments, in block
+        order, keep their bins 0 and 1, and move `block` past them."""
+        if not count:
             return
         if self.totals is None:
             self.window = _window(self.p)
             self.scale = _density_scale(self.p, self.sample_rate)
             self.totals = [np.zeros(self.scale.size, dtype)
                            for dtype in (float, float, complex)]
-        count = sum(block[0][0].shape[0] for block in blocks)
+        blocks = -(-count // _WELCH_BLOCK)
         # row i of "sum<c>" holds block i's sum, moments[c, i] the (mean,
         # centred sum of squares) of its samples of record c
         arrays = _threads.mapped({
-            **{f"sum{c}": ((len(blocks), self.scale.size), total.dtype)
+            **{f"sum{c}": ((blocks, self.scale.size), total.dtype)
                for c, total in enumerate(self.totals)},
-            "moments": ((len(self.moments), len(blocks), 2), float)})
+            "moments": ((len(self.moments), blocks, 2), float)})
         lows = np.empty((2, count, 2), dtype=complex)
         _threads.on_blocks(
-            functools.partial(_block_sums, blocks, self.window, lows, arrays),
-            len(blocks), count * self.step, self.workspace)
+            functools.partial(_block_sums, pieces, self.step, self.window,
+                              lows, arrays),
+            blocks, count * self.step, self.workspace)
         for c, total in enumerate(self.totals):
             for block_sum in arrays[f"sum{c}"]:
                 total += block_sum
         self.lows.append(lows)
+        size = sum(x.size for x in pieces[0])
         for c, moments in enumerate(arrays["moments"]):
-            for (_, samples), (mean, m2) in zip(
-                    (block[c] for block in blocks), moments):
-                self._merge(c, samples.size, mean, m2)
+            for i, (mean, m2) in enumerate(moments):
+                # a short last block's samples run to the record's end
+                self._merge(c, self.hop if (i + 1) * _WELCH_BLOCK <= count
+                            else size - i * self.hop, mean, m2)
+        self.block += blocks
 
     def _merge(self, c: int, size: int, mean: float, m2: float) -> None:
         """Merge `size` samples of mean `mean` and centred sum of squares
@@ -382,14 +328,13 @@ class _WelchPass:
         and `stats` the (mean, sample variance (1/N)) of each record."""
         self.n_segments = _segment_count(self.seen, self.p)
         # the last block, short of `_WELCH_BLOCK` segments, is in the carry
-        carry = list(self._buffer("carry", self.held))
         rest = self.n_segments - self.block * _WELCH_BLOCK
         if rest:
-            self._sum(self._blocks(carry, self._block_start(), 1, rest))
-        elif self.held:
+            self._sum([(x,) for x in self.carry], rest)
+        elif self.carry.size:
             # samples after the last block's segments
             work = self.workspace.run(0)["centred"]
-            for c, x in enumerate(carry):
+            for c, x in enumerate(self.carry):
                 self._merge(c, x.size, *_moments(x, work))
         self.frequencies = np.fft.rfftfreq(self.p.segment_length,
                                            1.0 / self.sample_rate)
@@ -397,6 +342,20 @@ class _WelchPass:
                           for total in self.totals]
         self.low_bins = np.concatenate(self.lows, axis=1)
         self.stats = [(mean, m2 / n) for n, mean, m2 in self.moments]
+
+
+def _gather(pieces, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Samples [start, stop) of the joined `pieces`: a view of the piece
+    that holds them all, else copied into `out`."""
+    at = 0  # the sample the piece starts at
+    for x in pieces:
+        lo, hi = max(start - at, 0), min(stop - at, x.size)
+        if lo < hi:
+            if hi - lo == stop - start:
+                return x[lo:hi]
+            out[at + lo - start:at + hi - start] = x[lo:hi]
+        at += x.size
+    return out[:stop - start]
 
 
 def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
@@ -418,21 +377,33 @@ def _segment_spectra(chunks, p: WelchParams) -> _WelchPass:
     return welch
 
 
-def _block_sums(blocks: list, window: np.ndarray, lows: np.ndarray,
-                arrays: dict, items: range, scratch: dict) -> None:
+def _block_sums(pieces: list, step: int, window: np.ndarray,
+                lows: np.ndarray, arrays: dict, items: range,
+                scratch: dict) -> None:
     """Sums over the segments of each block i in `items`, in place.
 
-    blocks[i] holds the block's (segments, samples) of each record.  Row i
-    of arrays["sum<c>"] gets its sum of |X|^2 for record c, row i of
-    arrays["sum2"] its sum of conj(X) Y, arrays["moments"][c, i] the
-    `_moments` of its samples of record c, and the rows of `lows` of its
-    segments (`_WELCH_BLOCK` a block) their bins 0 and 1 of X and Y.  The
-    work arrays are `scratch`'s, so no array data is allocated and a worker
-    thread can run it.
+    pieces[c] holds record c's samples from block 0's start on.  Block i's
+    segments start every `step` samples from i·hop (hop =
+    `_WELCH_BLOCK`·step), as many as its span holds, up to
+    `_WELCH_BLOCK`.  Row i of arrays["sum<c>"] gets its sum of |X|^2 for
+    record c, row i of arrays["sum2"] its sum of conj(X) Y,
+    arrays["moments"][c, i] the `_moments` of its samples of record c up to
+    the next block's start (a short last block's: all of them), and the
+    rows of `lows` of its segments (`_WELCH_BLOCK` a block) their bins 0
+    and 1 of X and Y.  Each block is read in place or gathered into
+    scratch["samples"] (`_gather`), and the work arrays are `scratch`'s, so
+    no array data is allocated and a worker thread can run it.
     """
+    hop = _WELCH_BLOCK * step
+    span = (_WELCH_BLOCK - 1) * step + window.size
+    size = sum(x.size for x in pieces[0])
     for i in items:
         spectra = []
-        for c, (segments, samples) in enumerate(blocks[i]):
+        start = i * hop
+        for c, record in enumerate(pieces):
+            x = _gather(record, start, min(start + span, size),
+                        scratch["samples"][c])
+            segments = sliding_window_view(x, window.size)[::step]
             m = slice(segments.shape[0])
             windowed = np.multiply(segments, window,
                                    out=scratch["windowed"][m])
@@ -443,6 +414,7 @@ def _block_sums(blocks: list, window: np.ndarray, lows: np.ndarray,
                                     out=scratch["power_imag"][m]), out=power)
             np.sum(power, axis=0, out=arrays[f"sum{c}"][i])
             spectra.append(spectrum)
+            samples = x[:hop] if m.stop == _WELCH_BLOCK else x
             arrays["moments"][c, i] = _moments(samples, scratch["centred"])
         rows = slice(i * _WELCH_BLOCK, i * _WELCH_BLOCK + m.stop)
         for c, spectrum in enumerate(spectra):

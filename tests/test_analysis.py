@@ -503,6 +503,28 @@ def test_welch_memory_does_not_grow_with_segments(monkeypatch):
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_block_held_by_one_piece_is_read_in_place(monkeypatch):
+    # samples that the carry or the chunk holds whole are a view of it;
+    # those across both are copied into the work array
+    carry, chunk, out = np.arange(5.0), np.arange(5.0, 9.0), np.zeros(9)
+    inside = analysis._gather([carry, chunk], 6, 9, out)
+    assert np.shares_memory(inside, chunk) and inside.tolist() == [6, 7, 8]
+    across = analysis._gather([carry, chunk], 3, 7, out)
+    assert np.shares_memory(across, out) and across.tolist() == [3, 4, 5, 6]
+    # so a pass over whole records copies no block
+    copied = []
+
+    def spy(pieces, start, stop, out, _gather=analysis._gather):
+        x = _gather(pieces, start, stop, out)
+        copied.append(np.shares_memory(x, out))
+        return x
+
+    monkeypatch.setattr(analysis, "_gather", spy)
+    welch_csd(white(40_000, seed=44), white(40_000, seed=45),
+              WelchParams(256))
+    assert copied and not any(copied)
+
+
 def lag_case(n, j_max, offset=0.0):
     return pytest.param(n, j_max, offset, id=f"{n}-{j_max}" + (
         f"-offset{offset:g}" if offset else ""))

@@ -64,15 +64,19 @@ def assert_same_spectra(got, want):
        overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
        window=st.sampled_from(WINDOWS),
        method=st.sampled_from(METHODS),
-       rho=st.sampled_from([0.0, 0.5, 1.0]))
+       rho=st.sampled_from([0.0, 0.5, 1.0]),
+       cuts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=8))
 # a last chunk of 100 samples, shorter than a segment
 @example(chunks=3, last=100, chunk_blocks=1, segment_length=4096,
-         overlap=0.5, window="hann", method="boxcar", rho=1.0)
+         overlap=0.5, window="hann", method="boxcar", rho=1.0,
+         cuts=[(0.1, 0.5), (0.11, 1.0), (0.5, 0.0)])
 @example(chunks=2, last=100, chunk_blocks=1, segment_length=1023,
-         overlap=0.0, window="rectangular", method="spectral", rho=0.5)
+         overlap=0.0, window="rectangular", method="spectral", rho=0.5,
+         cuts=[(0.3, 0.2), (0.3, 0.9), (0.999, 0.5)])
 def test_chunks_give_the_bytes_of_whole_records(
         chunks, last, chunk_blocks, segment_length, overlap, window, method,
-        rho):
+        rho, cuts):
     chunk = chunk_blocks * BLOCK
     n = (chunks - 1) * chunk + last
     # a record of at least one segment and 10 coherence times (43 samples)
@@ -95,6 +99,20 @@ def test_chunks_give_the_bytes_of_whole_records(
     other = chunk + BLOCK
     assert_same_spectra(welch_csd(zip(chunks_of(a, other),
                                       chunks_of(b, other)), p=p), whole)
+    # and so do chunks cut at drawn points, each a sample alone and then
+    # fewer samples than a segment, so that samples are carried across
+    # several chunks
+    bounds = {0, n}
+    for at, short in cuts:
+        start = int(at * n)
+        bounds |= {start, start + 1,
+                   start + 1 + int(short * (segment_length - 2))}
+    bounds = sorted(x for x in bounds if x <= n)
+    cut = welch_csd([(TimeSeries(FS, a.values[i:j]),
+                      TimeSeries(FS, b.values[i:j]))
+                     for i, j in zip(bounds, bounds[1:])], p=p)
+    assert_same_spectra(cut, whole)
+    assert (cut.means, cut.variances) == (whole.means, whole.variances)
 
     # the merged moments of the chunks are the two-pass ones, also far from
     # zero mean
@@ -172,6 +190,9 @@ def test_memory_rule_covers_what_a_call_holds(monkeypatch, held_peak, call,
                                  maxlen=0)
 
     n = 2**17
+    # the first spectral record of a process imports numpy.polynomial and
+    # fills the filter cache: paid here, outside both measurements
+    make(n)
     rule = (charged(monkeypatch, lambda: make(2 * n))
             - charged(monkeypatch, lambda: make(n))) / n
     slope = (held_peak(lambda: make(2 * n)) - held_peak(lambda: make(n))) / n
